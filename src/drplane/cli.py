@@ -14,17 +14,9 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .altproj import ap_iterate, ap_report, ap_rows
-from .closedform import (
-    beatty_triple,
-    closed_form_inner,
-    closed_form_point,
-    compute_betas,
-    selector_counts,
-    verify_closed_form,
-)
+from .closedform import beatty_triple, closed_form_trace, verify_closed_form
 from .cycling import (
     DoubletonProblem,
     cycle_relation,
@@ -34,7 +26,6 @@ from .cycling import (
 from .dynamics import (
     Outcome,
     RunResult,
-    TraceRecord,
     iterate,
     run_report,
     trace_csv_header,
@@ -43,7 +34,7 @@ from .dynamics import (
 from .errors import PreconditionError, ProblemFormatError
 from .geometry import FiniteSet, Hyperplane, TiePolicy
 from .problems import Problem, load_problem
-from .scalars import BACKENDS, F64
+from .scalars import BACKENDS, F64, rational_heuristic
 
 OUTCOME_LABELS = {
     Outcome.FIXED_POINT: "FixedPointReached",
@@ -53,8 +44,7 @@ OUTCOME_LABELS = {
 
 FORMATS = ("csv", "json", "table")
 
-# float ratio is declared rational when a small fraction sits this close
-HEURISTIC_MAX_DENOMINATOR = 10**6
+# float ratio is declared rational when rational_heuristic's fraction sits this close
 HEURISTIC_REL_TOL = 1e-9
 
 
@@ -156,7 +146,7 @@ def cmd_run(config: Config) -> int:
 
 def _heuristic_rationality(dp: DoubletonProblem):
     ratio = (-dp.beta1) / dp.beta2
-    guess = Fraction(ratio).limit_denominator(HEURISTIC_MAX_DENOMINATOR)
+    guess = rational_heuristic(ratio)
     if abs(float(guess) - ratio) <= HEURISTIC_REL_TOL * max(1.0, abs(ratio)):
         return True, (guess.denominator, guess.numerator)
     return False, None
@@ -180,30 +170,11 @@ def cmd_cycle(config: Config) -> int:
     return 0
 
 
-def _closed_form_result(dp: DoubletonProblem, horizon: int) -> RunResult:
-    betas = compute_betas(dp)
-    inner0 = dp.hyperplane.inner(dp.x0)
-    m = 2
-    trace = [TraceRecord(0, dp.x0, None, inner0, (0,) * m)]
-    for n in range(1, horizon + 1):
-        x, k = closed_form_point(dp, betas, n)
-        trace.append(
-            TraceRecord(
-                n,
-                x,
-                k,
-                closed_form_inner(betas, inner0, n),
-                selector_counts(betas, inner0, n),
-            )
-        )
-    return RunResult(trace=trace, outcome=Outcome.HORIZON, final_counts=trace[-1].counts)
-
-
 def cmd_closed_form(config: Config) -> int:
     p = _load(config)
     try:
         dp = DoubletonProblem.from_problem(p)
-        result = _closed_form_result(dp, config.horizon)
+        result = closed_form_trace(dp, config.horizon)
     except PreconditionError:
         if not config.fallback_iterate:
             raise

@@ -16,9 +16,9 @@ import enum
 from dataclasses import dataclass
 
 from .cycling import DoubletonProblem
-from .dynamics import iterate
+from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
-from .geometry import Vector, dot, dr_step, norm_sq, vsub
+from .geometry import dot, dr_step, line_point, norm_sq, vsub
 from .scalars import F64, Scalar, Surd, encode_scalar, floor, format_scalar
 
 F64_INVARIANT_SLACK = 1e-9
@@ -157,14 +157,10 @@ def _entry_state(p: DoubletonProblem, betas: Betas):
 
 
 def _point_unchecked(p: DoubletonProblem, betas: Betas, inner0, n: int):
-    k = _count2(betas, inner0, n) - _count2(betas, inner0, n - 1) + 1
-    prev = inner0 if n == 1 else (
-        inner0 + (n - 1) * betas.beta1 + _count2(betas, inner0, n - 1) * betas.span
-    )
-    b = p.b1 if k == 1 else p.b2
-    u = p.hyperplane.normal
-    x = tuple(prev * u[i] + b[i] for i in range(len(u)))
-    return x, k
+    before = _count2(betas, inner0, n - 1)
+    k = _count2(betas, inner0, n) - before + 1
+    prev = inner0 if n == 1 else inner0 + (n - 1) * betas.beta1 + before * betas.span
+    return line_point(prev, p.hyperplane.normal, p.b1 if k == 1 else p.b2), k
 
 
 def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
@@ -212,11 +208,7 @@ def corollary_point(p: DoubletonProblem, n: int):
             "hypothesis 2<x0, b1-b2> > |b1|^2 - |b2|^2 fails: "
             f"margin {format_scalar(margin)}"
         )
-    k = _count2(betas, 0, n) - _count2(betas, 0, n - 1) + 1
-    prev = (n - 1) * betas.beta1 + _count2(betas, 0, n - 1) * betas.span
-    b = p.b1 if k == 1 else p.b2
-    u = p.hyperplane.normal
-    return tuple(prev * u[i] + b[i] for i in range(len(u))), k
+    return _point_unchecked(p, betas, 0, n)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:
@@ -261,24 +253,44 @@ def _points_agree(x, y, backend: str) -> bool:
     return True
 
 
-def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
-    """Compare the closed form against direct iteration for n = 1..horizon.
+def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
+    """Iterates 0..horizon from the closed form, shaped like iterate()'s result.
 
-    Exact backends demand exact equality of points and selectors; the float
-    backend allows 1e-9 relative error on coordinates.  Stops at the first
-    mismatch and reports both values.
+    Checks the hypotheses once, in closed_form_point's order, and refuses
+    the same way.  Row n's offset is row n+1's line coefficient, so each row
+    costs one floor.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     betas = compute_betas(p)
     inner0 = p.hyperplane.inner(p.x0)
     _require_applicable(betas, inner0)
     _entry_state(p, betas)
+    u = p.hyperplane.normal
+    trace = [TraceRecord(0, p.x0, None, inner0, (0, 0))]
+    before = _count2(betas, inner0, 0)
+    for n in range(1, horizon + 1):
+        now = _count2(betas, inner0, n)
+        k = now - before + 1
+        x = line_point(trace[-1].inner, u, p.b1 if k == 1 else p.b2)
+        inner = inner0 + n * betas.beta1 + now * betas.span
+        trace.append(TraceRecord(n, x, k, inner, (n - now, now)))
+        before = now
+    return RunResult(trace=trace, outcome=Outcome.HORIZON, final_counts=trace[-1].counts)
+
+
+def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
+    """Compare the closed form against direct iteration for n = 1..horizon.
+
+    Exact backends demand exact equality of points and selectors; the float
+    backend allows 1e-9 relative error on coordinates.  Reports the first
+    mismatch with both values.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    formula = closed_form_trace(p, horizon).trace
     run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon)
     for n in range(1, horizon + 1):
-        rec = run.trace[n]
-        x, k = _point_unchecked(p, betas, inner0, n)
-        if k != rec.selector_k or not _points_agree(x, rec.x, p.backend):
+        rec, cf = run.trace[n], formula[n]
+        if cf.selector_k != rec.selector_k or not _points_agree(cf.x, rec.x, p.backend):
             return VerifyReport(
                 ok=False,
                 checked=n,
@@ -286,9 +298,9 @@ def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
                 first_mismatch={
                     "n": n,
                     "iterated": [encode_scalar(c) for c in rec.x],
-                    "closed_form": [encode_scalar(c) for c in x],
+                    "closed_form": [encode_scalar(c) for c in cf.x],
                     "iterated_selector": rec.selector_k,
-                    "closed_form_selector": k,
+                    "closed_form_selector": cf.selector_k,
                 },
             )
     return VerifyReport(ok=True, checked=horizon, horizon=horizon)

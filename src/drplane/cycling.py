@@ -11,7 +11,10 @@ captured by the pair (selector, signed offset): the iterate itself is
 recoverable as x_n = (offset - beta_k) * u + b_k.  Offsets evolve by adding
 beta_1 or beta_2, and the next selector depends only on the current pair via
 fixed thresholds, so the search loop runs on small integers instead of
-vectors.
+vectors.  Both exact backends share one integer lattice: an offset is the
+triple (a, b, scale) meaning (a + b*sqrt(d))/scale, rationals being the
+b = 0 slice, and states are hashed as (k, a, b).  The float backend instead
+quantizes offsets into cells and labels its reports approximate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .geometry import (
     TiePolicy,
     Vector,
     dr_step,
+    line_point,
     norm_sq,
     vector_backend,
     vsub,
@@ -34,13 +38,13 @@ from .geometry import (
 from .problems import Problem
 from .scalars import (
     F64,
-    RATIONAL,
     SURD,
     Surd,
     as_fraction,
     encode_scalar,
     format_scalar,
     is_rational,
+    surd_sign,
 )
 
 F64_SIGN_MARGIN = 1e-12
@@ -185,24 +189,6 @@ def _int_of(fr: Fraction, scale: int) -> int:
     return scaled.numerator
 
 
-def _pair_sign(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for integers a, b without leaving Z."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * d
-    if lhs == rhs:
-        return 0
-    if a > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
 def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """Search for a state recurrence within the first `horizon` iterates.
 
@@ -218,79 +204,35 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
         return CycleReport("no_cycle", horizon)
     inner1 = A.inner(x1)
     consts = _threshold_constants(p)
-    if p.backend == RATIONAL:
-        return _detect_exact_rational(p, horizon, k1, inner1, consts)
-    if p.backend == SURD:
-        return _detect_exact_surd(p, horizon, k1, inner1, consts)
-    return _detect_float(p, horizon, k1, inner1, consts)
+    if p.backend == F64:
+        return _detect_float(p, horizon, k1, inner1, consts)
+    return _detect_exact(p, horizon, k1, inner1, consts)
 
 
-def _detect_exact_rational(p, horizon, k1, inner1, consts):
-    beta1, beta2, t1, t2 = consts
-    scale = math.lcm(
-        inner1.denominator,
-        beta1.denominator,
-        beta2.denominator,
-        t1.denominator,
-        t2.denominator,
-    )
-    s1, s2 = _int_of(beta1, scale), _int_of(beta2, scale)
-    th1, th2 = _int_of(t1, scale), _int_of(t2, scale)
-    tie = _tie_selector(p.tie_policy)
-
-    def decode(key):
-        k, off = key
-        return _state_vector(p, k, Fraction(off, scale))
-
-    k, off = k1, _int_of(inner1, scale)
-    seen = {(k, off): 1}
-    hist = [(k, off)]
-    for n in range(2, horizon + 1):
-        th = th1 if k == 1 else th2
-        if off > th:
-            k = 1
-        elif off < th:
-            k = 2
-        else:
-            k = tie
-        off += s1 if k == 1 else s2
-        key = (k, off)
-        first = seen.get(key)
-        if first is not None:
-            return _finalize_cycle(p, horizon, hist, first, n - first, decode)
-        seen[key] = n
-        hist.append(key)
-    return CycleReport("no_cycle", horizon)
-
-
-def _detect_exact_surd(p, horizon, k1, inner1, consts):
-    d = p.hyperplane.normal[0].d
-    vals = [inner1 if isinstance(inner1, Surd) else Surd(inner1, 0, d)]
-    for c in consts:
-        vals.append(c if isinstance(c, Surd) else Surd(c, 0, d))
-    dens = []
-    for v in vals:
-        dens.extend((v.a.denominator, v.b.denominator))
-    scale = math.lcm(*dens)
-
-    def pair_of(v: Surd) -> tuple[int, int]:
-        return _int_of(v.a, scale), _int_of(v.b, scale)
-
-    (i_a, i_b), (b1_a, b1_b), (b2_a, b2_b), (t1_a, t1_b), (t2_a, t2_b) = map(
-        pair_of, vals
-    )
+def _detect_exact(p, horizon, k1, inner1, consts):
+    surd = p.backend == SURD
+    # rationals keep b = 0, so surd_sign never reads their radicand
+    d = p.hyperplane.normal[0].d if surd else 0
+    parts = [(v.a, v.b) if isinstance(v, Surd) else (v, 0) for v in (inner1, *consts)]
+    scale = math.lcm(*(c.denominator for part in parts for c in part))
+    (i_a, i_b), (b1_a, b1_b), (b2_a, b2_b), (t1_a, t1_b), (t2_a, t2_b) = [
+        (_int_of(a, scale), _int_of(b, scale)) for a, b in parts
+    ]
     tie = _tie_selector(p.tie_policy)
 
     def decode(key):
         k, pa, pb = key
-        return _state_vector(p, k, Surd(Fraction(pa, scale), Fraction(pb, scale), d))
+        offset = Fraction(pa, scale)
+        if surd:
+            offset = Surd(offset, Fraction(pb, scale), d)
+        return _state_vector(p, k, offset)
 
     k = k1
     seen = {(k, i_a, i_b): 1}
     hist = [(k, i_a, i_b)]
     for n in range(2, horizon + 1):
         ta, tb = (t1_a, t1_b) if k == 1 else (t2_a, t2_b)
-        sign = _pair_sign(i_a - ta, i_b - tb, d)
+        sign = surd_sign(i_a - ta, i_b - tb, d)
         if sign > 0:
             k = 1
         elif sign < 0:
@@ -353,11 +295,9 @@ def _detect_float(p, horizon, k1, inner1, consts):
 
 def _state_vector(p: DoubletonProblem, k: int, offset) -> Vector:
     # invert the line confinement: x sits on b_k + span(u) at height offset
-    b = p.b1 if k == 1 else p.b2
-    beta = p.beta1 if k == 1 else p.beta2
-    u = p.hyperplane.normal
-    c = offset - beta
-    return tuple(c * u[i] + b[i] for i in range(len(u)))
+    if k == 1:
+        return line_point(offset - p.beta1, p.hyperplane.normal, p.b1)
+    return line_point(offset - p.beta2, p.hyperplane.normal, p.b2)
 
 
 def _vectors_match(p: DoubletonProblem, x, y, approximate: bool) -> bool:

@@ -26,9 +26,9 @@ from .geometry import (
     Hyperplane,
     Vector,
     _dr_step_parts,
+    line_point,
     norm_sq,
     project_hyperplane,
-    vadd,
     vec_equal,
     vector_backend,
     vscale,
@@ -40,8 +40,6 @@ DEFAULT_HORIZON = 10**6
 # Consecutive strictly-monotone inner products required before an
 # (already known infeasible, one-sided) run is declared divergent.
 DIVERGENCE_WINDOW = 1000
-
-FLOAT_FIXED_POINT_TOL = 1e-12
 
 
 class ClassificationKind(str, enum.Enum):
@@ -188,7 +186,7 @@ def reconstruct_x(result: RunResult, A: Hyperplane, B: FiniteSet, n: int) -> Vec
     if rec.x is not None:
         return rec.x
     prev = result.trace[n - 1]
-    return vadd(vscale(prev.inner, A.normal), B.points[rec.selector_k - 1])
+    return line_point(prev.inner, A.normal, B.points[rec.selector_k - 1])
 
 
 def reconstruct_shadow(result: RunResult, A: Hyperplane, B: FiniteSet, n: int) -> Vector:

@@ -67,6 +67,16 @@ def vscale(c: Scalar, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
+def line_point(c: Scalar, u: Vector, b: Vector) -> Vector:
+    """c*u + b: the point at coefficient c on the line b + span(u).
+
+    Every DR iterate after the first lies on such a line, with b the selected
+    point and c the previous iterate's offset, so this rebuilds iterates from
+    (selector, offset) states.
+    """
+    return tuple(c * u[i] + b[i] for i in range(len(u)))
+
+
 def norm_sq(x: Vector) -> Scalar:
     return dot(x, x)
 

@@ -70,6 +70,30 @@ def _as_fraction(value) -> Fraction:
     raise BackendError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def surd_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), via comparison of squared terms.
+
+    ``a`` and ``b`` are ints or Fractions and ``d`` a valid radicand; ``d``
+    is never read when ``b == 0``.
+    """
+    if b == 0:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if a == 0:
+        return -1 if b < 0 else 1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Mixed signs: |a| vs |b|*sqrt(d) decided by a^2 vs b^2*d.
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:  # would force sqrt(d) rational; unreachable for valid d
+        return 0
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
+
+
 class Surd:
     """``a + b*sqrt(d)`` with rational ``a``, ``b``; exact field arithmetic."""
 
@@ -165,24 +189,8 @@ class Surd:
     # -- exact comparisons --------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), via comparison of squared terms."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: |a| vs |b|*sqrt(d) decided by a^2 vs b^2*d.
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:  # would force sqrt(d) rational; unreachable for valid d
-            return 0
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        """Exact sign of a + b*sqrt(d); see :func:`surd_sign`."""
+        return surd_sign(self.a, self.b, self.d)
 
     def _diff_sign(self, other) -> int:
         lifted = self._lift(other)
@@ -317,10 +325,6 @@ def rational_heuristic(x: float, max_denominator: int = HEURISTIC_MAX_DENOMINATO
     if not math.isfinite(x):
         raise ValueError(f"cannot approximate non-finite float {x!r}")
     return Fraction(x).limit_denominator(max_denominator)
-
-
-def to_float(s: Scalar) -> float:
-    return float(s)
 
 
 def as_fraction(s: Scalar) -> Fraction:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, exit codes, overrides."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -36,6 +37,62 @@ def table_column(text, name):
     lo = starts[j]
     hi = starts[j + 1] if j + 1 < len(starts) else None
     return [ln[lo:hi].strip() for ln in lines[1:]]
+
+
+CANONICAL = (
+    "float_wide", "halfspace_divergent", "halfspace_fixed",
+    "r2_beatty", "rational_cycle", "surd_aperiodic",
+)
+
+# sha256 over exit code, stdout and stderr of one subcommand on the six
+# canonical problems, in the order above.  CLI output is byte-identical across
+# refactors unless a change says otherwise and records new digests here.
+GOLDEN = {
+    ("run", "csv"):
+        "c9e526dee2b26ef4c13fad32da04cecc2f833669418b968417661a4a7c16101d",
+    ("run", "json"):
+        "5f93b503eebe4d9b7c590637950e9caf53559bdc7b8936de9917a546a8a62eb5",
+    ("run", "table"):
+        "a5a5400716d0f4bf81167c90e5682c6ba16636395fcaeb376e2d179b0fccd3d6",
+    ("closed-form", "csv"):
+        "950338f9da58122bfb9000bb273223e1e726a04a4669505ea6d769935be7536b",
+    ("closed-form", "json"):
+        "92bb0208036a6e442b0fb2bf9fc87baeb93d7116d0886be095fdef76a42216b5",
+    ("closed-form", "table"):
+        "faa5a85fe49bca11e8e3970c9ad1dcd9077d994342effd93b8d5b081043ca84a",
+    ("verify", ""):
+        "99e648e053d8f589e04815bb774fe9019fa1b2a0a30fc188463aca13fb4a8051",
+    ("cycle", ""):
+        "c307f3955a61bebda3e4a8123688b629925e23ca4e100bf861b19e024b49b6d5",
+    ("map", "csv"):
+        "d617e69070dae93d309465462f10d71c7f1901a87453f61304431326887e235c",
+    ("map", "json"):
+        "e608f42dbd5597d13dee07767177e14ea05ab595137da7d496c94d0609ef35ad",
+    ("map", "table"):
+        "8acc6e8e69dd22a03009f376279f6670d7d130f3891ccff9d7966f8c0a198b03",
+    ("beatty", "csv"):
+        "6e8bb4b94d9e84b0a789e3c18bc3f907f9130c5f0f29df601817153685ca0fbb",
+    ("beatty", "json"):
+        "789a38b88f06e67405c53989ba0bf709448bee56030f62242b52fd75742e9515",
+    ("beatty", "table"):
+        "1872681051d0c1c5a0921f064c576576d110cc4e006f5d0a235c7f586db84e87",
+}
+
+
+def golden_invocations(command, fmt):
+    fmt_args = ["--format", fmt] if fmt else []
+    if command == "beatty":
+        yield ["beatty", "--horizon", "40"] + fmt_args
+        return
+    for name in CANONICAL:
+        # long enough for the divergent run to be detected and the float
+        # doubleton to close its cycle
+        if command == "cycle":
+            horizon = "5000"
+        else:
+            horizon = "1100" if name == "halfspace_divergent" else "120"
+        problem = str(FIXTURES / f"{name}.json")
+        yield [command, "--problem", problem, "--horizon", horizon] + fmt_args
 
 
 def write_problem(tmp_path, name, data):
@@ -163,6 +220,20 @@ class TestCycle:
         report = json.loads(out)
         assert report["rational"] is True
         assert report["relation"] == [37, 10]
+
+    def test_float_heuristic_nonfinite_ratio_exits_2(self, capsys, tmp_path):
+        # d_A(b1)/d_A(b2) overflows to inf, which has no rational guess
+        path = write_problem(
+            tmp_path, "huge.json",
+            {"normal": [1.0], "points": [[-1e308], [1e-11]], "x0": [0.0],
+             "backend": "f64"},
+        )
+        code, out, err = run_cli(
+            capsys, "cycle", "--problem", path, "--horizon", "10",
+            "--heuristic-rationality",
+        )
+        assert code == 2 and out == ""
+        assert "non-finite" in err
 
     def test_tie_policy_override(self, capsys, tmp_path):
         path = write_problem(
@@ -341,6 +412,15 @@ class TestBadInput:
             "--horizon", "0",
         )
         assert code == 2 and "horizon" in err
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
+def test_golden_output(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for argv in golden_invocations(command, fmt):
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GOLDEN[command, fmt]
 
 
 def test_module_entry_point():

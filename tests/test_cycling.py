@@ -27,10 +27,10 @@ def line_doubleton(b1, b2, x0, tie_policy=TiePolicy.HIGHER_INNER):
     )
 
 
-def surd_line_doubleton(b1, b2, x0):
+def surd_line_doubleton(b1, b2, x0, tie_policy=TiePolicy.HIGHER_INNER):
     lift = lambda v: v if isinstance(v, Surd) else Surd(v, 0, 2)
     A = Hyperplane((Surd(1, 0, 2),))
-    return DoubletonProblem(A, (lift(b1),), (lift(b2),), (lift(x0),))
+    return DoubletonProblem(A, (lift(b1),), (lift(b2),), (lift(x0),), tie_policy)
 
 
 def brute_cycle(p, horizon):
@@ -251,6 +251,20 @@ def random_plane_doubleton(rng):
     return DoubletonProblem(A, b1, b2, x0)
 
 
+def random_surd_plane_doubleton(rng):
+    # offsets are rational multiples of one irrational surd, so their ratio
+    # is rational while every coordinate carries a sqrt(2) part
+    A = Hyperplane((Surd(Fraction(3, 5), 0, 2), Surd(Fraction(4, 5), 0, 2)))
+    s = Surd(1, Fraction(1, 2), 2)
+    t1, t2 = random_rational(rng, 1, 3, 3), random_rational(rng, 1, 3, 3)
+    # <(4, -3), u> = 0, so (4w, -3w) + c*u has offset exactly c
+    w1, w2 = Surd(0, random_rational(rng, -2, 2, 3), 2), Surd(random_rational(rng, -2, 2, 3), 0, 2)
+    b1 = (4 * w1 - Fraction(3, 5) * t1 * s, -3 * w1 - Fraction(4, 5) * t1 * s)
+    b2 = (4 * w2 + Fraction(3, 5) * t2 * s, -3 * w2 + Fraction(4, 5) * t2 * s)
+    x0 = (Surd(random_rational(rng, -2, 2, 3), 0, 2), Surd(0, random_rational(rng, -2, 2, 3), 2))
+    return DoubletonProblem(A, b1, b2, x0)
+
+
 class TestAgainstBruteForce:
     def test_line_instances(self):
         rng = random.Random(20260814)
@@ -262,8 +276,9 @@ class TestAgainstBruteForce:
 
     def test_plane_instances(self):
         rng = random.Random(7)
-        for _ in range(10):
-            p = random_plane_doubleton(rng)
+        instances = [random_plane_doubleton(rng) for _ in range(10)]
+        instances += [random_surd_plane_doubleton(rng) for _ in range(6)]
+        for p in instances:
             report = detect_cycle(p, 100_000)
             assert report.status == "cycle"
             assert brute_cycle(p, 100_000) == (report.preperiod, report.period)
@@ -281,11 +296,20 @@ class TestAgainstBruteForce:
 
     def test_surd_cycles_match(self):
         rng = random.Random(3)
+        instances = []
         for _ in range(5):
             scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))
             b1 = Surd(-1, Fraction(-1, 2), 2)
             b2 = Surd(scale, scale / 2, 2)  # b2 = -scale * b1, rational ratio
-            p = surd_line_doubleton(b1, b2, rng.randint(-2, 2))
+            instances.append(surd_line_doubleton(b1, b2, rng.randint(-2, 2)))
+        # symmetric points b = -/+ c*sqrt(2) put equidistant reflections on
+        # the orbit (offset 0, reached after a descent from 3*c*sqrt(2)), so
+        # each tie policy steers its own cycle
+        for policy in TiePolicy:
+            for c, x0 in ((1, 0), (Fraction(3, 2), Surd(0, Fraction(9, 2), 2))):
+                b = Surd(0, c, 2)
+                instances.append(surd_line_doubleton(-b, b, x0, policy))
+        for p in instances:
             assert rationality_predicate(p) is True
             report = detect_cycle(p, 100_000)
             assert report.status == "cycle"
