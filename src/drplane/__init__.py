@@ -6,6 +6,8 @@ two-point sets with cross-checking against direct iteration, and an
 alternating-projections baseline.
 """
 
+import logging
+
 from .altproj import ApTrace, ap_iterate
 from .closedform import (
     Betas,
@@ -36,6 +38,10 @@ from .problems import Problem, load_problem, make_problem, save_problem
 from .scalars import Surd
 
 __version__ = "0.1.0"
+
+# debug records name the path each driver took; silent unless the caller
+# configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ApTrace",

@@ -8,6 +8,13 @@ evaluates those formulas, the simplified variant available when the start
 lies on the hyperplane, and the square-root-of-two integer sequences that the
 planar instance generates; verify_closed_form cross-checks everything against
 the step-by-step driver.
+
+The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
+fixed once per call.  On the exact backends that floor is an integer
+square-root floor and the offsets are integer combinations on the orbit's
+lattice (see :func:`floor_form`); f64 keeps the float quotient.  The step
+driver reaches the same offsets by stepping, so verify_closed_form still
+compares two derivations.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
 from .geometry import dot, dr_step, line_point, norm_sq, vsub
-from .scalars import F64, Scalar, Surd, encode_scalar, floor, format_scalar
+from .lattice import OffsetLattice, window_constant
+from .scalars import F64, Scalar, Surd, encode_scalar, floor, format_scalar, surd_floor
 
 F64_INVARIANT_SLACK = 1e-9
 NOT_APPLICABLE = "closed form not applicable; use iterate"
@@ -52,7 +60,7 @@ class RegionLabel(enum.Enum):
 def compute_betas(p: DoubletonProblem) -> Betas:
     """Derive (beta1, beta2, beta) and assert their sign invariants."""
     beta1, beta2 = p.beta1, p.beta2
-    beta = norm_sq(vsub(p.b1, p.b2)) / (2 * (beta1 - beta2))
+    beta = window_constant(p.b1, p.b2, beta1, beta2)
     slack = F64_INVARIANT_SLACK if p.backend == F64 else 0
     if not beta < slack:
         raise PreconditionError(f"window constant must be negative, got {beta!r}")
@@ -148,6 +156,47 @@ def closed_form_inner_alt(betas: Betas, inner0, n: int):
     )
 
 
+def floor_form(betas: Betas, inner0):
+    """The closed form's two evaluators for one start offset.
+
+    Returns (count2, offset): count2(n) is the number of selector-2 choices
+    among steps 1..n, floor(X + n*Y) with X = (-inner0 + beta - beta1 +
+    beta2)/span and Y = -beta1/span fixed once; offset(n, c) is the offset
+    after n steps of which c chose b2, inner0 + n*beta1 + c*span.  The exact
+    backends hold X and Y as integer surds over one positive denominator,
+    dividing by span through its conjugate (whose norm may be negative), and
+    take each floor by an integer square root; offsets come from the same
+    integers.  The f64 backend keeps the float quotient.
+    """
+    if isinstance(betas.span, float):
+        return (
+            lambda n: _count2(betas, inner0, n),
+            lambda n, c: inner0 + n * betas.beta1 + c * betas.span,
+        )
+    lat = OffsetLattice(betas.beta1, betas.beta2, betas.beta, inner0)
+    d = lat.d
+    (i_a, i_b), (b1a, b1b), (b2a, b2b), (wa, wb) = lat.start, lat.beta1, lat.beta2, lat.beta
+    sa, sb = b2a - b1a, b2b - b1b
+    norm = sa * sa - sb * sb * d
+    sign = 1 if norm > 0 else -1
+
+    def over_span(p, q):
+        # (p + q*sqrt(d))/(sa + sb*sqrt(d)) = (p + q*sqrt(d))*(sa - sb*sqrt(d))/norm
+        return sign * (p * sa - q * sb * d), sign * (q * sa - p * sb)
+
+    xa, xb = over_span(wa - i_a + sa, wb - i_b + sb)
+    ya, yb = over_span(-b1a, -b1b)
+    denom = abs(norm)
+
+    def count2(n: int) -> int:
+        return surd_floor(xa + n * ya, xb + n * yb, denom, d)
+
+    def offset(n: int, c: int):
+        return lat.decode(i_a + n * b1a + c * sa, i_b + n * b1b + c * sb)
+
+    return count2, offset
+
+
 def _entry_state(p: DoubletonProblem, betas: Betas):
     """First iterate and its selector, with the entry hypothesis enforced."""
     x1, k1 = dr_step(p.hyperplane, p.finite_set(), p.x0)
@@ -157,9 +206,10 @@ def _entry_state(p: DoubletonProblem, betas: Betas):
 
 
 def _point_unchecked(p: DoubletonProblem, betas: Betas, inner0, n: int):
-    before = _count2(betas, inner0, n - 1)
-    k = _count2(betas, inner0, n) - before + 1
-    prev = inner0 if n == 1 else inner0 + (n - 1) * betas.beta1 + before * betas.span
+    count2, offset = floor_form(betas, inner0)
+    before = count2(n - 1)
+    k = count2(n) - before + 1
+    prev = inner0 if n == 1 else offset(n - 1, before)
     return line_point(prev, p.hyperplane.normal, p.b1 if k == 1 else p.b2), k
 
 
@@ -264,15 +314,15 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     inner0 = p.hyperplane.inner(p.x0)
     _require_applicable(betas, inner0)
     _entry_state(p, betas)
+    count2, offset = floor_form(betas, inner0)
     u = p.hyperplane.normal
     trace = [TraceRecord(0, p.x0, None, inner0, (0, 0))]
-    before = _count2(betas, inner0, 0)
+    before = count2(0)
     for n in range(1, horizon + 1):
-        now = _count2(betas, inner0, n)
+        now = count2(n)
         k = now - before + 1
         x = line_point(trace[-1].inner, u, p.b1 if k == 1 else p.b2)
-        inner = inner0 + n * betas.beta1 + now * betas.span
-        trace.append(TraceRecord(n, x, k, inner, (n - now, now)))
+        trace.append(TraceRecord(n, x, k, offset(n, now), (n - now, now)))
         before = now
     return RunResult(trace=trace, outcome=Outcome.HORIZON, final_counts=trace[-1].counts)
 

@@ -11,15 +11,17 @@ captured by the pair (selector, signed offset): the iterate itself is
 recoverable as x_n = (offset - beta_k) * u + b_k.  Offsets evolve by adding
 beta_1 or beta_2, and the next selector depends only on the current pair via
 fixed thresholds, so the search loop runs on small integers instead of
-vectors.  Both exact backends share one integer lattice: an offset is the
-triple (a, b, scale) meaning (a + b*sqrt(d))/scale, rationals being the
-b = 0 slice, and states are hashed as (k, a, b).  The float backend instead
-quantizes offsets into cells and labels its reports approximate.
+vectors.  Both exact backends run on the integer lattice of
+:mod:`drplane.lattice`, which the iteration driver and the closed form share:
+an offset is the triple (a, b, scale) meaning (a + b*sqrt(d))/scale,
+rationals being the b = 0 slice, and states are hashed as (k, a, b).  The
+float backend instead quantizes offsets into cells and labels its reports
+approximate.
 """
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,21 +33,19 @@ from .geometry import (
     Vector,
     dr_step,
     line_point,
-    norm_sq,
     vector_backend,
-    vsub,
 )
+from .lattice import OffsetLattice, thresholds, tie_selector, window_constant
 from .problems import Problem
 from .scalars import (
     F64,
-    SURD,
-    Surd,
     as_fraction,
     encode_scalar,
     format_scalar,
     is_rational,
-    surd_sign,
 )
+
+logger = logging.getLogger(__name__)
 
 F64_SIGN_MARGIN = 1e-12
 FLOAT_CYCLE_REL_TOL = 1e-9
@@ -95,7 +95,11 @@ class DoubletonProblem:
         return self.hyperplane.backend
 
     def finite_set(self) -> FiniteSet:
-        return FiniteSet.ordered((self.b1, self.b2), self.hyperplane, self.tie_policy)
+        # __post_init__ has checked dimensions, backends and the strict
+        # straddle, which also orders and separates the two points
+        return FiniteSet(
+            (tuple(self.b1), tuple(self.b2)), (self.beta1, self.beta2), self.tie_policy
+        )
 
     @classmethod
     def from_problem(cls, problem: Problem) -> "DoubletonProblem":
@@ -166,29 +170,6 @@ def cycle_relation(p: DoubletonProblem) -> tuple[int, int] | None:
     return frac.denominator, frac.numerator
 
 
-def _threshold_constants(p: DoubletonProblem):
-    """Selector thresholds: from state (k, offset), the next selector is 1
-    when offset > t_k, 2 when offset < t_k, and the tie policy decides at
-    equality."""
-    beta1, beta2 = p.beta1, p.beta2
-    gap_sq = norm_sq(vsub(p.b1, p.b2))
-    beta = gap_sq / (2 * (beta1 - beta2))
-    return beta1, beta2, beta - beta1, -beta - beta2
-
-
-def _tie_selector(policy: TiePolicy) -> int:
-    # equidistant reflections resolve to the higher offset (b2) only under
-    # the default policy; both alternatives pick b1
-    return 2 if policy is TiePolicy.HIGHER_INNER else 1
-
-
-def _int_of(fr: Fraction, scale: int) -> int:
-    scaled = fr * scale
-    if scaled.denominator != 1:
-        raise AssertionError("lattice scale does not clear denominators")
-    return scaled.numerator
-
-
 def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """Search for a state recurrence within the first `horizon` iterates.
 
@@ -203,49 +184,25 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     if horizon == 1:
         return CycleReport("no_cycle", horizon)
     inner1 = A.inner(x1)
-    consts = _threshold_constants(p)
+    beta = window_constant(p.b1, p.b2, p.beta1, p.beta2)
     if p.backend == F64:
-        return _detect_float(p, horizon, k1, inner1, consts)
-    return _detect_exact(p, horizon, k1, inner1, consts)
+        logger.debug("detect_cycle: quantized float offsets (f64 backend)")
+        return _detect_float(p, horizon, k1, inner1, beta)
+    logger.debug("detect_cycle: integer lattice")
+    return _detect_exact(p, horizon, k1, inner1, beta)
 
 
-def _detect_exact(p, horizon, k1, inner1, consts):
-    surd = p.backend == SURD
-    # rationals keep b = 0, so surd_sign never reads their radicand
-    d = p.hyperplane.normal[0].d if surd else 0
-    parts = [(v.a, v.b) if isinstance(v, Surd) else (v, 0) for v in (inner1, *consts)]
-    scale = math.lcm(*(c.denominator for part in parts for c in part))
-    (i_a, i_b), (b1_a, b1_b), (b2_a, b2_b), (t1_a, t1_b), (t2_a, t2_b) = [
-        (_int_of(a, scale), _int_of(b, scale)) for a, b in parts
-    ]
-    tie = _tie_selector(p.tie_policy)
+def _detect_exact(p, horizon, k1, inner1, beta):
+    lat = OffsetLattice(p.beta1, p.beta2, beta, inner1, p.tie_policy)
 
     def decode(key):
-        k, pa, pb = key
-        offset = Fraction(pa, scale)
-        if surd:
-            offset = Surd(offset, Fraction(pb, scale), d)
-        return _state_vector(p, k, offset)
+        k, a, b = key
+        return _state_vector(p, k, lat.decode(a, b))
 
-    k = k1
-    seen = {(k, i_a, i_b): 1}
-    hist = [(k, i_a, i_b)]
-    for n in range(2, horizon + 1):
-        ta, tb = (t1_a, t1_b) if k == 1 else (t2_a, t2_b)
-        sign = surd_sign(i_a - ta, i_b - tb, d)
-        if sign > 0:
-            k = 1
-        elif sign < 0:
-            k = 2
-        else:
-            k = tie
-        if k == 1:
-            i_a += b1_a
-            i_b += b1_b
-        else:
-            i_a += b2_a
-            i_b += b2_b
-        key = (k, i_a, i_b)
+    key = (k1, *lat.start)
+    seen = {key: 1}
+    hist = [key]
+    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
         first = seen.get(key)
         if first is not None:
             return _finalize_cycle(p, horizon, hist, first, n - first, decode)
@@ -254,12 +211,13 @@ def _detect_exact(p, horizon, k1, inner1, consts):
     return CycleReport("no_cycle", horizon)
 
 
-def _detect_float(p, horizon, k1, inner1, consts):
-    beta1, beta2, t1, t2 = consts
+def _detect_float(p, horizon, k1, inner1, beta):
+    beta1, beta2 = p.beta1, p.beta2
+    t1, t2 = thresholds(beta1, beta2, beta)
     qstep = FLOAT_CYCLE_REL_TOL * max(
         1.0, abs(inner1), abs(beta1), abs(beta2), abs(t1), abs(t2)
     )
-    tie = _tie_selector(p.tie_policy)
+    tie = tie_selector(p.tie_policy)
 
     def decode(key):
         k, off = key

@@ -11,12 +11,22 @@ consecutive iterates always stay at least ``min_i d_A(b_i)`` apart.
 ``(n, selector, inner)`` per step, from which full iterates are
 reconstructible (every iterate after the first sits on one of the lines
 ``b_k + span(u)``).
+
+Two paths produce the same records.  An exact-backend doubleton that
+strictly straddles the hyperplane (so it cannot reach a fixed point or
+diverge) takes one vector step from x0 and then advances its
+(selector, offset) state on the integer lattice of :mod:`drplane.lattice`,
+decoding each offset once and rebuilding full-trace iterates from it.
+Everything else (f64, one-sided or touching doubletons, m != 2) runs the
+generic vector loop.  A ``drplane`` debug log record names the path taken
+and, for the vector loop, why.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,7 +44,10 @@ from .geometry import (
     vscale,
     vsub,
 )
+from .lattice import OffsetLattice, window_constant
 from .scalars import F64, Scalar, encode_scalar, format_scalar
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_HORIZON = 10**6
 # Consecutive strictly-monotone inner products required before an
@@ -117,6 +130,11 @@ def iterate(
     _check_start(A, B, x0)
     backend = A.backend
     cls = classify(A, B)
+    refusal = _lattice_refusal(A, B, cls)
+    if refusal is None:
+        logger.debug("iterate: integer lattice")
+    else:
+        logger.debug("iterate: generic vectors (%s)", refusal)
     may_diverge = (
         cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
     )
@@ -136,7 +154,9 @@ def iterate(
     mono_sign = 0
     mono_run = 0
 
-    for n in range(1, max_n + 1):
+    # on the lattice only step 1 runs on vectors; neither stop can happen there
+    vector_steps = max_n if refusal else min(max_n, 1)
+    for n in range(1, vector_steps + 1):
         nxt, k, pa = _dr_step_parts(A, B, x)
         if vec_equal(nxt, x, backend):
             outcome = Outcome.FIXED_POINT
@@ -168,6 +188,8 @@ def iterate(
                 outcome = Outcome.DIVERGENCE
                 shadow_limit = vsub(x, vscale(inner, A.normal))
                 break
+    if refusal is None and max_n > 1:
+        _lattice_steps(A, B, trace, shadow, counts, max_n)
 
     return RunResult(
         trace=trace,
@@ -178,6 +200,50 @@ def iterate(
         final_counts=tuple(counts),
         slim=slim,
     )
+
+
+def _lattice_refusal(A: Hyperplane, B: FiniteSet, cls: Classification) -> str | None:
+    """Why iterate cannot run B on the integer lattice; None when it can."""
+    if B.m != 2:
+        return f"{B.m} points"
+    if A.backend == F64:
+        return "f64 backend"
+    if cls.intersects:
+        return "touches the hyperplane"
+    if cls.kind != ClassificationKind.STRADDLING:
+        return "one-sided"
+    return None
+
+
+def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, shadow, counts, max_n: int) -> None:
+    """Append steps 2..max_n of a straddling exact doubleton, advanced on the
+    integer lattice from the state of step 1.
+
+    Each offset is decoded once; a full record's iterate is rebuilt from the
+    previous offset, and its shadow P_A x_n = P_A b_k is one of two vectors.
+    """
+    (b1, b2), (beta1, beta2) = B.points, B.inners
+    u = A.normal
+    first = trace[1]
+    lat = OffsetLattice(
+        beta1, beta2, window_constant(b1, b2, beta1, beta2), first.inner, B.tie_policy
+    )
+    decode = lat.decode
+    prev = first.inner
+    slim = shadow is None
+    if not slim:
+        shadows = (project_hyperplane(A, b1), project_hyperplane(A, b2))
+    states = lat.walk(first.selector_k, *lat.start)
+    for n, (k, a, b) in zip(range(2, max_n + 1), states):
+        inner = decode(a, b)
+        counts[k - 1] += 1
+        if slim:
+            trace.append(TraceRecord(n, None, k, inner, None))
+        else:
+            x = line_point(prev, u, B.points[k - 1])
+            trace.append(TraceRecord(n, x, k, inner, tuple(counts)))
+            shadow.append(shadows[k - 1])
+        prev = inner
 
 
 def reconstruct_x(result: RunResult, A: Hyperplane, B: FiniteSet, n: int) -> Vector:

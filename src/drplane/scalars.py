@@ -94,6 +94,21 @@ def surd_sign(a, b, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
+def surd_floor(p1: int, p2: int, q: int, d: int) -> int:
+    """Exact floor of (p1 + p2*sqrt(d))/q for integers with q > 0.
+
+    floor((p1 + s)/q) == floor((p1 + floor(s))/q) for integer p1 and q > 0,
+    and floor(p2*sqrt(d)) comes from an exact integer square root.  ``d`` is
+    a valid radicand, never read when ``p2 == 0``.
+    """
+    if p2 == 0:
+        return p1 // q
+    # p2^2*d is never a perfect square (d square-free, p2 != 0), so the
+    # negative branch always rounds down by one.
+    root = math.isqrt(p2 * p2 * d)
+    return (p1 + (root if p2 > 0 else -root - 1)) // q
+
+
 class Surd:
     """``a + b*sqrt(d)`` with rational ``a``, ``b``; exact field arithmetic."""
 
@@ -239,17 +254,10 @@ class Surd:
     def __floor__(self) -> int:
         """Exact floor by integer bracketing; floats are never consulted."""
         a, b = self.a, self.b
-        if b == 0:
-            return a.numerator // a.denominator
         q = math.lcm(a.denominator, b.denominator)
-        p1 = a.numerator * (q // a.denominator)
-        p2 = b.numerator * (q // b.denominator)
-        # floor(p2*sqrt(d)) via exact integer square root.  p2^2*d is never a
-        # perfect square (d square-free, p2 != 0), so the negative branch
-        # always rounds down by one.
-        root = math.isqrt(p2 * p2 * self.d)
-        f2 = root if p2 > 0 else -root - 1
-        return (p1 + f2) // q
+        return surd_floor(
+            a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, self.d
+        )
 
     def is_rational(self) -> bool:
         return self.b == 0

@@ -13,8 +13,10 @@ from drplane.closedform import (
     closed_form_inner,
     closed_form_inner_alt,
     closed_form_point,
+    closed_form_trace,
     compute_betas,
     corollary_point,
+    floor_form,
     region_of,
     selector_counts,
     successor_rule,
@@ -412,3 +414,103 @@ class TestVerify:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             verify_closed_form(EX_RATIONAL, 0)
+
+
+def quotient_count2(b, inner0, n):
+    """count2 as the published floor of one exact quotient."""
+    return floor((-inner0 + b.beta - (n + 1) * b.beta1 + b.beta2) / b.span)
+
+
+class TestIntegerFloorForm:
+    def instances(self):
+        rng = random.Random(41)
+        surd = lambda a, b: Surd(Fraction(a), Fraction(b), 2)  # noqa: E731
+        out = [
+            # span 1 + sqrt(2): conjugate norm 1 - 2 < 0
+            (Betas(surd(-1, 0), surd(0, 1), compute_betas(EX_SURD).beta), surd(0, 0)),
+            (compute_betas(plane_sqrt2_doubleton()), surd(0, 0)),
+        ]
+        for _ in range(4):
+            beta1 = surd(-Fraction(rng.randint(1, 9), 2), -Fraction(rng.randint(0, 5), 3))
+            beta2 = surd(Fraction(rng.randint(1, 9), 4), Fraction(rng.randint(-3, 5), 3))
+            beta = surd(-Fraction(rng.randint(1, 9), 5), Fraction(rng.randint(-3, 3), 2))
+            inner0 = surd(Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-4, 4), 3))
+            out.append((Betas(beta1, beta2, beta), inner0))
+        for _ in range(3):
+            beta1 = -Fraction(rng.randint(1, 20), rng.randint(1, 6))
+            beta2 = Fraction(rng.randint(1, 20), rng.randint(1, 6))
+            beta = -Fraction(rng.randint(1, 20), rng.randint(1, 6))
+            out.append((Betas(beta1, beta2, beta), Fraction(rng.randint(-9, 9), 4)))
+        return out
+
+    def test_count2_matches_surd_quotient_floor(self):
+        instances = self.instances()
+        norms = [b.span.a ** 2 - 2 * b.span.b ** 2 for b, _ in instances[:6]]
+        assert min(norms) < 0 < max(norms)
+        for b, inner0 in instances:
+            count2, offset = floor_form(b, inner0)
+            for n in range(0, 2001):
+                c = count2(n)
+                assert c == quotient_count2(b, inner0, n), (b, inner0, n)
+                if n % 97 == 0:
+                    value = offset(n, c)
+                    assert value == inner0 + n * b.beta1 + c * b.span
+                    assert type(value) is type(b.span)
+
+    def test_float_backend_keeps_quotient(self):
+        A = Hyperplane((1.0,))
+        b = compute_betas(DoubletonProblem(A, (-1.0,), (3.7,), (0.0,)))
+        count2, offset = floor_form(b, 0.25)
+        for n in range(200):
+            assert count2(n) == quotient_count2(b, 0.25, n)
+            assert offset(n, 3) == 0.25 + n * b.beta1 + 3 * b.span
+
+
+class TestRefusalOrder:
+    """closed_form_point and closed_form_trace refuse with the same messages,
+    the first failed hypothesis winning."""
+
+    SHIFT = "closed form not applicable; use iterate (beta + beta2 < 0)"
+    START = "closed form not applicable; use iterate (start offset outside the window)"
+    ENTRY = "closed form not applicable; use iterate (first iterate misses the window)"
+
+    def refusals(self, p):
+        messages = []
+        for call in (
+            lambda: closed_form_point(p, compute_betas(p), 1),
+            lambda: closed_form_trace(p, 5),
+        ):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            messages.append(str(info.value))
+        return messages
+
+    def test_window_shift_first(self):
+        # also starts outside the window
+        A = Hyperplane((Fraction(0), Fraction(1)))
+        p = DoubletonProblem(
+            A, (Fraction(0), Fraction(-1)), (Fraction(3), Fraction(1, 2)),
+            (Fraction(0), Fraction(100)),
+        )
+        assert self.refusals(p) == [self.SHIFT, self.SHIFT]
+
+    def test_start_offset_before_entry(self):
+        # the first iterate (offset 9) misses the window too
+        p = line_doubleton(-1, 2, x0=10)
+        x1, _ = dr_step(p.hyperplane, p.finite_set(), p.x0)
+        assert x1 == (Fraction(9),)
+        assert self.refusals(p) == [self.START, self.START]
+
+    def test_entry_last(self):
+        A = Hyperplane((Fraction(0), Fraction(1)))
+        p = DoubletonProblem(
+            A, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2)),
+            (Fraction(6), Fraction(1)),
+        )
+        assert self.refusals(p) == [self.ENTRY, self.ENTRY]
+
+    def test_surd_window_shift(self):
+        z = lambda v: Surd(v, 0, 2)  # noqa: E731
+        A = Hyperplane((z(0), z(1)))
+        p = DoubletonProblem(A, (z(0), z(-1)), (z(3), Surd(0, Fraction(1, 2), 2)), (z(0), z(0)))
+        assert self.refusals(p) == [self.SHIFT, self.SHIFT]

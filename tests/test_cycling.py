@@ -74,6 +74,11 @@ class TestDoubletonProblem:
         p = DoubletonProblem.from_problem(prob)
         assert p.b1 == (Fraction(-1),) and p.b2 == (Fraction(2),)
 
+    def test_finite_set_matches_ordered(self):
+        for policy in TiePolicy:
+            p = surd_line_doubleton(Surd(-1, -1, 2), 3, 0, policy)
+            assert p.finite_set() == FiniteSet.ordered([p.b2, p.b1], p.hyperplane, policy)
+
     def test_from_problem_rejects_triples(self):
         prob = make_problem((1,), [(-1,), (2,), (3,)], (0,))
         with pytest.raises(PreconditionError, match="doubleton"):

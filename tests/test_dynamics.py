@@ -1,10 +1,14 @@
 """Iteration driver: traces, classification, stopping rules, exports."""
 
 import io
+import logging
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import (
     Classification,
     ClassificationKind,
@@ -20,8 +24,18 @@ from drplane.dynamics import (
     write_trace_csv,
 )
 from drplane.errors import BackendError, DimensionMismatch, PreconditionError
-from drplane.geometry import FiniteSet, Hyperplane
+from drplane.geometry import (
+    FiniteSet,
+    Hyperplane,
+    TiePolicy,
+    dr_step,
+    project_hyperplane,
+    vec_equal,
+)
+from drplane.problems import load_problem
 from drplane.scalars import Surd
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def F(*nums):
@@ -256,3 +270,147 @@ class TestExport:
         }
         assert report["records"][1]["x"] == ["0", "1"]
         assert report["records"][1]["k"] == 1
+
+
+def reference_run(A, B, x0, max_n):
+    """Full-trace bookkeeping over a plain dr_step loop from x0, stopping at a
+    fixed point; shares no code with iterate."""
+    x = tuple(x0)
+    counts = [0] * B.m
+    records = [(0, x, None, A.inner(x), tuple(counts))]
+    shadow = [project_hyperplane(A, x)]
+    for n in range(1, max_n + 1):
+        nxt, k = dr_step(A, B, x)
+        if vec_equal(nxt, x, A.backend):
+            return records, shadow, Outcome.FIXED_POINT, tuple(counts)
+        counts[k - 1] += 1
+        records.append((n, nxt, k, A.inner(nxt), tuple(counts)))
+        shadow.append(project_hyperplane(A, nxt))
+        x = nxt
+    return records, shadow, Outcome.HORIZON, tuple(counts)
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+def assert_matches_reference(A, B, x0, max_n, **kwargs):
+    """Full and slim iterate traces equal the reference record by record,
+    scalar types included; a divergent run matches the reference prefix."""
+    records, shadow, outcome, final = reference_run(A, B, x0, max_n)
+    full = iterate(A, B, x0, max_n, **kwargs)
+    slim = iterate(A, B, x0, max_n, slim=True, **kwargs)
+    if full.outcome == Outcome.DIVERGENCE:
+        records, shadow = records[: len(full.trace)], shadow[: len(full.trace)]
+        outcome, final = Outcome.DIVERGENCE, records[-1][4]
+    assert (full.outcome, slim.outcome) == (outcome, outcome)
+    assert full.final_counts == slim.final_counts == final
+    got = [(r.n, r.x, r.selector_k, r.inner, r.counts) for r in full.trace]
+    assert got == records
+    assert typed(r.inner for r in full.trace) == typed(rec[3] for rec in records)
+    assert typed(c for r in full.trace for c in r.x) == typed(
+        c for rec in records for c in rec[1]
+    )
+    assert full.shadow == shadow
+    assert slim.shadow is None
+    assert slim.trace[0].x == records[0][1]
+    got = [(r.n, r.selector_k, r.inner) for r in slim.trace]
+    assert got == [(n, k, inner) for n, _, k, inner, _ in records]
+    assert typed(r.inner for r in slim.trace) == typed(rec[3] for rec in records)
+    assert all(r.x is None and r.counts is None for r in slim.trace[1:])
+
+
+def random_fraction(rng, lo, hi, den):
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def random_straddling(rng, normal):
+    """Two random rational points on either side of the hyperplane, and a start."""
+    A = Hyperplane(tuple(Fraction(c) for c in normal))
+    dim = A.dim
+    while True:
+        pts = [
+            tuple(random_fraction(rng, -6, 6, rng.randint(1, 7)) for _ in range(dim))
+            for _ in (1, 2)
+        ]
+        inners = sorted(A.inner(p) for p in pts)
+        if inners[0] < 0 < inners[1]:
+            break
+    x0 = tuple(random_fraction(rng, -4, 4, rng.randint(1, 5)) for _ in range(dim))
+    return A, FiniteSet.ordered(pts, A), x0
+
+
+class TestLatticeAgainstDrStep:
+    """iterate runs straddling exact doubletons on the integer lattice; its
+    traces must be the plain dr_step loop's."""
+
+    def test_seeded_rational_line_and_plane(self):
+        rng = random.Random(20261018)
+        for normal in ((1,), (0, 1), (Fraction(3, 5), Fraction(4, 5))):
+            for _ in range(6):
+                A, B, x0 = random_straddling(rng, normal)
+                assert_matches_reference(A, B, x0, 150)
+
+    def test_surd_symmetric_ties_under_each_policy(self):
+        # b = -/+ c*sqrt(2) puts equidistant reflections on the orbit
+        for policy in TiePolicy:
+            for c, x0 in ((1, 0), (Fraction(3, 2), Surd(0, Fraction(9, 2), 2))):
+                b = Surd(0, c, 2)
+                A = Hyperplane((Surd(1, 0, 2),))
+                B = FiniteSet.ordered([(-b,), (b,)], A, policy)
+                x0 = (x0 if isinstance(x0, Surd) else Surd(x0, 0, 2),)
+                assert_matches_reference(A, B, x0, 60)
+
+    def test_surd_irrational_ratio(self):
+        A, B = surd_line_problem([Surd(-1, Fraction(-1, 2), 2), 3])
+        assert_matches_reference(A, B, (Surd(Fraction(1, 3), 1, 2),), 60)
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+    def test_canonical_doubletons(self, path):
+        prob = load_problem(path)
+        assert prob.points.m == 2
+        assert_matches_reference(prob.hyperplane, prob.points, prob.x0, 80)
+
+    def test_vector_path_cases(self):
+        # one-sided disjoint (divergent), touching (fixed point), f64, m = 3
+        A, B = plane_problem([(0, 1), (0, 2)])
+        assert_matches_reference(A, B, F(0, 0), 40, divergence_window=5)
+        assert iterate(A, B, F(0, 0), 40, divergence_window=5).outcome == Outcome.DIVERGENCE
+        A, B = plane_problem([(0, 0), (0, 2)])
+        assert_matches_reference(A, B, F(1, 1), 10)
+        A = Hyperplane((1.0,))
+        assert_matches_reference(A, FiniteSet.ordered([(-1.0,), (3.7,)], A), (0.25,), 50)
+        A, B = plane_problem([(1, -1), (0, 2), (3, 1)])
+        assert_matches_reference(A, B, F(2, 5), 50)
+
+    def test_short_horizons(self):
+        A, B = line_problem([-1, 2])
+        for max_n in (0, 1, 2):
+            assert_matches_reference(A, B, (Fraction(1, 2),), max_n)
+
+
+def test_path_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="drplane")
+    A, B = line_problem([-1, 2])
+    iterate(A, B, (Fraction(0),), 3)
+    Af = Hyperplane((1.0,))
+    iterate(Af, FiniteSet.ordered([(-1.0,), (2.0,)], Af), (0.0,), 3)
+    iterate(*plane_problem([(0, 1), (0, 2)]), F(0, 0), 3)
+    iterate(*plane_problem([(0, 0), (0, 2)]), F(1, 1), 3)
+    iterate(*line_problem([-1, 2, 3]), (Fraction(0),), 3)
+    detect_cycle(DoubletonProblem(A, (Fraction(-1),), (Fraction(2),), (Fraction(0),)), 10)
+    detect_cycle(DoubletonProblem(Af, (-1.0,), (2.0,), (0.0,)), 10)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("drplane.dynamics", logging.DEBUG, "iterate: integer lattice"),
+        ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (f64 backend)"),
+        ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (one-sided)"),
+        ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (touches the hyperplane)"),
+        ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (3 points)"),
+        ("drplane.cycling", logging.DEBUG, "detect_cycle: integer lattice"),
+        ("drplane.cycling", logging.DEBUG, "detect_cycle: quantized float offsets (f64 backend)"),
+    ]
+
+
+def test_logger_silent_by_default():
+    handlers = logging.getLogger("drplane").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
