@@ -9,10 +9,9 @@ the reflected dynamics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .dynamics import Outcome, _check_start, classify, trace_csv_header
+from .dynamics import Outcome, _check_start, export_report, export_rows
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -20,7 +19,6 @@ from .geometry import (
     project_finite_set,
     project_hyperplane,
 )
-from .scalars import encode_scalar, format_scalar
 
 
 @dataclass
@@ -62,45 +60,15 @@ def ap_iterate(A: Hyperplane, B: FiniteSet, x0: Vector, steps: int) -> ApTrace:
     return ApTrace(points, selectors)
 
 
-def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
-    counts = [0] * B.m
+def _records(trace: ApTrace, A: Hyperplane):
     for n, (x, k) in enumerate(zip(trace.points, trace.selectors)):
-        if k is not None:
-            counts[k - 1] += 1
-        yield (
-            [str(n), "" if k is None else str(k), format_scalar(A.inner(x))]
-            + [str(c) for c in counts]
-            + [format_scalar(c) for c in x]
-        )
+        yield n, k, A.inner(x), x
 
 
-def write_ap_csv(trace: ApTrace, A: Hyperplane, B: FiniteSet, fp) -> None:
-    """Same column layout as the reflected-iteration CSV."""
-    writer = csv.writer(fp)
-    writer.writerow(trace_csv_header(B.m, A.dim))
-    for row in ap_rows(trace, A, B):
-        writer.writerow(row)
+def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
+    """Rows in the layout of the reflected-iteration export."""
+    return export_rows(_records(trace, A), B.m)
 
 
 def ap_report(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> dict:
-    cls = classify(A, B)
-    records = []
-    counts = [0] * B.m
-    for n, (x, k) in enumerate(zip(trace.points, trace.selectors)):
-        if k is not None:
-            counts[k - 1] += 1
-        records.append(
-            {
-                "n": n,
-                "k": k,
-                "inner": encode_scalar(A.inner(x)),
-                "counts": list(counts),
-                "x": [encode_scalar(c) for c in x],
-            }
-        )
-    return {
-        "method": "map",
-        "outcome": Outcome.HORIZON.value,
-        "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
-        "records": records,
-    }
+    return export_report("map", Outcome.HORIZON, A, B, _records(trace, A))

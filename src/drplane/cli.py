@@ -9,11 +9,9 @@ whose preconditions fail).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .altproj import ap_iterate, ap_report, ap_rows
 from .closedform import beatty_triple, closed_form_trace, verify_closed_form
@@ -30,6 +28,7 @@ from .dynamics import (
     run_report,
     trace_csv_header,
     trace_rows,
+    write_csv,
 )
 from .errors import PreconditionError, ProblemFormatError
 from .geometry import FiniteSet, Hyperplane, TiePolicy
@@ -48,19 +47,6 @@ FORMATS = ("csv", "json", "table")
 HEURISTIC_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Config:
-    command: str
-    problem: str | None = None
-    horizon: int = 100
-    fmt: str = "table"
-    out: str | None = None
-    tie_policy: str | None = None
-    backend: str | None = None
-    heuristic_rationality: bool = False
-    fallback_iterate: bool = False
-
-
 def _convert_backend(p: Problem, target: str) -> Problem:
     if target == p.backend:
         return p
@@ -77,33 +63,24 @@ def _convert_backend(p: Problem, target: str) -> Problem:
     return Problem(hyperplane, finite, cast(p.x0), F64, None)
 
 
-def _load(config: Config) -> Problem:
-    p = load_problem(config.problem)
-    if config.tie_policy is not None:
-        policy = TiePolicy(config.tie_policy)
+def _load(args: argparse.Namespace) -> Problem:
+    p = load_problem(args.problem)
+    if args.tie_policy is not None:
+        policy = TiePolicy(args.tie_policy)
         if policy is not p.points.tie_policy:
             finite = FiniteSet(p.points.points, p.points.inners, policy)
             p = Problem(p.hyperplane, finite, p.x0, p.backend, p.surd_d)
-    if config.backend is not None:
-        p = _convert_backend(p, config.backend)
+    if args.backend is not None:
+        p = _convert_backend(p, args.backend)
     return p
 
 
-def _emit(text: str, config: Config) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fp:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def _table_text(header: list[str], rows, trailer: str | None = None) -> str:
@@ -121,26 +98,39 @@ def _table_text(header: list[str], rows, trailer: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_trace(result: RunResult, p: Problem, config: Config, method: str) -> None:
-    header = trace_csv_header(p.points.m, p.hyperplane.dim)
-    if config.fmt == "csv":
-        text = _csv_text(header, trace_rows(result, p.hyperplane, p.points))
-    elif config.fmt == "json":
-        report = run_report(result, p.hyperplane, p.points)
-        report["method"] = method
-        text = json.dumps(report, indent=2) + "\n"
+def _emit_formatted(args: argparse.Namespace, header, rows, report, trailer=None) -> None:
+    """Write --format csv, json or table; rows and report are called only
+    for the format that needs them."""
+    if args.fmt == "csv":
+        buf = io.StringIO()
+        write_csv(buf, header, rows())
+        text = buf.getvalue()
+    elif args.fmt == "json":
+        text = json.dumps(report(), indent=2) + "\n"
     else:
-        trailer = "outcome: " + OUTCOME_LABELS[result.outcome]
-        if result.fixed_at is not None:
-            trailer += f" (fixed from n={result.fixed_at})"
-        text = _table_text(header, trace_rows(result, p.hyperplane, p.points), trailer)
-    _emit(text, config)
+        text = _table_text(header, rows(), trailer)
+    _emit(text, args)
 
 
-def cmd_run(config: Config) -> int:
-    p = _load(config)
-    result = iterate(p.hyperplane, p.points, p.x0, config.horizon)
-    _emit_trace(result, p, config, "dr")
+def _emit_trace(result: RunResult, p: Problem, args: argparse.Namespace, method: str) -> None:
+    A, B = p.hyperplane, p.points
+
+    def report():
+        out = run_report(result, A, B)
+        out["method"] = method
+        return out
+
+    trailer = "outcome: " + OUTCOME_LABELS[result.outcome]
+    if result.fixed_at is not None:
+        trailer += f" (fixed from n={result.fixed_at})"
+    header = trace_csv_header(B.m, A.dim)
+    _emit_formatted(args, header, lambda: trace_rows(result, A, B), report, trailer)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    p = _load(args)
+    result = iterate(p.hyperplane, p.points, p.x0, args.horizon)
+    _emit_trace(result, p, args, "dr")
     return 0
 
 
@@ -152,12 +142,12 @@ def _heuristic_rationality(dp: DoubletonProblem):
     return False, None
 
 
-def cmd_cycle(config: Config) -> int:
-    p = _load(config)
+def cmd_cycle(args: argparse.Namespace) -> int:
+    p = _load(args)
     dp = DoubletonProblem.from_problem(p)
-    report = detect_cycle(dp, config.horizon).to_dict()
+    report = detect_cycle(dp, args.horizon).to_dict()
     if p.backend == F64:
-        if config.heuristic_rationality:
+        if args.heuristic_rationality:
             rational, relation = _heuristic_rationality(dp)
         else:
             rational, relation = "unavailable", None
@@ -166,73 +156,73 @@ def cmd_cycle(config: Config) -> int:
         relation = cycle_relation(dp)
     report["rational"] = rational
     report["relation"] = None if relation is None else list(relation)
-    _emit(json.dumps(report, indent=2) + "\n", config)
+    _emit(json.dumps(report, indent=2) + "\n", args)
     return 0
 
 
-def cmd_closed_form(config: Config) -> int:
-    p = _load(config)
+def cmd_closed_form(args: argparse.Namespace) -> int:
+    p = _load(args)
     try:
         dp = DoubletonProblem.from_problem(p)
-        result = closed_form_trace(dp, config.horizon)
+        result = closed_form_trace(dp, args.horizon)
     except PreconditionError:
-        if not config.fallback_iterate:
+        if not args.fallback_iterate:
             raise
-        result = iterate(p.hyperplane, p.points, p.x0, config.horizon)
-        _emit_trace(result, p, config, "dr")
+        result = iterate(p.hyperplane, p.points, p.x0, args.horizon)
+        _emit_trace(result, p, args, "dr")
         return 0
-    _emit_trace(result, p, config, "closed_form")
+    _emit_trace(result, p, args, "closed_form")
     return 0
 
 
-def cmd_verify(config: Config) -> int:
-    p = _load(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    p = _load(args)
     try:
         dp = DoubletonProblem.from_problem(p)
-        report = verify_closed_form(dp, config.horizon)
+        report = verify_closed_form(dp, args.horizon)
     except PreconditionError as exc:
-        if not config.fallback_iterate:
+        if not args.fallback_iterate:
             raise
-        iterate(p.hyperplane, p.points, p.x0, config.horizon)
+        iterate(p.hyperplane, p.points, p.x0, args.horizon)
         payload = {
             "ok": None,
             "checked": 0,
-            "horizon": config.horizon,
+            "horizon": args.horizon,
             "first_mismatch": None,
             "note": f"{exc}; ran the direct iteration instead",
         }
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
         return 0
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", config)
+    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args)
     return 0 if report.ok else 1
 
 
-def cmd_map(config: Config) -> int:
-    p = _load(config)
-    trace = ap_iterate(p.hyperplane, p.points, p.x0, config.horizon)
-    header = trace_csv_header(p.points.m, p.hyperplane.dim)
-    if config.fmt == "csv":
-        text = _csv_text(header, ap_rows(trace, p.hyperplane, p.points))
-    elif config.fmt == "json":
-        text = json.dumps(ap_report(trace, p.hyperplane, p.points), indent=2) + "\n"
-    else:
-        text = _table_text(header, ap_rows(trace, p.hyperplane, p.points))
-    _emit(text, config)
+def cmd_map(args: argparse.Namespace) -> int:
+    p = _load(args)
+    A, B = p.hyperplane, p.points
+    trace = ap_iterate(A, B, p.x0, args.horizon)
+    _emit_formatted(
+        args,
+        trace_csv_header(B.m, A.dim),
+        lambda: ap_rows(trace, A, B),
+        lambda: ap_report(trace, A, B),
+    )
     return 0
 
 
-def cmd_beatty(config: Config) -> int:
-    triples = [beatty_triple(n) for n in range(config.horizon + 1)]
-    header = ["n", "u", "v", "w"]
-    if config.fmt == "json":
-        records = [
-            {"n": n, "u": u, "v": v, "w": w} for n, (u, v, w) in enumerate(triples)
-        ]
-        text = json.dumps({"method": "beatty", "records": records}, indent=2) + "\n"
-    else:
-        rows = [[str(n), str(u), str(v), str(w)] for n, (u, v, w) in enumerate(triples)]
-        text = _csv_text(header, rows) if config.fmt == "csv" else _table_text(header, rows)
-    _emit(text, config)
+def cmd_beatty(args: argparse.Namespace) -> int:
+    triples = [beatty_triple(n) for n in range(args.horizon + 1)]
+    _emit_formatted(
+        args,
+        ["n", "u", "v", "w"],
+        lambda: ([str(n), str(u), str(v), str(w)] for n, (u, v, w) in enumerate(triples)),
+        lambda: {
+            "method": "beatty",
+            "records": [
+                {"n": n, "u": u, "v": v, "w": w} for n, (u, v, w) in enumerate(triples)
+            ],
+        },
+    )
     return 0
 
 
@@ -327,22 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = Config(
-        command=args.command,
-        problem=getattr(args, "problem", None),
-        horizon=args.horizon,
-        fmt=getattr(args, "fmt", "table"),
-        out=getattr(args, "out", None),
-        tie_policy=getattr(args, "tie_policy", None),
-        backend=getattr(args, "backend", None),
-        heuristic_rationality=getattr(args, "heuristic_rationality", False),
-        fallback_iterate=getattr(args, "fallback_iterate", False),
-    )
-    if config.horizon < 1:
+    if args.horizon < 1:
         print("error: horizon must be >= 1", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         # every package error derives from ValueError; all mean bad input here
         print(f"error: {exc}", file=sys.stderr)

@@ -316,15 +316,15 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     _entry_state(p, betas)
     count2, offset = floor_form(betas, inner0)
     u = p.hyperplane.normal
-    trace = [TraceRecord(0, p.x0, None, inner0, (0, 0))]
+    trace = [TraceRecord(0, p.x0, None, inner0)]
     before = count2(0)
     for n in range(1, horizon + 1):
         now = count2(n)
         k = now - before + 1
         x = line_point(trace[-1].inner, u, p.b1 if k == 1 else p.b2)
-        trace.append(TraceRecord(n, x, k, offset(n, now), (n - now, now)))
+        trace.append(TraceRecord(n, x, k, offset(n, now)))
         before = now
-    return RunResult(trace=trace, outcome=Outcome.HORIZON, final_counts=trace[-1].counts)
+    return RunResult(trace, Outcome.HORIZON, final_counts=(horizon - before, before))
 
 
 def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:

@@ -22,7 +22,7 @@ approximate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BackendError, PreconditionError
@@ -39,6 +39,7 @@ from .lattice import OffsetLattice, thresholds, tie_selector, window_constant
 from .problems import Problem
 from .scalars import (
     F64,
+    Scalar,
     as_fraction,
     encode_scalar,
     format_scalar,
@@ -60,6 +61,9 @@ class DoubletonProblem:
     b2: Vector
     x0: Vector
     tie_policy: TiePolicy = TiePolicy.HIGHER_INNER
+    # signed offsets <b1,u>, <b2,u>, computed once from the fields above
+    beta1: Scalar = field(init=False, repr=False, compare=False)
+    beta2: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.hyperplane
@@ -71,7 +75,9 @@ class DoubletonProblem:
             if vector_backend(v) != A.backend:
                 raise BackendError(f"{name} does not match the hyperplane backend")
         object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
-        b1_off, b2_off = self.beta1, self.beta2
+        b1_off, b2_off = A.inner(self.b1), A.inner(self.b2)
+        object.__setattr__(self, "beta1", b1_off)
+        object.__setattr__(self, "beta2", b2_off)
         if A.backend == F64:
             ok = b1_off < -F64_SIGN_MARGIN and b2_off > F64_SIGN_MARGIN
         else:
@@ -81,14 +87,6 @@ class DoubletonProblem:
                 "doubleton must straddle the hyperplane strictly: "
                 f"offsets {format_scalar(b1_off)}, {format_scalar(b2_off)}"
             )
-
-    @property
-    def beta1(self):
-        return self.hyperplane.inner(self.b1)
-
-    @property
-    def beta2(self):
-        return self.hyperplane.inner(self.b2)
 
     @property
     def backend(self) -> str:
@@ -293,12 +291,8 @@ def coefficient_limits(p: DoubletonProblem, trace):
     span = beta2 - beta1
     limit1 = beta2 / span
     limit2 = (-beta1) / span
-    last = records[-1]
-    n = last.n
-    if last.counts is not None:
-        count1 = last.counts[0]
-    else:
-        count1 = sum(1 for r in records[1:] if r.selector_k == 1)
+    n = records[-1].n
+    count1 = sum(1 for r in records[1:] if r.selector_k == 1)
     if p.backend == F64:
         observed = count1 / n
     else:

@@ -7,10 +7,13 @@ stabilizes (infeasible case).  If the point set straddles the hyperplane the
 iterates stay bounded, and in the infeasible case they can never settle:
 consecutive iterates always stay at least ``min_i d_A(b_i)`` apart.
 
-``iterate`` records a full trace by default; ``slim=True`` keeps only
-``(n, selector, inner)`` per step, from which full iterates are
-reconstructible (every iterate after the first sits on one of the lines
-``b_k + span(u)``).
+A trace record is ``(n, x, selector, inner)``; ``slim=True`` drops ``x`` for
+n >= 1, since every iterate after the first sits on one of the lines
+``b_k + span(u)`` and is rebuilt from the previous offset.  Everything else
+the paper reads off an orbit is derived from those records: the cumulative
+selector counts are export columns, tallied once by the exporters at the
+end of this module, and the hyperplane shadow ``P_A x_n = x_n - inner*u``
+comes from ``reconstruct_shadow``.
 
 Two paths produce the same records.  An exact-backend doubleton that
 strictly straddles the hyperplane (so it cannot reach a fixed point or
@@ -35,7 +38,7 @@ from .geometry import (
     FiniteSet,
     Hyperplane,
     Vector,
-    _dr_step_parts,
+    dr_step,
     line_point,
     norm_sq,
     project_hyperplane,
@@ -78,18 +81,22 @@ class TraceRecord:
     x: Vector | None           # None in slim traces for n >= 1
     selector_k: int | None     # 1-based selected point; None at n = 0
     inner: Scalar              # <x_n, u>
-    counts: tuple[int, ...] | None  # cumulative selector usage; None when slim
 
 
 @dataclass
 class RunResult:
+    """A trace plus how it ended.
+
+    Per-step selector counts are not stored: the exporters tally them as
+    columns, and final_counts is the tally after the last record.  Shadows
+    P_A x_n derive from x_n and inner (see reconstruct_shadow).
+    """
+
     trace: list[TraceRecord]
     outcome: Outcome
     fixed_at: int | None = None
-    shadow: list[Vector] | None = None   # P_A x_n per record (full traces)
     shadow_limit: Vector | None = None   # stabilized shadow on divergence
     final_counts: tuple[int, ...] = ()
-    slim: bool = False
 
 
 def classify(A: Hyperplane, B: FiniteSet) -> Classification:
@@ -140,11 +147,9 @@ def iterate(
     )
 
     x0 = tuple(x0)
-    m = B.m
-    counts = [0] * m
+    counts = [0] * B.m
     inner0 = A.inner(x0)
-    trace = [TraceRecord(0, x0, None, inner0, None if slim else (0,) * m)]
-    shadow = None if slim else [project_hyperplane(A, x0)]
+    trace = [TraceRecord(0, x0, None, inner0)]
 
     outcome = Outcome.HORIZON
     fixed_at = None
@@ -157,18 +162,14 @@ def iterate(
     # on the lattice only step 1 runs on vectors; neither stop can happen there
     vector_steps = max_n if refusal else min(max_n, 1)
     for n in range(1, vector_steps + 1):
-        nxt, k, pa = _dr_step_parts(A, B, x)
+        nxt, k = dr_step(A, B, x)
         if vec_equal(nxt, x, backend):
             outcome = Outcome.FIXED_POINT
             fixed_at = n - 1
             break
         counts[k - 1] += 1
         inner = A.inner(nxt)
-        if slim:
-            trace.append(TraceRecord(n, None, k, inner, None))
-        else:
-            trace.append(TraceRecord(n, nxt, k, inner, tuple(counts)))
-            shadow.append(vsub(nxt, vscale(inner, A.normal)))
+        trace.append(TraceRecord(n, None if slim else nxt, k, inner))
         x = nxt
 
         if may_diverge:
@@ -189,16 +190,14 @@ def iterate(
                 shadow_limit = vsub(x, vscale(inner, A.normal))
                 break
     if refusal is None and max_n > 1:
-        _lattice_steps(A, B, trace, shadow, counts, max_n)
+        _lattice_steps(A, B, trace, counts, max_n, slim)
 
     return RunResult(
         trace=trace,
         outcome=outcome,
         fixed_at=fixed_at,
-        shadow=shadow,
         shadow_limit=shadow_limit,
         final_counts=tuple(counts),
-        slim=slim,
     )
 
 
@@ -215,12 +214,13 @@ def _lattice_refusal(A: Hyperplane, B: FiniteSet, cls: Classification) -> str | 
     return None
 
 
-def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, shadow, counts, max_n: int) -> None:
+def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, counts, max_n: int, slim: bool) -> None:
     """Append steps 2..max_n of a straddling exact doubleton, advanced on the
-    integer lattice from the state of step 1.
+    integer lattice from the state of step 1, and add them to counts.
 
     Each offset is decoded once; a full record's iterate is rebuilt from the
-    previous offset, and its shadow P_A x_n = P_A b_k is one of two vectors.
+    previous offset.  Records hold no counts or shadows: the exporters tally
+    counts as columns, and a shadow is x_n - inner*u.
     """
     (b1, b2), (beta1, beta2) = B.points, B.inners
     u = A.normal
@@ -230,19 +230,12 @@ def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, shadow, counts, max_n: in
     )
     decode = lat.decode
     prev = first.inner
-    slim = shadow is None
-    if not slim:
-        shadows = (project_hyperplane(A, b1), project_hyperplane(A, b2))
     states = lat.walk(first.selector_k, *lat.start)
     for n, (k, a, b) in zip(range(2, max_n + 1), states):
         inner = decode(a, b)
         counts[k - 1] += 1
-        if slim:
-            trace.append(TraceRecord(n, None, k, inner, None))
-        else:
-            x = line_point(prev, u, B.points[k - 1])
-            trace.append(TraceRecord(n, x, k, inner, tuple(counts)))
-            shadow.append(shadows[k - 1])
+        x = None if slim else line_point(prev, u, B.points[k - 1])
+        trace.append(TraceRecord(n, x, k, inner))
         prev = inner
 
 
@@ -307,6 +300,9 @@ def check_step_gap(result: RunResult, A: Hyperplane, B: FiniteSet) -> bool:
 
 
 # -- export -----------------------------------------------------------------
+#
+# Both DR traces and alternating-projection traces export through here, as
+# (n, k, inner, x) records with k None where no point was selected.
 
 
 def trace_csv_header(m: int, dim: int) -> list[str]:
@@ -317,55 +313,65 @@ def trace_csv_header(m: int, dim: int) -> list[str]:
     )
 
 
-def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
-    """CSV/table rows; selector counts are re-tallied so slim traces export
-    the same columns as full ones."""
-    counts = [0] * B.m
-    for n, rec in enumerate(result.trace):
-        if rec.selector_k is not None:
-            counts[rec.selector_k - 1] += 1
-        x = reconstruct_x(result, A, B, n)
+def _tallied(records, m: int):
+    """Each record with the cumulative selector counts up to it; the one
+    place those counts are tallied."""
+    counts = [0] * m
+    for n, k, inner, x in records:
+        if k is not None:
+            counts[k - 1] += 1
+        yield n, k, inner, counts, x
+
+
+def export_rows(records, m: int):
+    """CSV/table rows, in the trace_csv_header layout."""
+    for n, k, inner, counts, x in _tallied(records, m):
         yield (
-            [str(rec.n), "" if rec.selector_k is None else str(rec.selector_k),
-             format_scalar(rec.inner)]
+            [str(n), "" if k is None else str(k), format_scalar(inner)]
             + [str(c) for c in counts]
             + [format_scalar(c) for c in x]
         )
 
 
-def write_trace_csv(result: RunResult, A: Hyperplane, B: FiniteSet, fp) -> None:
+def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records) -> dict:
+    """JSON-ready report of a run and its records."""
+    cls = classify(A, B)
+    return {
+        "method": method,
+        "outcome": outcome.value,
+        "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
+        "records": [
+            {
+                "n": n,
+                "k": k,
+                "inner": encode_scalar(inner),
+                "counts": list(counts),
+                "x": [encode_scalar(c) for c in x],
+            }
+            for n, k, inner, counts, x in _tallied(records, B.m)
+        ],
+    }
+
+
+def write_csv(fp, header: list[str], rows) -> None:
     writer = csv.writer(fp)
-    writer.writerow(trace_csv_header(B.m, A.dim))
-    for row in trace_rows(result, A, B):
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _records(result: RunResult, A: Hyperplane, B: FiniteSet):
+    for n, rec in enumerate(result.trace):
+        yield rec.n, rec.selector_k, rec.inner, reconstruct_x(result, A, B, n)
+
+
+def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
+    """CSV/table rows; slim traces export the same rows as full ones."""
+    return export_rows(_records(result, A, B), B.m)
 
 
 def run_report(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
     """JSON-ready mirror of a RunResult."""
-    cls = classify(A, B)
-    records = []
-    counts = [0] * B.m
-    for n, rec in enumerate(result.trace):
-        if rec.selector_k is not None:
-            counts[rec.selector_k - 1] += 1
-        records.append(
-            {
-                "n": rec.n,
-                "k": rec.selector_k,
-                "inner": encode_scalar(rec.inner),
-                "counts": list(counts),
-                "x": [encode_scalar(c) for c in reconstruct_x(result, A, B, n)],
-            }
-        )
-    report = {
-        "method": "dr",
-        "outcome": result.outcome.value,
-        "classification": {
-            "kind": cls.kind.value,
-            "intersects": cls.intersects,
-        },
-        "records": records,
-    }
+    report = export_report("dr", result.outcome, A, B, _records(result, A, B))
     if result.fixed_at is not None:
         report["fixed_at"] = result.fixed_at
     if result.shadow_limit is not None:

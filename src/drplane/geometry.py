@@ -252,25 +252,14 @@ def project_finite_set(B: FiniteSet, x: Vector) -> tuple[Vector, int]:
     return B.points[best], best + 1
 
 
-def _dr_step_parts(A: Hyperplane, B: FiniteSet, x: Vector):
-    """One DR step plus the intermediates the dynamics layer wants.
-
-    next = x - P_A x + P_B(R_A x); with cu = <x,u> u this is cu + P_B(R_A x),
-    so the new iterate visibly sits on the line b_k + span(u).
-    """
-    c = A.inner(x)
-    cu = vscale(c, A.normal)
-    pa = vsub(x, cu)
-    ra = vsub(pa, cu)
-    pb, k = project_finite_set(B, ra)
-    nxt = vadd(cu, pb)
-    return nxt, k, pa
-
-
 def dr_step(A: Hyperplane, B: FiniteSet, x: Vector) -> tuple[Vector, int]:
     """One Douglas-Rachford step: (next iterate, 1-based selected point index).
 
-    The selected point always satisfies b_k = next - x + P_A x.
+    next = x - P_A x + P_B(R_A x); with cu = <x,u> u this is cu + P_B(R_A x),
+    so the new iterate visibly sits on the line b_k + span(u), and the
+    selected point satisfies b_k = next - x + P_A x.
     """
-    nxt, k, _ = _dr_step_parts(A, B, x)
-    return nxt, k
+    cu = vscale(A.inner(x), A.normal)
+    ra = vsub(vsub(x, cu), cu)  # R_A x = P_A x - cu
+    pb, k = project_finite_set(B, ra)
+    return vadd(cu, pb), k

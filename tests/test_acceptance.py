@@ -22,6 +22,7 @@ from drplane.dynamics import (
     check_step_gap,
     detect_finite_convergence,
     iterate,
+    run_report,
 )
 from drplane.geometry import (
     FiniteSet,
@@ -197,12 +198,13 @@ def test_criterion_06_selector_frequency_limits():
     n_max = HORIZON_FORMULA
     p = _line(-1, 2)
     run = iterate(p.hyperplane, p.finite_set(), p.x0, n_max)
+    records = run_report(run, p.hyperplane, p.finite_set())["records"]
     for n in range(1, n_max + 1):
-        c1 = run.trace[n].counts[0]
+        c1 = records[n]["counts"][0]
         assert abs(Fraction(c1, n) - Fraction(2, 3)) <= Fraction(2, n)
     p2 = _surd_line(-1, SQRT2)
     run2 = iterate(p2.hyperplane, p2.finite_set(), p2.x0, n_max)
-    c1 = run2.trace[n_max].counts[0]
+    c1 = run_report(run2, p2.hyperplane, p2.finite_set())["records"][n_max]["counts"][0]
     # limit sqrt2/(1+sqrt2) = 2 - sqrt2; the bound 10/n, all exactly
     deviation = abs(Surd(Fraction(c1, n_max) - 2, 1, 2))
     assert deviation <= Surd(Fraction(10, n_max), 0, 2)
@@ -255,7 +257,7 @@ def test_criterion_08_halfspace_dichotomy():
     run = iterate(A, B, (Fraction(0), Fraction(0)), 5000)
     assert run.outcome is Outcome.DIVERGENCE
     assert run.shadow_limit == (0, 0)
-    assert all(s == (0, 0) for s in run.shadow)
+    assert all(project_hyperplane(A, rec.x) == (0, 0) for rec in run.trace)
     assert min(norm_sq(vsub(b, run.shadow_limit)) for b in B.points) == 1
 
     B2 = FiniteSet.ordered([(Fraction(0), Fraction(0)), (Fraction(0), Fraction(2))], A)

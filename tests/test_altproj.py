@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from drplane.altproj import ap_iterate, ap_report, write_ap_csv
+from drplane.altproj import ap_iterate, ap_report, ap_rows
+from drplane.dynamics import trace_csv_header, write_csv
 from drplane.errors import DimensionMismatch
 from drplane.geometry import FiniteSet, Hyperplane
 from drplane.scalars import Surd
@@ -106,7 +107,7 @@ class TestExports:
     def test_csv_matches_dynamics_schema(self):
         A, B, x0 = frac_line([-1, 2])
         buf = io.StringIO()
-        write_ap_csv(ap_iterate(A, B, x0, 5), A, B, buf)
+        write_csv(buf, trace_csv_header(B.m, A.dim), ap_rows(ap_iterate(A, B, x0, 5), A, B))
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,k,inner,count_1,count_2,x_1"
         assert lines[1] == "0,,0,0,0,0"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +24,13 @@ from drplane.closedform import (
     verify_closed_form,
 )
 from drplane.cycling import DoubletonProblem
-from drplane.dynamics import iterate
+from drplane.dynamics import iterate, run_report
 from drplane.errors import PreconditionError
 from drplane.geometry import Hyperplane, TiePolicy, dr_step
+from drplane.problems import load_problem
 from drplane.scalars import Surd, floor
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def line_doubleton(b1, b2, x0=0, tie_policy=TiePolicy.HIGHER_INNER):
@@ -228,11 +232,13 @@ class TestClosedFormInner:
 
     def test_counts_match_iteration(self):
         b = compute_betas(EX_RATIONAL)
-        run = iterate(EX_RATIONAL.hyperplane, EX_RATIONAL.finite_set(), EX_RATIONAL.x0, 200)
+        A, B = EX_RATIONAL.hyperplane, EX_RATIONAL.finite_set()
+        run = iterate(A, B, EX_RATIONAL.x0, 200)
+        records = run_report(run, A, B)["records"]
         for n in range(1, 201):
             c1, c2 = selector_counts(b, Fraction(0), n)
             assert c1 + c2 == n
-            assert (c1, c2) == run.trace[n].counts
+            assert [c1, c2] == records[n]["counts"]
 
     def test_not_applicable_window_shift(self):
         A = Hyperplane((Fraction(0), Fraction(1)))
@@ -414,6 +420,50 @@ class TestVerify:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             verify_closed_form(EX_RATIONAL, 0)
+
+
+def seeded_doubletons(count):
+    """Random straddling doubletons: rational lines and planes, surd lines."""
+    rng = random.Random(20261018)
+    out = []
+    for i in range(count):
+        b1 = -Fraction(rng.randint(1, 30), rng.randint(1, 9))
+        b2 = Fraction(rng.randint(1, 30), rng.randint(1, 9))
+        x0 = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        if i % 3 == 0:
+            out.append(line_doubleton(b1, b2, x0))
+        elif i % 3 == 1:
+            A = Hyperplane((Fraction(0), Fraction(1)))
+            lateral = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+            out.append(DoubletonProblem(
+                A, (lateral[0], b1), (lateral[1], b2), (lateral[2], x0)
+            ))
+        else:
+            b2 = Surd(rng.randint(0, 3), Fraction(rng.randint(1, 9), rng.randint(1, 4)), 2)
+            out.append(surd_line_doubleton(b1, b2, x0))
+    return out
+
+
+def test_closed_form_final_counts_match_iteration():
+    canonical = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        try:
+            canonical.append(DoubletonProblem.from_problem(load_problem(path)))
+        except PreconditionError:
+            pass  # one-sided problems are not doubleton instances
+    applicable = 0
+    for p in canonical + seeded_doubletons(120):
+        for horizon in (0, 1, 150):
+            try:
+                formula = closed_form_trace(p, horizon)
+            except PreconditionError:
+                break
+            run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon)
+            assert formula.final_counts == run.final_counts
+            assert sum(formula.final_counts) == horizon
+        else:
+            applicable += 1
+    assert applicable >= 30
 
 
 def quotient_count2(b, inner0, n):

@@ -13,7 +13,7 @@ from drplane.cycling import (
     detect_cycle,
     rationality_predicate,
 )
-from drplane.dynamics import iterate
+from drplane.dynamics import iterate, run_report
 from drplane.errors import BackendError, PreconditionError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
 from drplane.problems import make_problem
@@ -373,8 +373,9 @@ class TestCoefficientLimits:
     def test_deviation_bound_along_prefix(self):
         p = line_doubleton(-1, 2, 0)
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 300)
-        for rec in run.trace[1:]:
-            assert abs(Fraction(rec.counts[0], rec.n) - Fraction(2, 3)) <= Fraction(2, rec.n)
+        for rec in run_report(run, p.hyperplane, p.finite_set())["records"][1:]:
+            n = rec["n"]
+            assert abs(Fraction(rec["counts"][0], n) - Fraction(2, 3)) <= Fraction(2, n)
 
     def test_symmetric_limits(self):
         p = line_doubleton(-1, 1, 0)
@@ -395,8 +396,8 @@ class TestCoefficientLimits:
     def test_counts_sum_to_n(self):
         p = line_doubleton(-1, 2, 0)
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 500)
-        for rec in run.trace[1:]:
-            assert sum(rec.counts) == rec.n
+        for rec in run_report(run, p.hyperplane, p.finite_set())["records"][1:]:
+            assert sum(rec["counts"]) == rec["n"]
 
     def test_needs_a_step(self):
         p = line_doubleton(-1, 2, 0)

@@ -21,7 +21,8 @@ from drplane.dynamics import (
     reconstruct_x,
     run_report,
     trace_csv_header,
-    write_trace_csv,
+    trace_rows,
+    write_csv,
 )
 from drplane.errors import BackendError, DimensionMismatch, PreconditionError
 from drplane.geometry import (
@@ -94,7 +95,7 @@ class TestIterate:
         assert result.outcome == Outcome.HORIZON
         ks = [rec.selector_k for rec in result.trace]
         assert ks == [None, 1, 2, 1, 1, 2, 1]
-        assert result.trace[-1].counts == (4, 2)
+        assert run_report(result, A, B)["records"][-1]["counts"] == [4, 2]
         assert result.final_counts == (4, 2)
 
     def test_surd_line_run_first_terms(self):
@@ -118,7 +119,9 @@ class TestIterate:
         result = iterate(A, B, F(0, 0), 3)
         xs = [rec.x for rec in result.trace]
         assert xs == [F(0, 0), F(0, 1), F(0, 2), F(0, 3)]
-        assert [tuple(s) for s in result.shadow] == [F(0, 0)] * 4
+        shadows = [reconstruct_shadow(result, A, B, n) for n in range(len(result.trace))]
+        assert shadows == [F(0, 0)] * 4
+        assert [project_hyperplane(A, rec.x) for rec in result.trace] == shadows
 
     def test_divergence_detected(self):
         A, B = plane_problem([(0, 1), (0, 2)])
@@ -157,17 +160,19 @@ class TestIterate:
     def test_counts_and_inner_invariants(self):
         A, B = line_problem([-2, 3])
         result = iterate(A, B, (Fraction(1, 3),), 200)
+        exported = run_report(result, A, B)["records"]
         u = A.normal
         for n, rec in enumerate(result.trace):
             assert rec.n == n
             if n == 0:
                 continue
-            assert sum(rec.counts) == n
+            counts = exported[n]["counts"]
+            assert sum(counts) == n
             # inner recurrence: <x_n,u> = <x_{n-1},u> + <b_k,u>
             assert rec.inner == result.trace[n - 1].inner + B.inners[rec.selector_k - 1]
             # reconstruction from counts
             total = result.trace[0].inner
-            for i, c in enumerate(rec.counts):
+            for i, c in enumerate(counts):
                 total += c * B.inners[i]
             assert rec.inner == total
             # every iterate after the first sits on a line b_k + span(u)
@@ -190,7 +195,7 @@ class TestIterate:
         assert [r.selector_k for r in slim.trace] == [r.selector_k for r in full.trace]
         for n in range(len(full.trace)):
             assert reconstruct_x(slim, A, B, n) == full.trace[n].x
-            assert reconstruct_shadow(slim, A, B, n) == full.shadow[n]
+            assert reconstruct_shadow(slim, A, B, n) == project_hyperplane(A, full.trace[n].x)
 
     def test_validation(self):
         A, B = line_problem([-1, 2])
@@ -235,7 +240,7 @@ class TestExport:
         A, B = line_problem([-1, 2])
         result = iterate(A, B, (Fraction(0),), 6)
         buf = io.StringIO()
-        write_trace_csv(result, A, B, buf)
+        write_csv(buf, trace_csv_header(B.m, A.dim), trace_rows(result, A, B))
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,k,inner,count_1,count_2,x_1"
         assert len(lines) == 8  # header + horizon + 1
@@ -248,8 +253,9 @@ class TestExport:
         full = iterate(A, B, (Fraction(0),), 9)
         slim = iterate(A, B, (Fraction(0),), 9, slim=True)
         buf_full, buf_slim = io.StringIO(), io.StringIO()
-        write_trace_csv(full, A, B, buf_full)
-        write_trace_csv(slim, A, B, buf_slim)
+        header = trace_csv_header(B.m, A.dim)
+        write_csv(buf_full, header, trace_rows(full, A, B))
+        write_csv(buf_slim, header, trace_rows(slim, A, B))
         assert buf_full.getvalue() == buf_slim.getvalue()
 
     def test_header_matches_dimensions(self):
@@ -294,9 +300,14 @@ def typed(values):
     return [(type(v), v) for v in values]
 
 
+def exported_counts(result, A, B):
+    return [tuple(r["counts"]) for r in run_report(result, A, B)["records"]]
+
+
 def assert_matches_reference(A, B, x0, max_n, **kwargs):
     """Full and slim iterate traces equal the reference record by record,
-    scalar types included; a divergent run matches the reference prefix."""
+    scalar types included, and so do their exported selector counts and
+    derived shadows; a divergent run matches the reference prefix."""
     records, shadow, outcome, final = reference_run(A, B, x0, max_n)
     full = iterate(A, B, x0, max_n, **kwargs)
     slim = iterate(A, B, x0, max_n, slim=True, **kwargs)
@@ -305,19 +316,22 @@ def assert_matches_reference(A, B, x0, max_n, **kwargs):
         outcome, final = Outcome.DIVERGENCE, records[-1][4]
     assert (full.outcome, slim.outcome) == (outcome, outcome)
     assert full.final_counts == slim.final_counts == final
-    got = [(r.n, r.x, r.selector_k, r.inner, r.counts) for r in full.trace]
-    assert got == records
+    got = [(r.n, r.x, r.selector_k, r.inner) for r in full.trace]
+    assert got == [rec[:4] for rec in records]
+    assert exported_counts(full, A, B) == exported_counts(slim, A, B) == [
+        rec[4] for rec in records
+    ]
     assert typed(r.inner for r in full.trace) == typed(rec[3] for rec in records)
     assert typed(c for r in full.trace for c in r.x) == typed(
         c for rec in records for c in rec[1]
     )
-    assert full.shadow == shadow
-    assert slim.shadow is None
+    for run in (full, slim):
+        assert [reconstruct_shadow(run, A, B, n) for n in range(len(run.trace))] == shadow
     assert slim.trace[0].x == records[0][1]
     got = [(r.n, r.selector_k, r.inner) for r in slim.trace]
     assert got == [(n, k, inner) for n, _, k, inner, _ in records]
     assert typed(r.inner for r in slim.trace) == typed(rec[3] for rec in records)
-    assert all(r.x is None and r.counts is None for r in slim.trace[1:])
+    assert all(r.x is None for r in slim.trace[1:])
 
 
 def random_fraction(rng, lo, hi, den):
