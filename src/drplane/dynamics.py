@@ -277,7 +277,9 @@ def check_step_gap(result: RunResult, A: Hyperplane, B: FiniteSet) -> bool:
     """Every consecutive gap ||x_{n+1} - x_n|| >= min_i d_A(b_i)?
 
     Only meaningful (and only claimed) for straddling, disjoint problems;
-    anything else raises PreconditionError.
+    anything else raises PreconditionError.  On the exact backends the first
+    gap is taken on vectors and every later one from the selector-pair table
+    of :func:`transition_gaps`; f64 compares every gap on vectors.
     """
     cls = classify(A, B)
     if cls.kind != ClassificationKind.STRADDLING or cls.intersects:
@@ -285,18 +287,38 @@ def check_step_gap(result: RunResult, A: Hyperplane, B: FiniteSet) -> bool:
             "step-gap bound only asserted for the straddling, disjoint case"
         )
     min_dist_sq = min(v * v for v in B.inners)
-    backend = A.backend
-    prev = reconstruct_x(result, A, B, 0)
-    for n in range(1, len(result.trace)):
-        cur = reconstruct_x(result, A, B, n)
-        gap_sq = norm_sq(vsub(cur, prev))
-        if backend == F64:
-            if math.sqrt(gap_sq) < math.sqrt(min_dist_sq) - 1e-12:
+    steps = len(result.trace) - 1
+    if A.backend == F64:
+        bound = math.sqrt(min_dist_sq) - 1e-12
+        prev = reconstruct_x(result, A, B, 0)
+        for n in range(1, steps + 1):
+            cur = reconstruct_x(result, A, B, n)
+            if math.sqrt(norm_sq(vsub(cur, prev))) < bound:
                 return False
-        elif gap_sq < min_dist_sq:
+            prev = cur
+        return True
+    if steps >= 1:
+        first = vsub(reconstruct_x(result, A, B, 1), reconstruct_x(result, A, B, 0))
+        if norm_sq(first) < min_dist_sq:
             return False
-        prev = cur
-    return True
+    return all(gap >= min_dist_sq for gap in transition_gaps(result, A, B).values())
+
+
+def transition_gaps(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
+    """Squared step gaps of steps n >= 2, keyed by selector pair.
+
+    x_n = <x_{n-1},u>*u + b_{k_n} and <x_{n-1},u> = <x_{n-2},u> + beta_{k_{n-1}}
+    when <u,u> = 1, so x_n - x_{n-1} = beta_j*u + b_k - b_j for the pair
+    (j, k) = (k_{n-1}, k_n): one norm per distinct pair of the trace, m^2 at
+    most.  Exact backends only; in floats the identity is approximate.
+    """
+    trace, u = result.trace, A.normal
+    pairs = {(trace[n - 1].selector_k, trace[n].selector_k) for n in range(2, len(trace))}
+    points, inners = B.points, B.inners
+    return {
+        (j, k): norm_sq(line_point(inners[j - 1], u, vsub(points[k - 1], points[j - 1])))
+        for j, k in pairs
+    }
 
 
 # -- export -----------------------------------------------------------------

@@ -12,7 +12,10 @@ for a single integer ``scale``, rationals being the ``b = 0`` slice, so the
 orbit advances on integer triples ``(k, a, b)`` and compares by
 :func:`~drplane.scalars.surd_sign`.  :class:`OffsetLattice` holds that
 set-up; the iteration driver, the cycle search and the closed form all run on
-it, and only decode the offsets they report.
+it, and only decode the offsets they report.  It reads the integers
+``(p, q, n)`` a Surd holds (``(p + q*sqrt(d))/n``) and decodes pairs through
+:func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
+on surd orbits.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .geometry import DEFAULT_TIE_POLICY, TiePolicy, Vector, norm_sq, vsub
-from .scalars import Scalar, Surd, surd_sign
+from .scalars import Scalar, Surd, surd_from_ints, surd_sign
 
 
 def window_constant(b1: Vector, b2: Vector, beta1: Scalar, beta2: Scalar) -> Scalar:
@@ -55,12 +58,14 @@ class OffsetLattice:
 
     def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
         values = (beta1, beta2, beta, start)
-        parts = [(v.a, v.b) if isinstance(v, Surd) else (v, 0) for v in values]
+        parts = [
+            (v.p, v.q, v.n) if isinstance(v, Surd) else (v.numerator, 0, v.denominator)
+            for v in values
+        ]
         self.d = next((v.d for v in values if isinstance(v, Surd)), 0)
-        self.scale = scale = math.lcm(*(c.denominator for part in parts for c in part))
+        self.scale = scale = math.lcm(*(n for _, _, n in parts))
         self.beta1, self.beta2, self.beta, self.start = [
-            (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-            for a, b in parts
+            (p * (scale // n), q * (scale // n)) for p, q, n in parts
         ]
         (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
         # the thresholds are linear, so they apply to each integer part
@@ -71,7 +76,7 @@ class OffsetLattice:
     def decode(self, a: int, b: int):
         """The offset (a + b*sqrt(d))/scale as a Fraction, or a Surd when d != 0."""
         if self.d:
-            return Surd(Fraction(a, self.scale), Fraction(b, self.scale), self.d)
+            return surd_from_ints(a, b, self.scale, self.d)
         return Fraction(a, self.scale)
 
     def walk(self, k: int, a: int, b: int):

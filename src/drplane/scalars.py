@@ -3,7 +3,10 @@
 * ``f64`` -- plain Python floats, for fast exploration.
 * ``rational`` -- :class:`fractions.Fraction`, exact.
 * ``surd`` -- numbers ``a + b*sqrt(d)`` with rational ``a``, ``b`` and a fixed
-  square-free radicand ``d >= 2``, exact.
+  square-free radicand ``d >= 2``, exact.  A :class:`Surd` holds integers
+  ``(p + q*sqrt(d))/n`` in one normal form, ``n > 0`` and
+  ``gcd(p, q, n) == 1``; every operation is integer products and one gcd,
+  and ``a = p/n``, ``b = q/n`` are derived Fractions.
 
 Periodicity questions are meaningless in floating point (every float is
 rational), so whenever an answer depends on whether a quotient is rational the
@@ -14,7 +17,7 @@ Fractions embed into the surd field, so ``2 * Surd(...)`` is fine, but any
 float operand raises :class:`BackendError`.
 
 Comparisons and floors on surds are decided by integer sign analysis
-(comparing ``a**2`` against ``b**2 * d`` with the correct sign cases, and
+(comparing ``p**2`` against ``q**2 * d`` with the correct sign cases, and
 bracketing with exact integer square roots) -- never by rounding through
 floats.
 """
@@ -110,90 +113,116 @@ def surd_floor(p1: int, p2: int, q: int, d: int) -> int:
 
 
 class Surd:
-    """``a + b*sqrt(d)`` with rational ``a``, ``b``; exact field arithmetic."""
+    """``(p + q*sqrt(d))/n`` with integers ``p``, ``q``, ``n`` and a valid
+    radicand ``d``; exact field arithmetic.
 
-    __slots__ = ("a", "b", "d")
+    The integers are held in one normal form, ``n > 0`` and
+    ``gcd(p, q, n) == 1``, so equal values have equal fields and the value is
+    rational exactly when ``q == 0``.  ``Surd(a, b, d)`` takes the rational
+    parts of ``a + b*sqrt(d)`` (ints or Fractions); ``a`` and ``b`` are
+    derived Fraction properties.  Each operation is a few integer products
+    and one gcd (:func:`surd_from_ints`).
+    """
+
+    __slots__ = ("p", "q", "n", "d")
 
     def __init__(self, a, b, d):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "d", _check_radicand(d))
+        a, b, d = _as_fraction(a), _as_fraction(b), _check_radicand(d)
+        a_den, b_den = a.denominator, b.denominator
+        # over the lcm of two reduced fractions' denominators, gcd(p, q, n) == 1
+        n = a_den // math.gcd(a_den, b_den) * b_den
+        _set_p(self, a.numerator * (n // a_den))
+        _set_q(self, b.numerator * (n // b_den))
+        _set_n(self, n)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
+    def __reduce__(self):
+        return surd_from_ints, (self.p, self.q, self.n, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
+
     # -- coercion ---------------------------------------------------------
 
-    def _lift(self, other) -> "Surd | None":
+    def _operand(self, other):
+        """(p, q, n, d) of other over the common radicand; None for a
+        non-scalar."""
         if isinstance(other, Surd):
-            return other
+            d = self.d
+            if other.d != d:
+                d = _common_radicand(self, other)
+            return other.p, other.q, other.n, d
         if isinstance(other, float):
             raise BackendError("cannot mix float with the exact surd backend")
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Surd(other, 0, self.d)
+        if isinstance(other, int):
+            if isinstance(other, bool):
+                return None
+            return other, 0, 1, self.d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self.d
         return None
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        s, o = _aligned(self, other)
-        return Surd(s.a + o.a, s.b + o.b, s.d)
+        p, q, n, d = o
+        m = self.n
+        return surd_from_ints(self.p * n + p * m, self.q * n + q * m, m * n, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        s, o = _aligned(self, other)
-        return Surd(s.a - o.a, s.b - o.b, s.d)
+        p, q, n, d = o
+        m = self.n
+        return surd_from_ints(self.p * n - p * m, self.q * n - q * m, m * n, d)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        o, s = _aligned(other, self)
-        return Surd(o.a - s.a, o.b - s.b, s.d)
+        p, q, n, d = o
+        m = self.n
+        return surd_from_ints(p * m - self.p * n, q * m - self.q * n, m * n, d)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        s, o = _aligned(self, other)
-        return Surd(
-            s.a * o.a + s.b * o.b * s.d,
-            s.a * o.b + s.b * o.a,
-            s.d,
-        )
+        p, q, n, d = o
+        sp, sq = self.p, self.q
+        return surd_from_ints(sp * p + sq * q * d, sp * q + sq * p, self.n * n, d)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Surd":
-        denom = self.a * self.a - self.b * self.b * self.d
-        if denom == 0:
-            # Only possible when a == b == 0: sqrt(d) is irrational.
-            raise ZeroDivisionError("division by zero surd")
-        return Surd(self.a / denom, -self.b / denom, self.d)
-
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        s, o = _aligned(self, other)
-        return s * o._inverse()
+        return _quotient(self.p, self.q, self.n, *o)
 
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        o, s = _aligned(other, self)
-        return o * s._inverse()
+        p, q, n, d = o
+        return _quotient(p, q, n, self.p, self.q, self.n, d)
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.d)
+        return surd_from_ints(-self.p, -self.q, self.n, self.d)
 
     def __pos__(self):
         return self
@@ -204,28 +233,31 @@ class Surd:
     # -- exact comparisons --------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d); see :func:`surd_sign`."""
-        return surd_sign(self.a, self.b, self.d)
+        """Exact sign of the value; see :func:`surd_sign`."""
+        return surd_sign(self.p, self.q, self.d)
 
     def _diff_sign(self, other) -> int:
-        lifted = self._lift(other)
-        if lifted is None:
+        o = self._operand(other)
+        if o is None:
             raise BackendError(f"cannot compare Surd with {type(other).__name__}")
-        return (self - lifted).sign()
+        p, q, n, d = o
+        m = self.n
+        # both denominators are positive, so the cross-multiplied difference
+        # has the sign of self - other
+        return surd_sign(self.p * n - p * m, self.q * n - q * m, d)
 
     def __eq__(self, other):
-        if isinstance(other, float) or isinstance(other, bool):
+        if isinstance(other, Surd):
+            if other.d != self.d:
+                _common_radicand(self, other)
+            return self.p == other.p and self.q == other.q and self.n == other.n
+        if isinstance(other, (bool, float)):
             return NotImplemented
-        if isinstance(other, (int, Fraction, Surd)):
-            s, o = _aligned(self, self._lift(other))
-            return s.a == o.a and s.b == o.b
+        if isinstance(other, int):
+            return self.q == 0 and self.n == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return self.q == 0 and self.p == other.numerator and self.n == other.denominator
         return NotImplemented
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __lt__(self, other):
         return self._diff_sign(other) < 0
@@ -242,30 +274,27 @@ class Surd:
     def __hash__(self):
         # Rational-valued surds must hash like their Fraction value so that
         # mathematically equal scalars collide in tables.
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.q == 0:
+            return hash(Fraction(self.p, self.n))
+        return hash((self.p, self.q, self.n, self.d))
 
     # -- conversions ------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        n = self.n
+        return self.p / n + self.q / n * math.sqrt(self.d)
 
     def __floor__(self) -> int:
         """Exact floor by integer bracketing; floats are never consulted."""
-        a, b = self.a, self.b
-        q = math.lcm(a.denominator, b.denominator)
-        return surd_floor(
-            a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, self.d
-        )
+        return surd_floor(self.p, self.q, self.n, self.d)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.q != 0:
             raise BackendError(f"{self} is irrational; no Fraction value")
-        return self.a
+        return Fraction(self.p, self.n)
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, d={self.d})"
@@ -274,14 +303,51 @@ class Surd:
         return format_scalar(self)
 
 
-def _aligned(x: Surd, y: Surd) -> tuple[Surd, Surd]:
-    """Bring two surds onto a common radicand; only rational-valued ones move."""
-    if x.d == y.d:
-        return x, y
-    if y.b == 0:
-        return x, Surd(y.a, 0, x.d)
-    if x.b == 0:
-        return Surd(x.a, 0, y.d), y
+_new_surd = object.__new__
+_set_p, _set_q, _set_n, _set_d = (getattr(Surd, name).__set__ for name in Surd.__slots__)
+
+
+def surd_from_ints(p: int, q: int, n: int, d: int) -> Surd:
+    """The Surd (p + q*sqrt(d))/n, brought to normal form by one gcd.
+
+    ``n`` must be nonzero and ``d`` a valid radicand; neither is checked
+    beyond a zero ``n``.  This is the constructor every operation ends in.
+    """
+    g = math.gcd(p, q, n)
+    if n <= 0:
+        if n == 0:
+            raise ZeroDivisionError("surd with zero denominator")
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+        n //= g
+    s = _new_surd(Surd)
+    _set_p(s, p)
+    _set_q(s, q)
+    _set_n(s, n)
+    _set_d(s, d)
+    return s
+
+
+def _quotient(p1: int, q1: int, n1: int, p2: int, q2: int, n2: int, d: int) -> Surd:
+    """((p1 + q1*sqrt(d))/n1) / ((p2 + q2*sqrt(d))/n2), through the
+    conjugate p2 - q2*sqrt(d) and its norm p2^2 - q2^2*d."""
+    norm = p2 * p2 - q2 * q2 * d
+    if norm == 0:
+        # Only possible when p2 == q2 == 0: sqrt(d) is irrational.
+        raise ZeroDivisionError("division by zero surd")
+    return surd_from_ints(
+        n2 * (p1 * p2 - q1 * q2 * d), n2 * (q1 * p2 - p1 * q2), n1 * norm, d
+    )
+
+
+def _common_radicand(x: Surd, y: Surd) -> int:
+    """Radicand two surds combine over; only rational-valued ones move."""
+    if x.d == y.d or y.q == 0:
+        return x.d
+    if x.q == 0:
+        return y.d
     raise BackendError(f"cannot combine surds over sqrt({x.d}) and sqrt({y.d})")
 
 
@@ -357,30 +423,33 @@ def scalar_from_int(n: int, backend: str, surd_d: int | None = None) -> Scalar:
 def format_scalar(s: Scalar) -> str:
     """Compact text form: '3/2', '-4+3*sqrt(2)', '0.25'."""
     if isinstance(s, Surd):
-        if s.b == 0:
-            return _format_fraction(s.a)
-        coeff = ""
-        if s.b == -1:
+        p, q, n = s.p, s.q, s.n
+        if q == 0:
+            return _ratio_text(p, n)
+        if q == n:
+            coeff = ""
+        elif q == -n:
             coeff = "-"
-        elif s.b != 1:
-            coeff = _format_fraction(s.b) + "*"
+        else:
+            coeff = _ratio_text(q, n) + "*"
         root = f"{coeff}sqrt({s.d})"
-        if s.a == 0:
+        if p == 0:
             return root
-        if root.startswith("-"):
-            return _format_fraction(s.a) + root
-        return _format_fraction(s.a) + "+" + root
+        return _ratio_text(p, n) + ("" if q < 0 else "+") + root
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
-        return _format_fraction(Fraction(s))
+        return _ratio_text(s.numerator, s.denominator)
     if isinstance(s, float):
         return repr(s)
     raise BackendError(f"not a scalar: {s!r}")
 
 
-def _format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio_text(num: int, den: int) -> str:
+    """'num/den' in lowest terms, or the integer when den divides num; den > 0."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def parse_rational(text) -> Fraction:
@@ -400,9 +469,9 @@ def parse_rational(text) -> Fraction:
 def encode_scalar(s: Scalar):
     """JSON-ready form: float -> number, rational -> 'p/q', surd -> {'a','b'}."""
     if isinstance(s, Surd):
-        return {"a": _format_fraction(s.a), "b": _format_fraction(s.b)}
+        return {"a": _ratio_text(s.p, s.n), "b": _ratio_text(s.q, s.n)}
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
-        return _format_fraction(Fraction(s))
+        return _ratio_text(s.numerator, s.denominator)
     if isinstance(s, float):
         return s
     raise BackendError(f"not a scalar: {s!r}")

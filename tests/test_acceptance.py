@@ -229,12 +229,31 @@ def _transitions_bounded(p):
     return all(norm_sq(d) >= min_d2 for d in diffs)
 
 
+def _dr_step_gaps_bounded(p, steps):
+    """Step-gap bound on every gap of a plain dr_step loop from x0.
+
+    check_step_gap and _transitions_bounded both read gaps from selector
+    pairs; this takes each gap on the iterates themselves, so the criterion
+    does not rest on that reduction alone.
+    """
+    A, B = p.hyperplane, p.finite_set()
+    min_d2 = min(p.beta1 * p.beta1, p.beta2 * p.beta2)
+    x = p.x0
+    for _ in range(steps):
+        nxt, _k = dr_step(A, B, x)
+        if norm_sq(vsub(nxt, x)) < min_d2:
+            return False
+        x = nxt
+    return True
+
+
 def test_criterion_07_step_gap_invariant():
     named = _formula_instances() + [_line(-1, 2), _surd_line(-1, SQRT2), _plane_sqrt2(0)]
     for p in named:
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 2000, slim=True)
         assert check_step_gap(run, p.hyperplane, p.finite_set())
         assert _transitions_bounded(p)
+        assert _dr_step_gaps_bounded(p, 2000)
     rational_pool = _CRIT5_RATIONAL or [
         (p, detect_cycle(p, HORIZON_CYCLING)) for p in _random_rational_doubletons(200)
     ]
@@ -244,11 +263,13 @@ def test_criterion_07_step_gap_invariant():
         steps = report.preperiod + report.period + 1
         run = iterate(p.hyperplane, p.finite_set(), p.x0, steps, slim=True)
         assert check_step_gap(run, p.hyperplane, p.finite_set())
+        assert _dr_step_gaps_bounded(p, steps)
     surd_pool = _CRIT5_SURD or _random_irrational_ratio_doubletons(50)
     for p in surd_pool:
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 1000, slim=True)
         assert check_step_gap(run, p.hyperplane, p.finite_set())
         assert _transitions_bounded(p)
+        assert _dr_step_gaps_bounded(p, 1000)
 
 
 def test_criterion_08_halfspace_dichotomy():

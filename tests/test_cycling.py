@@ -1,5 +1,7 @@
 """Cycle detection and the rationality dichotomy for doubletons."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -78,6 +80,13 @@ class TestDoubletonProblem:
         for policy in TiePolicy:
             p = surd_line_doubleton(Surd(-1, -1, 2), 3, 0, policy)
             assert p.finite_set() == FiniteSet.ordered([p.b2, p.b1], p.hyperplane, policy)
+
+    def test_surd_problem_copies_and_pickles(self):
+        p = surd_line_doubleton(Surd(-1, -1, 2), Surd(Fraction(1, 2), 1, 2), Fraction(1, 3))
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p
+            assert (clone.beta1, clone.beta2) == (p.beta1, p.beta2)
+            assert detect_cycle(clone, 300) == detect_cycle(p, 300)
 
     def test_from_problem_rejects_triples(self):
         prob = make_problem((1,), [(-1,), (2,), (3,)], (0,))

@@ -1,7 +1,9 @@
 """Iteration driver: traces, classification, stopping rules, exports."""
 
+import copy
 import io
 import logging
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ from drplane.dynamics import (
     run_report,
     trace_csv_header,
     trace_rows,
+    transition_gaps,
     write_csv,
 )
 from drplane.errors import BackendError, DimensionMismatch, PreconditionError
@@ -30,8 +33,10 @@ from drplane.geometry import (
     Hyperplane,
     TiePolicy,
     dr_step,
+    norm_sq,
     project_hyperplane,
     vec_equal,
+    vsub,
 )
 from drplane.problems import load_problem
 from drplane.scalars import Surd
@@ -233,6 +238,76 @@ class TestStepGap:
         result2 = iterate(A2, B2, F(0, 0), 5)
         with pytest.raises(PreconditionError):
             check_step_gap(result2, A2, B2)
+
+
+def random_surd_straddling(rng):
+    """Two random sqrt(2) points on either side of a line or plane, and a start."""
+    z = lambda v: Surd(v, 0, 2)  # noqa: E731
+    dim = rng.choice((1, 2))
+    A = Hyperplane(tuple(z(c) for c in (0, 1)[-dim:]))
+    while True:
+        pts = [
+            tuple(Surd(random_fraction(rng, -4, 4, 2), random_fraction(rng, -3, 3, 2), 2)
+                  for _ in range(dim))
+            for _ in (1, 2)
+        ]
+        inners = sorted(A.inner(p) for p in pts)
+        if inners[0] < 0 < inners[1]:
+            break
+    x0 = tuple(Surd(random_fraction(rng, -3, 3, 3), random_fraction(rng, -2, 2, 2), 2)
+               for _ in range(dim))
+    return A, FiniteSet.ordered(pts, A), x0
+
+
+class TestTransitionGaps:
+    """check_step_gap reads every gap after the first from the selector-pair
+    table of transition_gaps; each entry must be the gap between the
+    iterates themselves, in full and in slim traces."""
+
+    @staticmethod
+    def assert_table_is_vector_gaps(A, B, x0, max_n):
+        min_d2 = min(v * v for v in B.inners)
+        for slim in (False, True):
+            run = iterate(A, B, x0, max_n, slim=slim)
+            table = transition_gaps(run, A, B)
+            xs = [reconstruct_x(run, A, B, n) for n in range(len(run.trace))]
+            gaps = [norm_sq(vsub(y, x)) for x, y in zip(xs, xs[1:])]
+            pairs = [(a.selector_k, b.selector_k) for a, b in zip(run.trace[1:], run.trace[2:])]
+            assert [table[pair] for pair in pairs] == gaps[1:]
+            assert set(table) == set(pairs)
+            assert check_step_gap(run, A, B) == all(g >= min_d2 for g in gaps)
+
+    @pytest.mark.parametrize(
+        "name", ["r2_beatty", "rational_cycle", "surd_aperiodic"]
+    )
+    def test_canonical_doubletons(self, name):
+        prob = load_problem(PROBLEMS / f"{name}.json")
+        self.assert_table_is_vector_gaps(prob.hyperplane, prob.points, prob.x0, 120)
+
+    def test_seeded_rational_doubletons(self):
+        rng = random.Random(5)
+        for normal in ((1,), (0, 1), (Fraction(3, 5), Fraction(4, 5))):
+            for _ in range(5):
+                self.assert_table_is_vector_gaps(*random_straddling(rng, normal), 80)
+
+    def test_seeded_surd_doubletons(self):
+        rng = random.Random(55)
+        for _ in range(10):
+            self.assert_table_is_vector_gaps(*random_surd_straddling(rng), 80)
+
+    def test_straddling_three_point_set(self):
+        A, B = plane_problem([(-3, -2), (1, 2), (-1, 3)])
+        self.assert_table_is_vector_gaps(A, B, F(0, 0), 80)
+        run = iterate(A, B, F(0, 0), 80)
+        assert len({r.selector_k for r in run.trace[1:]}) == 3
+
+
+def test_surd_run_result_copies_and_pickles():
+    A, B = surd_line_problem([-1, Surd(0, 1, 2)])
+    run = iterate(A, B, (Surd(Fraction(1, 3), 0, 2),), 30)
+    for clone in (copy.copy(run), copy.deepcopy(run), pickle.loads(pickle.dumps(run))):
+        assert clone == run
+        assert run_report(clone, A, B) == run_report(run, A, B)
 
 
 class TestExport:

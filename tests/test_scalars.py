@@ -2,10 +2,16 @@
 
 The surd floor is checked against an independent oracle that brackets
 sqrt(d) between rationals of increasing precision, so the implementation's
-integer-square-root path never validates itself.
+integer-square-root path never validates itself.  Likewise every Surd
+operation is checked against a + b*sqrt(d) held as a pair of Fractions with
+the textbook formulas, written here and sharing no code with the integer
+kernel.
 """
 
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -108,6 +114,108 @@ class TestFloor:
     def test_surd_floor_large_b(self, b, d):
         s = Surd(0, b, d)
         assert floor(s) == floor_oracle(0, b, d)
+
+
+def sign_oracle(a, b, d):
+    """Sign of a + b*sqrt(d) via rational bracketing, independent of Surd."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    bits = 16
+    while True:
+        lo, hi = sqrt_bounds(d, bits)
+        ends = sorted((a + b * lo, a + b * hi))
+        if ends[0] > 0:
+            return 1
+        if ends[1] < 0:
+            return -1
+        bits *= 2
+
+
+def pair_add(x, y, d):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def pair_sub(x, y, d):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def pair_mul(x, y, d):
+    return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
+
+
+def pair_div(x, y, d):
+    # multiply by the conjugate y[0] - y[1]*sqrt(d) over the norm
+    norm = y[0] * y[0] - y[1] * y[1] * d
+    return (x[0] * y[0] - x[1] * y[1] * d) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
+
+
+PAIR_OPS = [
+    (operator.add, pair_add),
+    (operator.sub, pair_sub),
+    (operator.mul, pair_mul),
+    (operator.truediv, pair_div),
+]
+
+
+def assert_is_pair(s, pair, d):
+    """s is a Surd in normal form with the value pair[0] + pair[1]*sqrt(d)."""
+    assert isinstance(s, Surd)
+    assert all(type(c) is int for c in (s.p, s.q, s.n))
+    assert s.n > 0 and math.gcd(s.p, s.q, s.n) == 1
+    assert (Fraction(s.p, s.n), Fraction(s.q, s.n)) == pair
+    assert (s.a, s.b, s.d) == (*pair, d)
+    if pair[1] == 0:
+        assert hash(s) == hash(pair[0])
+
+
+class TestAgainstFractionPairs:
+    """The integer kernel against the textbook field formulas on pairs."""
+
+    @settings(max_examples=300)
+    @given(fractions_st, fractions_st, fractions_st, fractions_st, radicand_st,
+           st.sampled_from(["surd", "fraction", "int"]))
+    def test_every_operation(self, a1, b1, a2, b2, d, kind):
+        x_pair = (a1, b1)
+        x = Surd(a1, b1, d)
+        assert_is_pair(x, x_pair, d)
+        if kind == "surd":
+            y_pair, y = (a2, b2), Surd(a2, b2, d)
+        elif kind == "fraction":
+            y_pair, y = (a2, Fraction(0)), a2
+        else:
+            y_pair, y = (Fraction(math.floor(a2)), Fraction(0)), math.floor(a2)
+        for op, pair_op in PAIR_OPS:
+            for lhs, rhs, lp, rp in ((x, y, x_pair, y_pair), (y, x, y_pair, x_pair)):
+                if rp == (0, 0) and op is operator.truediv:
+                    with pytest.raises(ZeroDivisionError):
+                        op(lhs, rhs)
+                    continue
+                assert_is_pair(op(lhs, rhs), pair_op(lp, rp, d), d)
+        assert_is_pair(-x, (-a1, -b1), d)
+        assert_is_pair(abs(x), (-a1, -b1) if sign_oracle(a1, b1, d) < 0 else x_pair, d)
+
+        diff = sign_oracle(a1 - y_pair[0], b1 - y_pair[1], d)
+        assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+        assert (y < x, y > x) == (diff > 0, diff < 0)
+        assert (x == y, x != y, y == x) == (diff == 0, diff != 0, diff == 0)
+        assert x.sign() == sign_oracle(a1, b1, d)
+        assert floor(x) == floor_oracle(a1, b1, d)
+        if diff == 0:
+            assert hash(x) == hash(y)
+
+    @given(fractions_st, fractions_st, radicand_st)
+    def test_copies_and_pickles(self, a, b, d):
+        s = Surd(a, b, d)
+        for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert_is_pair(clone, (a, b), d)
+            assert clone == s and hash(clone) == hash(s)
+
+    def test_immutable(self):
+        s = Surd(1, 1, 2)
+        for name in ("p", "q", "n", "d", "a"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 3)
+        assert s == Surd(1, 1, 2)
 
 
 class TestComparisons:
