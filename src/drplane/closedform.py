@@ -10,24 +10,34 @@ planar instance generates; verify_closed_form cross-checks everything against
 the step-by-step driver.
 
 The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
-fixed once per call.  On the exact backends that floor is an integer
-square-root floor and the offsets are integer combinations on the orbit's
-lattice (see :func:`floor_form`); f64 keeps the float quotient.  The step
-driver reaches the same offsets by stepping, so verify_closed_form still
-compares two derivations.
+fixed once.  On the exact backends that floor is an integer square-root
+floor, the offsets are integer pairs on the orbit's lattice (see
+:class:`FloorForm`), and each point is built from the pair of the previous
+offset by the lattice's point evaluator; f64 keeps the float quotient and
+:func:`~drplane.geometry.line_point`.  iterate reaches the same offsets by
+stepping, so verify_closed_form still compares two derivations.
+
+Set-up that depends only on the problem is derived once per
+:class:`~drplane.cycling.DoubletonProblem` and kept on it: the first
+iterate (shared with the cycle search), the :class:`Betas` that
+:func:`compute_betas` returns, and the plan of closed_form_point and
+closed_form_trace, which is either the refusal message of the first failed
+hypothesis or the floor form with its point evaluator.  A Betas other than
+the instance's own gets a plan built from it on each call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
-from .geometry import dot, dr_step, line_point, norm_sq, vsub
-from .lattice import OffsetLattice, window_constant
-from .scalars import F64, Scalar, Surd, encode_scalar, floor, format_scalar, surd_floor
+from .geometry import Vector, dot, line_point, norm_sq, vsub
+from .lattice import OffsetLattice
+from .scalars import F64, Scalar, encode_scalar, floor, format_scalar, surd_floor
 
 F64_INVARIANT_SLACK = 1e-9
 NOT_APPLICABLE = "closed form not applicable; use iterate"
@@ -58,9 +68,12 @@ class RegionLabel(enum.Enum):
 
 
 def compute_betas(p: DoubletonProblem) -> Betas:
-    """Derive (beta1, beta2, beta) and assert their sign invariants."""
-    beta1, beta2 = p.beta1, p.beta2
-    beta = window_constant(p.b1, p.b2, beta1, beta2)
+    """Derive (beta1, beta2, beta) and assert their sign invariants.
+
+    Derived once per instance: later calls return the same Betas."""
+    if p._betas is not None:
+        return p._betas
+    beta1, beta2, beta = p.beta1, p.beta2, p.beta
     slack = F64_INVARIANT_SLACK if p.backend == F64 else 0
     if not beta < slack:
         raise PreconditionError(f"window constant must be negative, got {beta!r}")
@@ -68,7 +81,9 @@ def compute_betas(p: DoubletonProblem) -> Betas:
         raise PreconditionError(
             "offset span exceeds -2x the window constant; doubleton data corrupt"
         )
-    return Betas(beta1, beta2, beta)
+    betas = Betas(beta1, beta2, beta)
+    object.__setattr__(p, "_betas", betas)
+    return betas
 
 
 def region_of(betas: Betas, inner, k: int) -> RegionLabel:
@@ -108,13 +123,21 @@ def successor_rule(betas: Betas, inner, k: int) -> tuple[int, object]:
     return 1, inner + betas.beta1
 
 
-def _require_applicable(betas: Betas, inner0) -> None:
+def _refusal(betas: Betas, inner0) -> str | None:
+    """The first failed applicability hypothesis on the offsets, or None."""
     if not betas.beta + betas.beta2 >= 0:
-        raise PreconditionError(f"{NOT_APPLICABLE} (beta + beta2 < 0)")
+        return f"{NOT_APPLICABLE} (beta + beta2 < 0)"
     # observable shadow of the entry hypothesis: the start offset must sit
     # in the union window shifted back by one step
     if not betas.beta < inner0 <= betas.beta - betas.beta1 + betas.beta2:
-        raise PreconditionError(f"{NOT_APPLICABLE} (start offset outside the window)")
+        return f"{NOT_APPLICABLE} (start offset outside the window)"
+    return None
+
+
+def _require_applicable(betas: Betas, inner0) -> None:
+    refusal = _refusal(betas, inner0)
+    if refusal is not None:
+        raise PreconditionError(refusal)
 
 
 def _count2(betas: Betas, inner0, n: int) -> int:
@@ -156,61 +179,131 @@ def closed_form_inner_alt(betas: Betas, inner0, n: int):
     )
 
 
-def floor_form(betas: Betas, inner0):
-    """The closed form's two evaluators for one start offset.
+class FloorForm:
+    """The closed form's evaluators for one start offset, on the exact backends.
 
-    Returns (count2, offset): count2(n) is the number of selector-2 choices
-    among steps 1..n, floor(X + n*Y) with X = (-inner0 + beta - beta1 +
-    beta2)/span and Y = -beta1/span fixed once; offset(n, c) is the offset
-    after n steps of which c chose b2, inner0 + n*beta1 + c*span.  The exact
-    backends hold X and Y as integer surds over one positive denominator,
-    dividing by span through its conjugate (whose norm may be negative), and
-    take each floor by an integer square root; offsets come from the same
-    integers.  The f64 backend keeps the float quotient.
+    count2(n) is the number of selector-2 choices among steps 1..n,
+    floor(X + n*Y) with X = (-inner0 + beta - beta1 + beta2)/span and
+    Y = -beta1/span fixed once; the offset after n steps of which c chose b2
+    is inner0 + n*beta1 + c*span.  X and Y are integer surds over one
+    positive denominator, dividing by span through its conjugate (whose norm
+    may be negative), and each floor is an integer square root.  Offsets are
+    the integer pairs coefficients(n, c) on ``lattice``, and offset(n, c)
+    decodes them.
     """
+
+    __slots__ = ("lattice", "start", "xa", "xb", "ya", "yb", "denom")
+
+    def __init__(self, betas: Betas, inner0):
+        self.lattice = lat = OffsetLattice(betas.beta1, betas.beta2, betas.beta, inner0)
+        d = lat.d
+        self.start = (i_a, i_b) = lat.start
+        (b1a, b1b), (b2a, b2b), (wa, wb) = lat.beta1, lat.beta2, lat.beta
+        sa, sb = b2a - b1a, b2b - b1b
+        norm = sa * sa - sb * sb * d
+        sign = 1 if norm > 0 else -1
+
+        def over_span(p, q):
+            # (p + q*sqrt(d))/(sa + sb*sqrt(d)) = (p + q*sqrt(d))*(sa - sb*sqrt(d))/norm
+            return sign * (p * sa - q * sb * d), sign * (q * sa - p * sb)
+
+        self.xa, self.xb = over_span(wa - i_a + sa, wb - i_b + sb)
+        self.ya, self.yb = over_span(-b1a, -b1b)
+        self.denom = abs(norm)
+
+    def count2(self, n: int) -> int:
+        return surd_floor(self.xa + n * self.ya, self.xb + n * self.yb, self.denom, self.lattice.d)
+
+    def coefficients(self, n: int, c: int) -> tuple[int, int]:
+        lat = self.lattice
+        (i_a, i_b), (b1a, b1b), (b2a, b2b) = self.start, lat.beta1, lat.beta2
+        return i_a + n * b1a + c * (b2a - b1a), i_b + n * b1b + c * (b2b - b1b)
+
+    def decode(self, a: int, b: int):
+        return self.lattice.decode(a, b)
+
+    def offset(self, n: int, c: int):
+        return self.lattice.decode(*self.coefficients(n, c))
+
+
+class _FloatFloorForm:
+    """FloorForm's interface on f64: the float quotient for count2, and
+    1-tuples of decoded offsets for coefficients."""
+
+    __slots__ = ("betas", "inner0", "start")
+
+    def __init__(self, betas: Betas, inner0):
+        self.betas, self.inner0, self.start = betas, inner0, (inner0,)
+
+    def count2(self, n: int) -> int:
+        return _count2(self.betas, self.inner0, n)
+
+    def coefficients(self, n: int, c: int) -> tuple:
+        return (self.offset(n, c),)
+
+    @staticmethod
+    def decode(offset):
+        return offset
+
+    def offset(self, n: int, c: int):
+        return self.inner0 + n * self.betas.beta1 + c * self.betas.span
+
+
+def floor_form(betas: Betas, inner0):
+    """The closed form's evaluators for one start offset: a FloorForm on the
+    exact backends; f64 keeps the float quotient behind the same methods."""
     if isinstance(betas.span, float):
-        return (
-            lambda n: _count2(betas, inner0, n),
-            lambda n, c: inner0 + n * betas.beta1 + c * betas.span,
-        )
-    lat = OffsetLattice(betas.beta1, betas.beta2, betas.beta, inner0)
-    d = lat.d
-    (i_a, i_b), (b1a, b1b), (b2a, b2b), (wa, wb) = lat.start, lat.beta1, lat.beta2, lat.beta
-    sa, sb = b2a - b1a, b2b - b1b
-    norm = sa * sa - sb * sb * d
-    sign = 1 if norm > 0 else -1
-
-    def over_span(p, q):
-        # (p + q*sqrt(d))/(sa + sb*sqrt(d)) = (p + q*sqrt(d))*(sa - sb*sqrt(d))/norm
-        return sign * (p * sa - q * sb * d), sign * (q * sa - p * sb)
-
-    xa, xb = over_span(wa - i_a + sa, wb - i_b + sb)
-    ya, yb = over_span(-b1a, -b1b)
-    denom = abs(norm)
-
-    def count2(n: int) -> int:
-        return surd_floor(xa + n * ya, xb + n * yb, denom, d)
-
-    def offset(n: int, c: int):
-        return lat.decode(i_a + n * b1a + c * sa, i_b + n * b1b + c * sb)
-
-    return count2, offset
+        return _FloatFloorForm(betas, inner0)
+    return FloorForm(betas, inner0)
 
 
-def _entry_state(p: DoubletonProblem, betas: Betas):
-    """First iterate and its selector, with the entry hypothesis enforced."""
-    x1, k1 = dr_step(p.hyperplane, p.finite_set(), p.x0)
-    if region_of(betas, p.hyperplane.inner(x1), k1) is RegionLabel.OUTSIDE:
-        raise PreconditionError(f"{NOT_APPLICABLE} (first iterate misses the window)")
-    return x1, k1
+def _float_point(u: Vector, points: tuple[Vector, ...], k: int, offset) -> Vector:
+    return line_point(offset, u, points[k - 1])
 
 
-def _point_unchecked(p: DoubletonProblem, betas: Betas, inner0, n: int):
-    count2, offset = floor_form(betas, inner0)
-    before = count2(n - 1)
-    k = count2(n) - before + 1
-    prev = inner0 if n == 1 else offset(n - 1, before)
-    return line_point(prev, p.hyperplane.normal, p.b1 if k == 1 else p.b2), k
+def _form_and_line(p: DoubletonProblem, betas: Betas, inner0):
+    """The floor form and its point evaluator line(k, *coefficients): the
+    lattice's on the exact backends, line_point of the offset on f64."""
+    form = floor_form(betas, inner0)
+    u, points = p.hyperplane.normal, (p.b1, p.b2)
+    if isinstance(form, FloorForm):
+        return form, form.lattice.line_points(u, points).point
+    return form, partial(_float_point, u, points)
+
+
+def _point(form, line, n: int):
+    # row n is the offset of row n-1 on the line of its selector
+    before = form.count2(n - 1)
+    k = form.count2(n) - before + 1
+    prev = form.start if n == 1 else form.coefficients(n - 1, before)
+    return line(k, *prev), k
+
+
+def _plan(p: DoubletonProblem, betas: Betas) -> tuple:
+    """(form, line): the floor form and its point evaluator, or
+    PreconditionError naming the first failed hypothesis (window shift,
+    start offset, entry of the first iterate).  Built once and kept on p,
+    refusal included, when betas is p's own Betas; any other Betas gets a
+    plan built from it."""
+    own = betas is p._betas
+    plan = p._closed_form if own else None
+    if plan is None:
+        inner0 = p.hyperplane.inner(p.x0)
+        refusal = _refusal(betas, inner0)
+        if refusal is None:
+            _, k1, inner1 = p.first_step()
+            if region_of(betas, inner1, k1) is RegionLabel.OUTSIDE:
+                refusal = f"{NOT_APPLICABLE} (first iterate misses the window)"
+        if refusal is None:
+            plan = (None, *_form_and_line(p, betas, inner0))
+        else:
+            plan = (refusal, None, None)
+        if own:
+            object.__setattr__(p, "_closed_form", plan)
+    refusal, form, line = plan
+    if refusal is not None:
+        raise PreconditionError(refusal)
+    return form, line
 
 
 def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
@@ -221,10 +314,7 @@ def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
     """
     if n < 1:
         raise ValueError(f"closed form is stated for n >= 1, got {n}")
-    inner0 = p.hyperplane.inner(p.x0)
-    _require_applicable(betas, inner0)
-    _entry_state(p, betas)
-    return _point_unchecked(p, betas, inner0, n)
+    return _point(*_plan(p, betas), n)
 
 
 def corollary_point(p: DoubletonProblem, n: int):
@@ -258,7 +348,7 @@ def corollary_point(p: DoubletonProblem, n: int):
             "hypothesis 2<x0, b1-b2> > |b1|^2 - |b2|^2 fails: "
             f"margin {format_scalar(margin)}"
         )
-    return _point_unchecked(p, betas, 0, n)
+    return _point(*_form_and_line(p, betas, 0), n)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:
@@ -269,9 +359,9 @@ def beatty_triple(n: int) -> tuple[int, int, int]:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    f_next = floor(Surd(0, n + 1, 2))  # floor((n+1)*sqrt(2))
-    u_n = f_next - floor(Surd(0, n, 2)) - 1
-    v_n = floor(Surd(2 * (n + 1), -(n + 1), 2))  # floor((n+1)*(2-sqrt(2)))
+    f_next = surd_floor(0, n + 1, 1, 2)  # floor((n+1)*sqrt(2))
+    u_n = f_next - surd_floor(0, n, 1, 2) - 1
+    v_n = surd_floor(2 * (n + 1), -(n + 1), 1, 2)  # floor((n+1)*(2-sqrt(2)))
     w_n = f_next - n - 1
     return u_n, v_n, w_n
 
@@ -306,24 +396,19 @@ def _points_agree(x, y, backend: str) -> bool:
 def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     """Iterates 0..horizon from the closed form, shaped like iterate()'s result.
 
-    Checks the hypotheses once, in closed_form_point's order, and refuses
-    the same way.  Row n's offset is row n+1's line coefficient, so each row
-    costs one floor.
+    Refuses the way closed_form_point does, with p's plan.  Row n's offset
+    is row n+1's line coefficient, so each row costs one floor.
     """
-    betas = compute_betas(p)
-    inner0 = p.hyperplane.inner(p.x0)
-    _require_applicable(betas, inner0)
-    _entry_state(p, betas)
-    count2, offset = floor_form(betas, inner0)
-    u = p.hyperplane.normal
-    trace = [TraceRecord(0, p.x0, None, inner0)]
-    before = count2(0)
+    form, line = _plan(p, compute_betas(p))
+    trace = [TraceRecord(0, p.x0, None, p.hyperplane.inner(p.x0))]
+    prev = form.start
+    before = form.count2(0)
     for n in range(1, horizon + 1):
-        now = count2(n)
+        now = form.count2(n)
         k = now - before + 1
-        x = line_point(trace[-1].inner, u, p.b1 if k == 1 else p.b2)
-        trace.append(TraceRecord(n, x, k, offset(n, now)))
-        before = now
+        coefs = form.coefficients(n, now)
+        trace.append(TraceRecord(n, line(k, *prev), k, form.decode(*coefs)))
+        prev, before = coefs, now
     return RunResult(trace, Outcome.HORIZON, final_counts=(horizon - before, before))
 
 
@@ -338,9 +423,10 @@ def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     formula = closed_form_trace(p, horizon).trace
     run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon)
+    backend = p.backend
     for n in range(1, horizon + 1):
         rec, cf = run.trace[n], formula[n]
-        if cf.selector_k != rec.selector_k or not _points_agree(cf.x, rec.x, p.backend):
+        if cf.selector_k != rec.selector_k or not _points_agree(cf.x, rec.x, backend):
             return VerifyReport(
                 ok=False,
                 checked=n,

@@ -14,9 +14,11 @@ fixed thresholds, so the search loop runs on small integers instead of
 vectors.  Both exact backends run on the integer lattice of
 :mod:`drplane.lattice`, which the iteration driver and the closed form share:
 an offset is the triple (a, b, scale) meaning (a + b*sqrt(d))/scale,
-rationals being the b = 0 slice, and states are hashed as (k, a, b).  The
-float backend instead quantizes offsets into cells and labels its reports
-approximate.
+rationals being the b = 0 slice, and states are hashed as (k, a, b); the
+states of a found cycle are built from those integers by the lattice's
+point evaluator.  The float backend instead quantizes offsets into cells and
+labels its reports approximate.  The first step and the window constant are
+derived once per DoubletonProblem.
 """
 
 from __future__ import annotations
@@ -61,9 +63,16 @@ class DoubletonProblem:
     b2: Vector
     x0: Vector
     tie_policy: TiePolicy = TiePolicy.HIGHER_INNER
-    # signed offsets <b1,u>, <b2,u>, computed once from the fields above
+    # signed offsets <b1,u>, <b2,u> and the window constant, computed once
+    # from the fields above
     beta1: Scalar = field(init=False, repr=False, compare=False)
     beta2: Scalar = field(init=False, repr=False, compare=False)
+    beta: Scalar = field(init=False, repr=False, compare=False)
+    # derived on first use and kept: first_step() here, and the closed form's
+    # Betas and plan in drplane.closedform
+    _first_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _betas: object = field(default=None, init=False, repr=False, compare=False)
+    _closed_form: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.hyperplane
@@ -87,10 +96,19 @@ class DoubletonProblem:
                 "doubleton must straddle the hyperplane strictly: "
                 f"offsets {format_scalar(b1_off)}, {format_scalar(b2_off)}"
             )
+        object.__setattr__(self, "beta", window_constant(self.b1, self.b2, b1_off, b2_off))
 
     @property
     def backend(self) -> str:
         return self.hyperplane.backend
+
+    def first_step(self) -> tuple:
+        """(x1, k1, inner1): the first DR iterate, its selector and its
+        offset, taken on vectors once per instance."""
+        if self._first_step is None:
+            x1, k1 = dr_step(self.hyperplane, self.finite_set(), self.x0)
+            object.__setattr__(self, "_first_step", (x1, k1, self.hyperplane.inner(x1)))
+        return self._first_step
 
     def finite_set(self) -> FiniteSet:
         # __post_init__ has checked dimensions, backends and the strict
@@ -177,25 +195,27 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    A = p.hyperplane
-    x1, k1 = dr_step(A, p.finite_set(), p.x0)
     if horizon == 1:
         return CycleReport("no_cycle", horizon)
-    inner1 = A.inner(x1)
-    beta = window_constant(p.b1, p.b2, p.beta1, p.beta2)
     if p.backend == F64:
         logger.debug("detect_cycle: quantized float offsets (f64 backend)")
-        return _detect_float(p, horizon, k1, inner1, beta)
+        return _detect_float(p, horizon)
     logger.debug("detect_cycle: integer lattice")
-    return _detect_exact(p, horizon, k1, inner1, beta)
+    return _detect_exact(p, horizon)
 
 
-def _detect_exact(p, horizon, k1, inner1, beta):
-    lat = OffsetLattice(p.beta1, p.beta2, beta, inner1, p.tie_policy)
+def _detect_exact(p, horizon):
+    _, k1, inner1 = p.first_step()
+    lat = OffsetLattice(p.beta1, p.beta2, p.beta, inner1, p.tie_policy)
+    line = lat.line_points(p.hyperplane.normal, (p.b1, p.b2))
+    shifts = (lat.beta1, lat.beta2)
 
     def decode(key):
+        # invert the line confinement: x sits on b_k + span(u) at the
+        # previous offset, the state's offset minus beta_k
         k, a, b = key
-        return _state_vector(p, k, lat.decode(a, b))
+        sa, sb = shifts[k - 1]
+        return line.point(k, a - sa, b - sb)
 
     key = (k1, *lat.start)
     seen = {key: 1}
@@ -209,9 +229,10 @@ def _detect_exact(p, horizon, k1, inner1, beta):
     return CycleReport("no_cycle", horizon)
 
 
-def _detect_float(p, horizon, k1, inner1, beta):
+def _detect_float(p, horizon):
+    _, k1, inner1 = p.first_step()
     beta1, beta2 = p.beta1, p.beta2
-    t1, t2 = thresholds(beta1, beta2, beta)
+    t1, t2 = thresholds(beta1, beta2, p.beta)
     qstep = FLOAT_CYCLE_REL_TOL * max(
         1.0, abs(inner1), abs(beta1), abs(beta2), abs(t1), abs(t2)
     )

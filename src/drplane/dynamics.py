@@ -19,7 +19,8 @@ Two paths produce the same records.  An exact-backend doubleton that
 strictly straddles the hyperplane (so it cannot reach a fixed point or
 diverge) takes one vector step from x0 and then advances its
 (selector, offset) state on the integer lattice of :mod:`drplane.lattice`,
-decoding each offset once and rebuilding full-trace iterates from it.
+decoding each offset once and building full-trace iterates from the
+lattice integers.
 Everything else (f64, one-sided or touching doubletons, m != 2) runs the
 generic vector loop.  A ``drplane`` debug log record names the path taken
 and, for the vector loop, why.
@@ -218,25 +219,25 @@ def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, counts, max_n: int, slim:
     """Append steps 2..max_n of a straddling exact doubleton, advanced on the
     integer lattice from the state of step 1, and add them to counts.
 
-    Each offset is decoded once; a full record's iterate is rebuilt from the
-    previous offset.  Records hold no counts or shadows: the exporters tally
-    counts as columns, and a shadow is x_n - inner*u.
+    Each offset is decoded once; a full record's iterate is built from the
+    integers of the previous offset by the lattice's point evaluator.
+    Records hold no counts or shadows: the exporters tally counts as
+    columns, and a shadow is x_n - inner*u.
     """
     (b1, b2), (beta1, beta2) = B.points, B.inners
-    u = A.normal
     first = trace[1]
     lat = OffsetLattice(
         beta1, beta2, window_constant(b1, b2, beta1, beta2), first.inner, B.tie_policy
     )
     decode = lat.decode
-    prev = first.inner
-    states = lat.walk(first.selector_k, *lat.start)
+    point = None if slim else lat.line_points(A.normal, B.points).point
+    pa, pb = lat.start
+    states = lat.walk(first.selector_k, pa, pb)
     for n, (k, a, b) in zip(range(2, max_n + 1), states):
-        inner = decode(a, b)
         counts[k - 1] += 1
-        x = None if slim else line_point(prev, u, B.points[k - 1])
-        trace.append(TraceRecord(n, x, k, inner))
-        prev = inner
+        x = None if slim else point(k, pa, pb)
+        trace.append(TraceRecord(n, x, k, decode(a, b)))
+        pa, pb = a, b
 
 
 def reconstruct_x(result: RunResult, A: Hyperplane, B: FiniteSet, n: int) -> Vector:

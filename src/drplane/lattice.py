@@ -16,6 +16,14 @@ it, and only decode the offsets they report.  It reads the integers
 ``(p, q, n)`` a Surd holds (``(p + q*sqrt(d))/n``) and decodes pairs through
 :func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
 on surd orbits.
+
+Points are built from the same integers: :meth:`OffsetLattice.line_points`
+fixes per-coordinate integer constants for one normal and point pair, after
+which an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one Fraction
+or one :func:`~drplane.scalars.surd_from_ints` per coordinate.  Full traces,
+closed-form rows and points, and decoded cycle states all go through it;
+:func:`~drplane.geometry.line_point` stays the formula for offsets that are
+already decoded.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ from fractions import Fraction
 
 from .geometry import DEFAULT_TIE_POLICY, TiePolicy, Vector, norm_sq, vsub
 from .scalars import Scalar, Surd, surd_from_ints, surd_sign
+
+
+def _int_parts(v) -> tuple[int, int, int]:
+    """(p, q, n) with v == (p + q*sqrt(d))/n; q == 0 for ints and Fractions."""
+    if isinstance(v, Surd):
+        return v.p, v.q, v.n
+    return v.numerator, 0, v.denominator
 
 
 def window_constant(b1: Vector, b2: Vector, beta1: Scalar, beta2: Scalar) -> Scalar:
@@ -58,10 +73,7 @@ class OffsetLattice:
 
     def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
         values = (beta1, beta2, beta, start)
-        parts = [
-            (v.p, v.q, v.n) if isinstance(v, Surd) else (v.numerator, 0, v.denominator)
-            for v in values
-        ]
+        parts = [_int_parts(v) for v in values]
         self.d = next((v.d for v in values if isinstance(v, Surd)), 0)
         self.scale = scale = math.lcm(*(n for _, _, n in parts))
         self.beta1, self.beta2, self.beta, self.start = [
@@ -78,6 +90,10 @@ class OffsetLattice:
         if self.d:
             return surd_from_ints(a, b, self.scale, self.d)
         return Fraction(a, self.scale)
+
+    def line_points(self, u: Vector, points: tuple[Vector, ...]) -> "LinePoints":
+        """The point evaluator of this lattice for normal u and points (b1, b2)."""
+        return LinePoints(self, u, points)
 
     def walk(self, k: int, a: int, b: int):
         """The states (k, a, b) after state (k, a, b), one per step, without end."""
@@ -102,3 +118,52 @@ class OffsetLattice:
                 a += b2a
                 b += b2b
             yield k, a, b
+
+
+class LinePoints:
+    """Iterates ``x = ((a + b*sqrt(d))/scale)*u + b_k`` from lattice integers.
+
+    Coordinate i of ``c*u + b_k`` with ``u_i = (up + uq*sqrt(d))/un`` and
+    ``b_k[i] = (bp + bq*sqrt(d))/bn`` is ``(P + Q*sqrt(d))/D`` over
+    ``D = lcm(scale*un, bn)``, where ``P = m*(a*up + b*uq*d) + bp*(D//bn)``,
+    ``Q = m*(a*uq + b*up) + bq*(D//bn)`` and ``m = D//(scale*un)``.  The
+    integer constants are fixed once per (k, i); a coordinate with
+    ``u_i == 0`` holds its value ``b_k[i]``.  Equal in value and scalar type
+    to :func:`~drplane.geometry.line_point` of the decoded offset.
+    """
+
+    __slots__ = ("d", "rows")
+
+    def __init__(self, lat: OffsetLattice, u: Vector, points: tuple[Vector, ...]):
+        self.d = d = lat.d
+        zero = lat.decode(0, 0)
+        self.rows = tuple(
+            tuple(_coordinate(lat.scale, d, zero, ui, bi) for ui, bi in zip(u, b))
+            for b in points
+        )
+
+    def point(self, k: int, a: int, b: int) -> Vector:
+        """The point on the line of b_k at offset (a + b*sqrt(d))/scale."""
+        d = self.d
+        x = []
+        for c in self.rows[k - 1]:
+            if type(c) is not tuple:
+                x.append(c)
+            elif d:
+                ua, ub, ud, pa, pb, den = c
+                x.append(surd_from_ints(ua * a + ud * b + pa, ub * a + ua * b + pb, den, d))
+            else:
+                x.append(Fraction(c[0] * a + c[3], c[5]))
+        return tuple(x)
+
+
+def _coordinate(scale: int, d: int, zero, ui, bi):
+    """LinePoints' constants (m*up, m*uq, m*uq*d, bp*f, bq*f, D) for one
+    coordinate, or its value b_i, in the lattice's scalar type, when u_i == 0."""
+    if ui == 0:
+        return zero + bi
+    up, uq, un = _int_parts(ui)
+    bp, bq, bn = _int_parts(bi)
+    den = math.lcm(scale * un, bn)
+    m, f = den // (scale * un), den // bn
+    return m * up, m * uq, m * uq * d, bp * f, bq * f, den

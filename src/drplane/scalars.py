@@ -230,6 +230,10 @@ class Surd:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
+    def __bool__(self):
+        # sqrt(d) is irrational, so the value is zero only when p == q == 0
+        return self.p != 0 or self.q != 0
+
     # -- exact comparisons --------------------------------------------------
 
     def sign(self) -> int:

@@ -1,5 +1,7 @@
 """Floor-formula evaluators: window constants, successor rule, closed forms."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,7 @@ from drplane.closedform import (
     successor_rule,
     verify_closed_form,
 )
-from drplane.cycling import DoubletonProblem
+from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import iterate, run_report
 from drplane.errors import PreconditionError
 from drplane.geometry import Hyperplane, TiePolicy, dr_step
@@ -371,6 +373,14 @@ class TestBeatty:
             assert v_n == n - base
             assert u_n == base - floor(Surd(-n, n, 2))
 
+    def test_matches_surd_formula(self):
+        # the formula beatty_triple had before it floored on integers
+        for n in range(5001):
+            f_next = floor(Surd(0, n + 1, 2))
+            u_n = f_next - floor(Surd(0, n, 2)) - 1
+            v_n = floor(Surd(2 * (n + 1), -(n + 1), 2))
+            assert beatty_triple(n) == (u_n, v_n, f_next - n - 1)
+
     def test_identity_with_plane_orbit(self):
         p = plane_sqrt2_doubleton()
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 200)
@@ -498,7 +508,8 @@ class TestIntegerFloorForm:
         norms = [b.span.a ** 2 - 2 * b.span.b ** 2 for b, _ in instances[:6]]
         assert min(norms) < 0 < max(norms)
         for b, inner0 in instances:
-            count2, offset = floor_form(b, inner0)
+            form = floor_form(b, inner0)
+            count2, offset = form.count2, form.offset
             for n in range(0, 2001):
                 c = count2(n)
                 assert c == quotient_count2(b, inner0, n), (b, inner0, n)
@@ -510,7 +521,8 @@ class TestIntegerFloorForm:
     def test_float_backend_keeps_quotient(self):
         A = Hyperplane((1.0,))
         b = compute_betas(DoubletonProblem(A, (-1.0,), (3.7,), (0.0,)))
-        count2, offset = floor_form(b, 0.25)
+        form = floor_form(b, 0.25)
+        count2, offset = form.count2, form.offset
         for n in range(200):
             assert count2(n) == quotient_count2(b, 0.25, n)
             assert offset(n, 3) == 0.25 + n * b.beta1 + 3 * b.span
@@ -564,3 +576,103 @@ class TestRefusalOrder:
         A = Hyperplane((z(0), z(1)))
         p = DoubletonProblem(A, (z(0), z(-1)), (z(3), Surd(0, Fraction(1, 2), 2)), (z(0), z(0)))
         assert self.refusals(p) == [self.SHIFT, self.SHIFT]
+
+    def test_repeated_calls_keep_messages_and_order(self):
+        A = Hyperplane((Fraction(0), Fraction(1)))
+        cases = [
+            (DoubletonProblem(
+                A, (Fraction(0), Fraction(-1)), (Fraction(3), Fraction(1, 2)),
+                (Fraction(0), Fraction(100)),
+            ), self.SHIFT),
+            (line_doubleton(-1, 2, x0=10), self.START),
+            (DoubletonProblem(
+                A, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2)),
+                (Fraction(6), Fraction(1)),
+            ), self.ENTRY),
+        ]
+        for p, message in cases:
+            for _ in range(3):
+                assert self.refusals(p) == [message, message]
+            # the trace first, on a fresh equal instance
+            q = copy.deepcopy(p)
+            with pytest.raises(PreconditionError) as info:
+                closed_form_trace(q, 5)
+            assert str(info.value) == message
+            assert self.refusals(q) == [message, message]
+
+
+def _applicable_and_refused():
+    A = Hyperplane((Fraction(0), Fraction(1)))
+    refused = DoubletonProblem(
+        A, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2)), (Fraction(6), Fraction(1))
+    )
+    return [EX_RATIONAL, EX_SURD, plane_sqrt2_doubleton(), line_doubleton(-1, 2, x0=10), refused]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestDerivedState:
+    """The first step, the Betas and the closed-form plan are derived once
+    per DoubletonProblem, and none of it shows from outside."""
+
+    def use(self, p):
+        return (
+            _outcome(lambda: [closed_form_point(p, compute_betas(p), n) for n in (1, 2, 7)]),
+            _outcome(lambda: closed_form_trace(p, 12).trace),
+            detect_cycle(p, 40),
+        )
+
+    def fresh(self, p):
+        return DoubletonProblem(p.hyperplane, p.b1, p.b2, p.x0, p.tie_policy)
+
+    def test_equality_hash_and_repr_unchanged(self):
+        for p in _applicable_and_refused():
+            before = (hash(p), repr(p))
+            self.use(p)
+            q = self.fresh(p)
+            assert p == q and q == p
+            assert (hash(p), repr(p)) == before == (hash(q), repr(q))
+            assert repr(p) == (
+                f"DoubletonProblem(hyperplane={p.hyperplane!r}, b1={p.b1!r}, "
+                f"b2={p.b2!r}, x0={p.x0!r}, tie_policy={p.tie_policy!r})"
+            )
+
+    def test_copies_and_pickles_after_use(self):
+        A = Hyperplane((1.0,))
+        f64 = DoubletonProblem(A, (-1.0,), (3.7,), (0.0,))
+        for p in _applicable_and_refused() + [f64]:
+            outcomes = self.use(p)
+            for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
+                assert self.use(clone) == outcomes
+                assert self.use(self.fresh(p)) == outcomes
+
+    def test_compute_betas_is_the_instance_betas(self):
+        for p in _applicable_and_refused():
+            assert compute_betas(p) is compute_betas(p)
+            assert compute_betas(p) == compute_betas(self.fresh(p))
+
+    def test_hand_built_betas_give_the_same_points_and_refusals(self):
+        for p in _applicable_and_refused():
+            b = compute_betas(p)
+            hand = Betas(b.beta1, b.beta2, b.beta)
+            assert hand == b and hand is not b
+            for n in (1, 2, 3, 10, 41):
+                assert _outcome(lambda: closed_form_point(p, hand, n)) == _outcome(
+                    lambda: closed_form_point(p, b, n)
+                )
+
+    def test_other_betas_are_not_served_the_instance_plan(self):
+        # a window constant below -beta2 must refuse although p's own plan
+        # (already built) applies
+        p = line_doubleton(-1, 2)
+        assert closed_form_point(p, compute_betas(p), 3) == ((Fraction(0),), 1)
+        shifted = Betas(Fraction(-1), Fraction(2), Fraction(-3))
+        with pytest.raises(PreconditionError, match=r"beta \+ beta2 < 0"):
+            closed_form_point(p, shifted, 3)
+        assert closed_form_point(p, compute_betas(p), 3) == ((Fraction(0),), 1)

@@ -454,6 +454,25 @@ class TestLatticeAgainstDrStep:
         A, B = surd_line_problem([Surd(-1, Fraction(-1, 2), 2), 3])
         assert_matches_reference(A, B, (Surd(Fraction(1, 3), 1, 2),), 60)
 
+    def test_surd_planar_normals(self):
+        # normals with sqrt(2) parts, so full records need both cross terms
+        # of the lattice point evaluator; the second has both parts nonzero
+        # in each coordinate: (1 - t^2, 2t)/(1 + t^2) at t = 1 + sqrt(2)/2
+        half = Surd(0, Fraction(1, 2), 2)
+        mixed = (
+            Surd(Fraction(3, 17), Fraction(-8, 17), 2), Surd(Fraction(12, 17), Fraction(2, 17), 2)
+        )
+        lift = lambda *v: tuple(  # noqa: E731
+            c if isinstance(c, Surd) else Surd(c, 0, 2) for c in v
+        )
+        for normal, pts, x0 in (
+            ((half, half), [lift(-1, 0), lift(1, Surd(1, 1, 2))],
+             lift(Fraction(1, 3), Surd(0, 1, 2))),
+            (mixed, [lift(1, -1), lift(Surd(-2, 1, 2), 1)], lift(0, Fraction(1, 3))),
+        ):
+            A = Hyperplane(normal)
+            assert_matches_reference(A, FiniteSet.ordered(pts, A), x0, 60)
+
     @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
     def test_canonical_doubletons(self, path):
         prob = load_problem(path)

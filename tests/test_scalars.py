@@ -190,7 +190,12 @@ class TestAgainstFractionPairs:
                     with pytest.raises(ZeroDivisionError):
                         op(lhs, rhs)
                     continue
-                assert_is_pair(op(lhs, rhs), pair_op(lp, rp, d), d)
+                want = pair_op(lp, rp, d)
+                got = op(lhs, rhs)
+                assert_is_pair(got, want, d)
+                assert bool(got) == any(want)
+        assert bool(x) == any(x_pair)
+        assert bool(-x) == bool(abs(x)) == any(x_pair)
         assert_is_pair(-x, (-a1, -b1), d)
         assert_is_pair(abs(x), (-a1, -b1) if sign_oracle(a1, b1, d) < 0 else x_pair, d)
 
