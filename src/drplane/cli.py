@@ -33,7 +33,7 @@ from .dynamics import (
 from .errors import PreconditionError, ProblemFormatError
 from .geometry import FiniteSet, Hyperplane, TiePolicy
 from .problems import Problem, load_problem
-from .scalars import BACKENDS, F64, rational_heuristic
+from .scalars import BACKENDS, F64, F64_REL_TOL, finite_float, rational_heuristic
 
 OUTCOME_LABELS = {
     Outcome.FIXED_POINT: "FixedPointReached",
@@ -42,9 +42,6 @@ OUTCOME_LABELS = {
 }
 
 FORMATS = ("csv", "json", "table")
-
-# float ratio is declared rational when rational_heuristic's fraction sits this close
-HEURISTIC_REL_TOL = 1e-9
 
 
 def _convert_backend(p: Problem, target: str) -> Problem:
@@ -55,7 +52,7 @@ def _convert_backend(p: Problem, target: str) -> Problem:
             f"cannot convert a {p.backend} problem to {target!r}; "
             "only downgrades to f64 are supported"
         )
-    cast = lambda v: tuple(float(c) for c in v)  # noqa: E731
+    cast = lambda v: tuple(finite_float(c) for c in v)  # noqa: E731
     hyperplane = Hyperplane(cast(p.hyperplane.normal))
     finite = FiniteSet.ordered(
         [cast(pt) for pt in p.points.points], hyperplane, p.tie_policy
@@ -137,7 +134,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _heuristic_rationality(dp: DoubletonProblem):
     ratio = (-dp.beta1) / dp.beta2
     guess = rational_heuristic(ratio)
-    if abs(float(guess) - ratio) <= HEURISTIC_REL_TOL * max(1.0, abs(ratio)):
+    # the ratio is declared rational when the guess sits this close
+    if abs(float(guess) - ratio) <= F64_REL_TOL * max(1.0, abs(ratio)):
         return True, (guess.denominator, guess.numerator)
     return False, None
 

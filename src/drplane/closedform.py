@@ -37,9 +37,8 @@ from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
 from .geometry import Vector, dot, line_point, norm_sq, vsub
 from .lattice import OffsetLattice
-from .scalars import F64, Scalar, encode_scalar, floor, format_scalar, surd_floor
+from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, floor, format_scalar, surd_floor
 
-F64_INVARIANT_SLACK = 1e-9
 NOT_APPLICABLE = "closed form not applicable; use iterate"
 
 
@@ -74,7 +73,7 @@ def compute_betas(p: DoubletonProblem) -> Betas:
     if p._betas is not None:
         return p._betas
     beta1, beta2, beta = p.beta1, p.beta2, p.beta
-    slack = F64_INVARIANT_SLACK if p.backend == F64 else 0
+    slack = F64_REL_TOL if p.backend == F64 else 0
     if not beta < slack:
         raise PreconditionError(f"window constant must be negative, got {beta!r}")
     if (-2) * beta + slack < beta2 - beta1:
@@ -338,7 +337,7 @@ def corollary_point(p: DoubletonProblem, n: int):
             f"{format_scalar(-betas.beta2)}"
         )
     inner0 = p.hyperplane.inner(p.x0)
-    if inner0 != 0 and not (p.backend == F64 and abs(inner0) <= F64_INVARIANT_SLACK):
+    if inner0 != 0 and not (p.backend == F64 and abs(inner0) <= F64_REL_TOL):
         raise PreconditionError(
             f"hypothesis x0 on the hyperplane fails: offset {format_scalar(inner0)}"
         )
@@ -388,7 +387,7 @@ def _points_agree(x, y, backend: str) -> bool:
     if backend != F64:
         return x == y
     for a, b in zip(x, y):
-        if abs(a - b) > F64_INVARIANT_SLACK * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > F64_REL_TOL * max(1.0, abs(a), abs(b)):
             return False
     return True
 
@@ -416,7 +415,7 @@ def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
     """Compare the closed form against direct iteration for n = 1..horizon.
 
     Exact backends demand exact equality of points and selectors; the float
-    backend allows 1e-9 relative error on coordinates.  Reports the first
+    backend allows F64_REL_TOL relative error on coordinates.  Reports the first
     mismatch with both values.
     """
     if horizon < 1:

@@ -16,9 +16,10 @@ vectors.  Both exact backends run on the integer lattice of
 an offset is the triple (a, b, scale) meaning (a + b*sqrt(d))/scale,
 rationals being the b = 0 slice, and states are hashed as (k, a, b); the
 states of a found cycle are built from those integers by the lattice's
-point evaluator.  The float backend instead quantizes offsets into cells and
-labels its reports approximate.  The first step and the window constant are
-derived once per DoubletonProblem.
+point evaluator.  The float backend walks the same selector rule on a float
+lattice (offsets (v, 0) over scale 1), hashes the offsets quantized into
+cells, and labels its reports approximate.  The first step and the window
+constant are derived once per DoubletonProblem.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ from .geometry import (
     line_point,
     vector_backend,
 )
-from .lattice import OffsetLattice, thresholds, tie_selector, window_constant
+from .lattice import OffsetLattice, window_constant
 from .problems import Problem
 from .scalars import (
     F64,
+    F64_ABS_TOL,
+    F64_REL_TOL,
     Scalar,
     as_fraction,
     encode_scalar,
@@ -49,9 +52,6 @@ from .scalars import (
 )
 
 logger = logging.getLogger(__name__)
-
-F64_SIGN_MARGIN = 1e-12
-FLOAT_CYCLE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class DoubletonProblem:
         object.__setattr__(self, "beta1", b1_off)
         object.__setattr__(self, "beta2", b2_off)
         if A.backend == F64:
-            ok = b1_off < -F64_SIGN_MARGIN and b2_off > F64_SIGN_MARGIN
+            ok = b1_off < -F64_ABS_TOL and b2_off > F64_ABS_TOL
         else:
             ok = b1_off < 0 < b2_off
         if not ok:
@@ -191,7 +191,8 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
     Exact backends hash exact states, so a hit certifies a genuine cycle and
     the returned preperiod/period are minimal.  The float backend quantizes
-    offsets at relative tolerance 1e-9 and labels the report approximate.
+    offsets at relative tolerance F64_REL_TOL and labels the report
+    approximate.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -231,29 +232,18 @@ def _detect_exact(p, horizon):
 
 def _detect_float(p, horizon):
     _, k1, inner1 = p.first_step()
-    beta1, beta2 = p.beta1, p.beta2
-    t1, t2 = thresholds(beta1, beta2, p.beta)
-    qstep = FLOAT_CYCLE_REL_TOL * max(
-        1.0, abs(inner1), abs(beta1), abs(beta2), abs(t1), abs(t2)
+    lat = OffsetLattice(p.beta1, p.beta2, p.beta, inner1, p.tie_policy)
+    qstep = F64_REL_TOL * max(
+        1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
     )
-    tie = tie_selector(p.tie_policy)
 
     def decode(key):
         k, off = key
         return _state_vector(p, k, off)
 
-    k, off = k1, inner1
-    seen = {(k, round(off / qstep)): (1, off)}
-    hist = [(k, off)]
-    for n in range(2, horizon + 1):
-        th = t1 if k == 1 else t2
-        if off > th:
-            k = 1
-        elif off < th:
-            k = 2
-        else:
-            k = tie
-        off += beta1 if k == 1 else beta2
+    seen = {(k1, round(inner1 / qstep)): (1, inner1)}
+    hist = [(k1, inner1)]
+    for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(k1, inner1, 0)):
         cell = round(off / qstep)
         first = None
         for probe in (cell - 1, cell, cell + 1):
@@ -277,10 +267,10 @@ def _state_vector(p: DoubletonProblem, k: int, offset) -> Vector:
     return line_point(offset - p.beta2, p.hyperplane.normal, p.b2)
 
 
-def _vectors_match(p: DoubletonProblem, x, y, approximate: bool) -> bool:
+def _vectors_match(x, y, approximate: bool) -> bool:
     if not approximate:
         return x == y
-    tol = FLOAT_CYCLE_REL_TOL * max(1.0, *(abs(c) for c in x))
+    tol = F64_REL_TOL * max(1.0, *(abs(c) for c in x))
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
@@ -290,7 +280,7 @@ def _finalize_cycle(p, horizon, hist, lam, mu, decode, approximate=False):
     n0 = lam
     j = lam - 1
     xj = p.x0 if j == 0 else decode(hist[j - 1])
-    if _vectors_match(p, xj, decode(hist[j + mu - 1]), approximate):
+    if _vectors_match(xj, decode(hist[j + mu - 1]), approximate):
         n0 = j
     states = tuple(
         p.x0 if t == 0 else decode(hist[t - 1]) for t in range(n0, n0 + mu)

@@ -49,11 +49,10 @@ from .geometry import (
     vsub,
 )
 from .lattice import OffsetLattice, window_constant
-from .scalars import F64, Scalar, encode_scalar, format_scalar
+from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_HORIZON = 10**6
 # Consecutive strictly-monotone inner products required before an
 # (already known infeasible, one-sided) run is declared divergent.
 DIVERGENCE_WINDOW = 1000
@@ -104,7 +103,7 @@ def classify(A: Hyperplane, B: FiniteSet) -> Classification:
     """One-sided vs straddling, and whether B touches the hyperplane."""
     inners = B.inners
     if A.backend == F64:
-        zero = lambda v: abs(v) <= 1e-12  # noqa: E731
+        zero = lambda v: abs(v) <= F64_ABS_TOL  # noqa: E731
     else:
         zero = lambda v: v == 0  # noqa: E731
     intersects = any(zero(v) for v in inners)
@@ -290,7 +289,7 @@ def check_step_gap(result: RunResult, A: Hyperplane, B: FiniteSet) -> bool:
     min_dist_sq = min(v * v for v in B.inners)
     steps = len(result.trace) - 1
     if A.backend == F64:
-        bound = math.sqrt(min_dist_sq) - 1e-12
+        bound = math.sqrt(min_dist_sq) - F64_ABS_TOL
         prev = reconstruct_x(result, A, B, 0)
         for n in range(1, steps + 1):
             cur = reconstruct_x(result, A, B, n)

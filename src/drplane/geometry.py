@@ -21,12 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BackendError, DimensionMismatch
-from .scalars import F64, Scalar, backend_of
+from .scalars import F64, F64_ABS_TOL, Scalar, backend_of
 
 Vector = tuple  # tuple of scalars, one backend per problem
-
-# Float-backend tolerances: unit-normal drift and point-coincidence tests.
-FLOAT_GEOMETRY_TOL = 1e-12
 
 
 def vector_backend(v: Sequence[Scalar]) -> str:
@@ -82,10 +79,10 @@ def norm_sq(x: Vector) -> Scalar:
 
 
 def vec_equal(x: Vector, y: Vector, backend: str) -> bool:
-    """Coordinate-wise equality; on f64, within FLOAT_GEOMETRY_TOL per axis."""
+    """Coordinate-wise equality; on f64, within F64_ABS_TOL per axis."""
     _check_dims(x, y)
     if backend == F64:
-        return all(abs(a - b) <= FLOAT_GEOMETRY_TOL for a, b in zip(x, y))
+        return all(abs(a - b) <= F64_ABS_TOL for a, b in zip(x, y))
     return x == y
 
 
@@ -123,7 +120,7 @@ class Hyperplane:
             if length == 0.0:
                 raise ValueError("hyperplane normal must be nonzero")
             normal = tuple(c / length for c in normal)
-            if abs(norm_sq(normal) - 1.0) > FLOAT_GEOMETRY_TOL:
+            if abs(norm_sq(normal) - 1.0) > F64_ABS_TOL:
                 raise ValueError("could not normalize float normal to unit length")
         else:
             if ns == 0:
@@ -142,10 +139,6 @@ class Hyperplane:
     @property
     def backend(self) -> str:
         return vector_backend(self.normal)
-
-    @property
-    def normal_norm_sq(self) -> Scalar:
-        return norm_sq(self.normal)
 
     def inner(self, x: Vector) -> Scalar:
         """<x, u>; the signed offset of x from the hyperplane."""
@@ -216,10 +209,6 @@ def project_hyperplane(A: Hyperplane, x: Vector) -> Vector:
 def reflect_hyperplane(A: Hyperplane, x: Vector) -> Vector:
     c = A.inner(x)
     return vsub(x, vscale(2 * c, A.normal))
-
-
-def dist_hyperplane(A: Hyperplane, x: Vector) -> Scalar:
-    return abs(A.inner(x))
 
 
 def _pick_winner(winners: list[int], inners, policy: TiePolicy) -> int:

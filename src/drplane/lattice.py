@@ -15,7 +15,9 @@ set-up; the iteration driver, the cycle search and the closed form all run on
 it, and only decode the offsets they report.  It reads the integers
 ``(p, q, n)`` a Surd holds (``(p + q*sqrt(d))/n``) and decodes pairs through
 :func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
-on surd orbits.
+on surd orbits.  The f64 cycle search walks the same rule with float
+offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
+difference ``a - t``; a float lattice is only walked, never decoded.
 
 Points are built from the same integers: :meth:`OffsetLattice.line_points`
 fixes per-coordinate integer constants for one normal and point pair, after
@@ -36,9 +38,12 @@ from .scalars import Scalar, Surd, surd_from_ints, surd_sign
 
 
 def _int_parts(v) -> tuple[int, int, int]:
-    """(p, q, n) with v == (p + q*sqrt(d))/n; q == 0 for ints and Fractions."""
+    """(p, q, n) with v == (p + q*sqrt(d))/n; q == 0 for ints and Fractions,
+    and a float is (v, 0, 1)."""
     if isinstance(v, Surd):
         return v.p, v.q, v.n
+    if isinstance(v, float):
+        return v, 0, 1
     return v.numerator, 0, v.denominator
 
 
@@ -47,26 +52,15 @@ def window_constant(b1: Vector, b2: Vector, beta1: Scalar, beta2: Scalar) -> Sca
     return norm_sq(vsub(b1, b2)) / (2 * (beta1 - beta2))
 
 
-def thresholds(beta1: Scalar, beta2: Scalar, beta: Scalar) -> tuple[Scalar, Scalar]:
-    """Selector thresholds (t1, t2): from state (k, offset) the next selector
-    is 1 when offset > t_k and 2 when offset < t_k."""
-    return beta - beta1, -beta - beta2
-
-
-def tie_selector(policy: TiePolicy) -> int:
-    """Selector taken at offset == t_k: equidistant reflections resolve to the
-    higher offset (b2) only under the default policy; both alternatives
-    pick b1."""
-    return 2 if policy is TiePolicy.HIGHER_INNER else 1
-
-
 class OffsetLattice:
     """Exact offsets ``(a + b*sqrt(d))/scale`` of one doubleton orbit.
 
     Built from the two point offsets, the window constant and one start
     offset (ints, Fractions or Surds over one radicand).  ``beta1``,
     ``beta2``, ``beta``, ``start``, ``t1`` and ``t2`` are their integer pairs
-    ``(a, b)`` over the common ``scale``; ``d`` is 0 on rationals.
+    ``(a, b)`` over the common ``scale``; ``d`` is 0 on rationals.  Float
+    values give float pairs ``(v, 0)`` over ``scale = 1``, for :meth:`walk`
+    only.
     """
 
     __slots__ = ("scale", "d", "beta1", "beta2", "beta", "start", "t1", "t2", "tie")
@@ -80,10 +74,12 @@ class OffsetLattice:
             (p * (scale // n), q * (scale // n)) for p, q, n in parts
         ]
         (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
-        # the thresholds are linear, so they apply to each integer part
-        (t1a, t2a), (t1b, t2b) = thresholds(b1a, b2a, wa), thresholds(b1b, b2b, wb)
-        self.t1, self.t2 = (t1a, t1b), (t2a, t2b)
-        self.tie = tie_selector(tie_policy)
+        # t1 = beta - beta1 and t2 = -beta - beta2 are linear, so they apply
+        # to each integer part
+        self.t1, self.t2 = (wa - b1a, wb - b1b), (-wa - b2a, -wb - b2b)
+        # equidistant reflections resolve to the higher offset (b2) only
+        # under the default policy; both alternatives pick b1
+        self.tie = 2 if tie_policy is TiePolicy.HIGHER_INNER else 1
 
     def decode(self, a: int, b: int):
         """The offset (a + b*sqrt(d))/scale as a Fraction, or a Surd when d != 0."""
@@ -102,19 +98,17 @@ class OffsetLattice:
         tie, d = self.tie, self.d
         while True:
             if k == 1:
-                sign = surd_sign(a - t1a, b - t1b, d)
+                da, db = a - t1a, b - t1b
             else:
-                sign = surd_sign(a - t2a, b - t2b, d)
-            if sign > 0:
+                da, db = a - t2a, b - t2b
+            # with no sqrt(d) part, da carries the sign
+            sign = surd_sign(da, db, d) if db else da
+            if sign > 0 or (sign == 0 and tie == 1):
                 k = 1
-            elif sign < 0:
-                k = 2
-            else:
-                k = tie
-            if k == 1:
                 a += b1a
                 b += b1b
             else:
+                k = 2
                 a += b2a
                 b += b2b
             yield k, a, b

@@ -10,7 +10,9 @@
 
 Periodicity questions are meaningless in floating point (every float is
 rational), so whenever an answer depends on whether a quotient is rational the
-exact backends are authoritative and the float backend refuses.
+exact backends are authoritative and the float backend refuses.  Float
+checks elsewhere in the package share two tolerances, :data:`F64_ABS_TOL`
+and :data:`F64_REL_TOL`; the comment at their definition lists each check.
 
 A problem uses exactly one backend; arithmetic never mixes them.  Integers and
 Fractions embed into the surd field, so ``2 * Surd(...)`` is fine, but any
@@ -37,6 +39,27 @@ BACKENDS = (F64, RATIONAL, SURD)
 
 # Denominator cap for the continued-fraction rationality heuristic on floats.
 HEURISTIC_MAX_DENOMINATOR = 10**6
+
+# The f64 tolerance policy: every float check in the package uses one of
+# these two values, each comparison in the form given here.
+#   F64_ABS_TOL, absolute:
+#     geometry.vec_equal        |x_i - y_i| <= tol on every coordinate
+#     geometry.Hyperplane       rejects a normal with |<u,u> - 1| > tol after
+#                               normalising
+#     cycling.DoubletonProblem  straddles when beta1 < -tol and beta2 > tol
+#     dynamics.classify         a point with |offset| <= tol touches A
+#     dynamics.check_step_gap   fails on a gap < min_i d_A(b_i) - tol
+#   F64_REL_TOL, relative:
+#     cycling.detect_cycle      offset cells of width tol * max(1, |c|) over
+#                               the start offset, beta1, beta2, t1 and t2
+#     cycling._vectors_match    |x_i - y_i| <= tol * max(1, |x_j| over j)
+#     closedform._points_agree  |x_i - y_i| <= tol * max(1, |x_i|, |y_i|),
+#                               scaled per coordinate
+#     cli --heuristic-rationality  |guess - ratio| <= tol * max(1, |ratio|)
+#     closedform.compute_betas and corollary_point use tol unscaled, as the
+#       slack of the window invariants and of the start's offset
+F64_ABS_TOL = 1e-12
+F64_REL_TOL = 1e-9
 
 _checked_radicands: set[int] = set()
 
@@ -393,7 +416,7 @@ def is_rational(s: Scalar) -> bool:
     raise BackendError(f"not a scalar: {s!r}")
 
 
-def rational_heuristic(x: float, max_denominator: int = HEURISTIC_MAX_DENOMINATOR) -> Fraction:
+def rational_heuristic(x: float) -> Fraction:
     """Best rational approximation with bounded denominator (heuristic only).
 
     Continued-fraction based via Fraction.limit_denominator.  This can only
@@ -402,7 +425,7 @@ def rational_heuristic(x: float, max_denominator: int = HEURISTIC_MAX_DENOMINATO
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot approximate non-finite float {x!r}")
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(x).limit_denominator(HEURISTIC_MAX_DENOMINATOR)
 
 
 def as_fraction(s: Scalar) -> Fraction:
@@ -412,16 +435,6 @@ def as_fraction(s: Scalar) -> Fraction:
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
     raise BackendError(f"no exact Fraction value for {s!r}")
-
-
-def scalar_from_int(n: int, backend: str, surd_d: int | None = None) -> Scalar:
-    if backend == F64:
-        return float(n)
-    if backend == RATIONAL:
-        return Fraction(n)
-    if backend == SURD:
-        return Surd(n, 0, surd_d)
-    raise BackendError(f"unknown backend {backend!r}")
 
 
 def format_scalar(s: Scalar) -> str:
@@ -486,12 +499,12 @@ def decode_scalar(value, backend: str, surd_d: int | None = None) -> Scalar:
 
     Exact backends accept ints and 'p/q' strings but reject non-integral JSON
     numbers: silently turning 0.1 into a binary fraction would defeat the
-    point of exactness.
+    point of exactness.  f64 accepts finite numbers only.
     """
     if backend == F64:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProblemFormatError(f"f64 backend expects numbers, got {value!r}")
-        return float(value)
+        return finite_float(value)
     if backend == RATIONAL:
         return _decode_exact_rational(value)
     if backend == SURD:
@@ -512,6 +525,18 @@ def decode_scalar(value, backend: str, surd_d: int | None = None) -> Scalar:
         except BackendError as exc:
             raise ProblemFormatError(str(exc)) from None
     raise ProblemFormatError(f"unknown backend {backend!r}")
+
+
+def finite_float(value: Scalar) -> float:
+    """float(value), or ProblemFormatError naming value when that is not a
+    finite float (NaN, an infinity, or out of the f64 range)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{format_scalar(value)} is not a finite f64 value")
+    return x
 
 
 def _decode_exact_rational(value) -> Fraction:

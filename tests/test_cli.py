@@ -406,6 +406,27 @@ class TestBadInput:
         code, _, err = run_cli(capsys, "run", "--problem", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command, data, shown", [
+        ("run", {"normal": [float("nan")], "points": [[-1.0], [2.0]], "x0": [0.0]}, "nan"),
+        ("cycle", {"normal": [1.0], "points": [[-1.0], [2.0]], "x0": [float("nan")]}, "nan"),
+        ("run", {"normal": [1.0], "points": [[-1.0], [float("inf")]], "x0": [0.0]}, "inf"),
+    ])
+    def test_nonfinite_f64_scalar_exits_2(self, capsys, tmp_path, command, data, shown):
+        # json reads NaN and Infinity literals; f64 problems must reject them
+        path = write_problem(tmp_path, "nonfinite.json", {**data, "backend": "f64"})
+        code, out, err = run_cli(capsys, command, "--problem", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{shown} is not a finite f64 value" in err
+
+    def test_downgrade_out_of_f64_range_exits_2(self, capsys, tmp_path):
+        path = write_problem(
+            tmp_path, "huge.json",
+            {"normal": [1], "points": [[-1], ["1e400"]], "x0": [0], "backend": "rational"},
+        )
+        code, out, err = run_cli(capsys, "run", "--problem", path, "--backend", "f64")
+        assert code == 2 and out == ""
+        assert f"error: 1{'0' * 400} is not a finite f64 value" in err
+
     def test_bad_horizon(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", str(FIXTURES / "rational_cycle.json"),

@@ -330,6 +330,51 @@ class TestAgainstBruteForce:
             assert brute_cycle(p, 100_000) == (report.preperiod, report.period)
 
 
+def random_dyadic(rng, lo, hi):
+    den = rng.choice((2, 4))
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def random_dyadic_doubleton(rng):
+    """(normal, b1, b2, x0) in halves and quarters, with normal (1,) or
+    (0, 1); about a third are symmetric, b2 = -b1.  Binary floats hold
+    these values exactly, and the f64 orbit stays on them."""
+    normal = rng.choice(((1,), (0, 1)))
+    lead = tuple(random_dyadic(rng, -4, 4) for _ in normal[1:])
+    b1 = lead + (-random_dyadic(rng, 1, 4),)
+    if rng.random() < 1 / 3:
+        b2 = tuple(-c for c in b1)
+    else:
+        b2 = tuple(random_dyadic(rng, -4, 4) for _ in lead) + (random_dyadic(rng, 1, 4),)
+    x0 = tuple(random_dyadic(rng, -4, 4) for _ in normal)
+    return normal, b1, b2, x0
+
+
+class TestFloatAgainstRational:
+    def test_dyadic_doubletons_match_exact_reports(self):
+        # on dyadic data the f64 search must find the rational backend's
+        # cycle, under every tie policy
+        rng = random.Random(20261018)
+        policies_differ = 0
+        for _ in range(100):
+            normal, b1, b2, x0 = random_dyadic_doubleton(rng)
+            reports = set()
+            A = Hyperplane(tuple(map(Fraction, normal)))
+            Af = Hyperplane(tuple(map(float, normal)))
+            points = [tuple(map(float, v)) for v in (b1, b2, x0)]
+            for policy in TiePolicy:
+                exact = detect_cycle(DoubletonProblem(A, b1, b2, x0, policy), 10_000)
+                approx = detect_cycle(DoubletonProblem(Af, *points, policy), 10_000)
+                assert exact.status == approx.status == "cycle"
+                assert (approx.preperiod, approx.period) == (exact.preperiod, exact.period)
+                assert approx.states == tuple(tuple(map(float, x)) for x in exact.states)
+                assert approx.approximate and not exact.approximate
+                reports.add((exact.preperiod, exact.period, exact.states))
+            policies_differ += len(reports) > 1
+        # threshold ties occur on these orbits, so the policies are exercised
+        assert policies_differ >= 10
+
+
 class TestCycleValidity:
     def assert_valid(self, p, report):
         A, B = p.hyperplane, p.finite_set()

@@ -34,7 +34,6 @@ from drplane.scalars import (
     is_square_free,
     parse_rational,
     rational_heuristic,
-    scalar_from_int,
 )
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -336,11 +335,6 @@ class TestBackendRules:
         assert backend_of(Fraction(1, 2)) == RATIONAL
         assert backend_of(3) == RATIONAL
         assert backend_of(Surd(0, 1, 2)) == SURD
-
-    def test_scalar_from_int(self):
-        assert scalar_from_int(2, F64) == 2.0
-        assert scalar_from_int(2, RATIONAL) == Fraction(2)
-        assert scalar_from_int(2, SURD, 2) == Surd(2, 0, 2)
 
 
 class TestRationality:
