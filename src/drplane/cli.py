@@ -134,8 +134,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _heuristic_rationality(dp: DoubletonProblem):
     ratio = (-dp.beta1) / dp.beta2
     guess = rational_heuristic(ratio)
-    # the ratio is declared rational when the guess sits this close
-    if abs(float(guess) - ratio) <= F64_REL_TOL * max(1.0, abs(ratio)):
+    # the ratio is declared rational when a positive guess sits this close;
+    # a guess of 0 gives no positive relation
+    if guess > 0 and abs(float(guess) - ratio) <= F64_REL_TOL * max(1.0, abs(ratio)):
         return True, (guess.denominator, guess.numerator)
     return False, None
 

@@ -11,31 +11,30 @@ the step-by-step driver.
 
 The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
 fixed once.  On the exact backends that floor is an integer square-root
-floor, the offsets are integer pairs on the orbit's lattice (see
-:class:`FloorForm`), and each point is built from the pair of the previous
-offset by the lattice's point evaluator; f64 keeps the float quotient and
-:func:`~drplane.geometry.line_point`.  iterate reaches the same offsets by
-stepping, so verify_closed_form still compares two derivations.
+floor and the offsets are integer pairs on the problem's orbit lattice (see
+:class:`FloorForm`); f64 keeps the float quotient, with pairs (offset, 0).
+Each point is the problem's ``point`` evaluator at the pair of the previous
+offset.  iterate reaches the same offsets by stepping, so verify_closed_form
+still compares two derivations.
 
-Set-up that depends only on the problem is derived once per
+Everything that depends only on the problem is derived once per
 :class:`~drplane.cycling.DoubletonProblem` and kept on it: the first
-iterate (shared with the cycle search), the :class:`Betas` that
-:func:`compute_betas` returns, and the plan of closed_form_point and
-closed_form_trace, which is either the refusal message of the first failed
-hypothesis or the floor form with its point evaluator.  A Betas other than
-the instance's own gets a plan built from it on each call.
+iterate, the orbit lattice and the point evaluator (shared with the cycle
+search), the :class:`Betas` that :func:`compute_betas` returns, and the plan
+of closed_form_point and closed_form_trace, which is either the refusal
+message of the first failed hypothesis or the floor form.  closed_form_point
+refuses a Betas that differs in value from the problem's own.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
-from .geometry import Vector, dot, line_point, norm_sq, vsub
+from .geometry import dot, norm_sq, vsub
 from .lattice import OffsetLattice
 from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, floor, format_scalar, surd_floor
 
@@ -179,7 +178,8 @@ def closed_form_inner_alt(betas: Betas, inner0, n: int):
 
 
 class FloorForm:
-    """The closed form's evaluators for one start offset, on the exact backends.
+    """The closed form's evaluators on an exact orbit lattice, from its start
+    offset inner0.
 
     count2(n) is the number of selector-2 choices among steps 1..n,
     floor(X + n*Y) with X = (-inner0 + beta - beta1 + beta2)/span and
@@ -193,8 +193,8 @@ class FloorForm:
 
     __slots__ = ("lattice", "start", "xa", "xb", "ya", "yb", "denom")
 
-    def __init__(self, betas: Betas, inner0):
-        self.lattice = lat = OffsetLattice(betas.beta1, betas.beta2, betas.beta, inner0)
+    def __init__(self, lattice: OffsetLattice):
+        self.lattice = lat = lattice
         d = lat.d
         self.start = (i_a, i_b) = lat.start
         (b1a, b1b), (b2a, b2b), (wa, wb) = lat.beta1, lat.beta2, lat.beta
@@ -226,83 +226,63 @@ class FloorForm:
 
 
 class _FloatFloorForm:
-    """FloorForm's interface on f64: the float quotient for count2, and
-    1-tuples of decoded offsets for coefficients."""
+    """FloorForm's interface on f64: the float quotient for count2, and the
+    f64 lattice's pairs (offset, 0) for coefficients."""
 
     __slots__ = ("betas", "inner0", "start")
 
     def __init__(self, betas: Betas, inner0):
-        self.betas, self.inner0, self.start = betas, inner0, (inner0,)
+        self.betas, self.inner0, self.start = betas, inner0, (inner0, 0)
 
     def count2(self, n: int) -> int:
         return _count2(self.betas, self.inner0, n)
 
     def coefficients(self, n: int, c: int) -> tuple:
-        return (self.offset(n, c),)
+        return self.offset(n, c), 0
 
     @staticmethod
-    def decode(offset):
-        return offset
+    def decode(a, b):
+        return a
 
     def offset(self, n: int, c: int):
         return self.inner0 + n * self.betas.beta1 + c * self.betas.span
 
 
-def floor_form(betas: Betas, inner0):
-    """The closed form's evaluators for one start offset: a FloorForm on the
-    exact backends; f64 keeps the float quotient behind the same methods."""
-    if isinstance(betas.span, float):
-        return _FloatFloorForm(betas, inner0)
-    return FloorForm(betas, inner0)
-
-
-def _float_point(u: Vector, points: tuple[Vector, ...], k: int, offset) -> Vector:
-    return line_point(offset, u, points[k - 1])
-
-
-def _form_and_line(p: DoubletonProblem, betas: Betas, inner0):
-    """The floor form and its point evaluator line(k, *coefficients): the
-    lattice's on the exact backends, line_point of the offset on f64."""
-    form = floor_form(betas, inner0)
-    u, points = p.hyperplane.normal, (p.b1, p.b2)
-    if isinstance(form, FloorForm):
-        return form, form.lattice.line_points(u, points).point
-    return form, partial(_float_point, u, points)
-
-
-def _point(form, line, n: int):
+def _point(form, point, n: int):
     # row n is the offset of row n-1 on the line of its selector
     before = form.count2(n - 1)
     k = form.count2(n) - before + 1
     prev = form.start if n == 1 else form.coefficients(n - 1, before)
-    return line(k, *prev), k
+    return point(k, *prev), k
 
 
-def _plan(p: DoubletonProblem, betas: Betas) -> tuple:
-    """(form, line): the floor form and its point evaluator, or
-    PreconditionError naming the first failed hypothesis (window shift,
-    start offset, entry of the first iterate).  Built once and kept on p,
-    refusal included, when betas is p's own Betas; any other Betas gets a
-    plan built from it."""
-    own = betas is p._betas
-    plan = p._closed_form if own else None
+def _plan(p: DoubletonProblem, betas: Betas):
+    """The floor form of p's orbit, or PreconditionError naming the first
+    failed hypothesis (window shift, start offset, entry of the first
+    iterate).  Built once and kept on p, refusal included.  betas must be
+    p's own Betas or equal to it in value."""
+    if betas is not p._betas and betas != compute_betas(p):
+        raise PreconditionError("betas are not the offset constants of this problem")
+    plan = p._closed_form
     if plan is None:
+        betas, form = compute_betas(p), None
         inner0 = p.hyperplane.inner(p.x0)
         refusal = _refusal(betas, inner0)
         if refusal is None:
-            _, k1, inner1 = p.first_step()
+            _, k1, inner1 = p.first_step
             if region_of(betas, inner1, k1) is RegionLabel.OUTSIDE:
                 refusal = f"{NOT_APPLICABLE} (first iterate misses the window)"
-        if refusal is None:
-            plan = (None, *_form_and_line(p, betas, inner0))
-        else:
-            plan = (refusal, None, None)
-        if own:
-            object.__setattr__(p, "_closed_form", plan)
-    refusal, form, line = plan
+            elif p.backend == F64:
+                form = _FloatFloorForm(betas, inner0)
+            else:
+                # p's lattice starts at inner0
+                form = FloorForm(p.lattice)
+        plan = (refusal, form)
+        object.__setattr__(p, "_closed_form", plan)
+    refusal, form = plan
     if refusal is not None:
         raise PreconditionError(refusal)
-    return form, line
+    return form
 
 
 def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
@@ -313,7 +293,7 @@ def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
     """
     if n < 1:
         raise ValueError(f"closed form is stated for n >= 1, got {n}")
-    return _point(*_plan(p, betas), n)
+    return _point(_plan(p, betas), p.point, n)
 
 
 def corollary_point(p: DoubletonProblem, n: int):
@@ -347,7 +327,10 @@ def corollary_point(p: DoubletonProblem, n: int):
             "hypothesis 2<x0, b1-b2> > |b1|^2 - |b2|^2 fails: "
             f"margin {format_scalar(margin)}"
         )
-    return _point(*_form_and_line(p, betas, 0), n)
+    # on the exact backends p's lattice starts at <x0,u>, exactly 0 by now;
+    # f64 drops the offset's slack
+    form = _FloatFloorForm(betas, 0) if p.backend == F64 else FloorForm(p.lattice)
+    return _point(form, p.point, n)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:
@@ -398,7 +381,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     Refuses the way closed_form_point does, with p's plan.  Row n's offset
     is row n+1's line coefficient, so each row costs one floor.
     """
-    form, line = _plan(p, compute_betas(p))
+    form, point = _plan(p, compute_betas(p)), p.point
     trace = [TraceRecord(0, p.x0, None, p.hyperplane.inner(p.x0))]
     prev = form.start
     before = form.count2(0)
@@ -406,7 +389,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
         now = form.count2(n)
         k = now - before + 1
         coefs = form.coefficients(n, now)
-        trace.append(TraceRecord(n, line(k, *prev), k, form.decode(*coefs)))
+        trace.append(TraceRecord(n, point(k, *prev), k, form.decode(*coefs)))
         prev, before = coefs, now
     return RunResult(trace, Outcome.HORIZON, final_counts=(horizon - before, before))
 

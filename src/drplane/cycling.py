@@ -6,20 +6,18 @@ whether the distance ratio d_A(b1)/d_A(b2) is rational.  This module exposes
 that predicate, an empirical cycle detector with exact state hashing, and the
 long-run frequencies of the two selectors.
 
-The detector exploits the fact that after the first step the whole state is
-captured by the pair (selector, signed offset): the iterate itself is
-recoverable as x_n = (offset - beta_k) * u + b_k.  Offsets evolve by adding
-beta_1 or beta_2, and the next selector depends only on the current pair via
-fixed thresholds, so the search loop runs on small integers instead of
-vectors.  Both exact backends run on the integer lattice of
-:mod:`drplane.lattice`, which the iteration driver and the closed form share:
-an offset is the triple (a, b, scale) meaning (a + b*sqrt(d))/scale,
-rationals being the b = 0 slice, and states are hashed as (k, a, b); the
-states of a found cycle are built from those integers by the lattice's
-point evaluator.  The float backend walks the same selector rule on a float
-lattice (offsets (v, 0) over scale 1), hashes the offsets quantized into
-cells, and labels its reports approximate.  The first step and the window
-constant are derived once per DoubletonProblem.
+After the first step the whole state is the pair (selector k, offset c),
+and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem derives
+its orbit once, on every backend: the window constant, the first step, the
+orbit's :class:`~drplane.lattice.OffsetLattice` (started at <x0,u>) and the
+point evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
+search and the closed form read these and build none of their own.
+
+The detector walks the lattice from the pair of the first iterate's offset.
+The exact backends hash the states (k, a, b) exactly; the float backend's
+pairs are (offset, 0), which it hashes quantized into cells, and it labels
+its reports approximate.  Only the states of a found cycle are decoded, each
+by ``point`` from the pair of the offset before it.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .errors import BackendError, PreconditionError
 from .geometry import (
@@ -68,9 +67,8 @@ class DoubletonProblem:
     beta1: Scalar = field(init=False, repr=False, compare=False)
     beta2: Scalar = field(init=False, repr=False, compare=False)
     beta: Scalar = field(init=False, repr=False, compare=False)
-    # derived on first use and kept: first_step() here, and the closed form's
-    # Betas and plan in drplane.closedform
-    _first_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the closed form's Betas and plan, derived on first use in
+    # drplane.closedform and kept
     _betas: object = field(default=None, init=False, repr=False, compare=False)
     _closed_form: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -102,13 +100,29 @@ class DoubletonProblem:
     def backend(self) -> str:
         return self.hyperplane.backend
 
+    @cached_property
     def first_step(self) -> tuple:
         """(x1, k1, inner1): the first DR iterate, its selector and its
-        offset, taken on vectors once per instance."""
-        if self._first_step is None:
-            x1, k1 = dr_step(self.hyperplane, self.finite_set(), self.x0)
-            object.__setattr__(self, "_first_step", (x1, k1, self.hyperplane.inner(x1)))
-        return self._first_step
+        offset, taken on vectors."""
+        x1, k1 = dr_step(self.hyperplane, self.finite_set(), self.x0)
+        return x1, k1, self.hyperplane.inner(x1)
+
+    @cached_property
+    def lattice(self) -> OffsetLattice:
+        """The orbit's offset lattice, started at <x0,u>; every later offset
+        is that plus multiples of beta1 and beta2, so it has a pair here."""
+        inner0 = self.hyperplane.inner(self.x0)
+        return OffsetLattice(self.beta1, self.beta2, self.beta, inner0, self.tie_policy)
+
+    @cached_property
+    def point(self):
+        """point(k, a, b): the iterate on b_k's line at the offset of
+        lattice pair (a, b).  Built on first use, apart from the lattice, so
+        a search that decodes nothing never builds it."""
+        u, points = self.hyperplane.normal, (self.b1, self.b2)
+        if self.backend == F64:
+            return partial(_f64_point, u, points)
+        return self.lattice.line_points(u, points).point
 
     def finite_set(self) -> FiniteSet:
         # __post_init__ has checked dimensions, backends and the strict
@@ -125,6 +139,11 @@ class DoubletonProblem:
             )
         b1, b2 = problem.points.points  # already sorted by offset
         return cls(problem.hyperplane, b1, b2, problem.x0, problem.tie_policy)
+
+
+def _f64_point(u: Vector, points: tuple[Vector, ...], k: int, a: float, b: int) -> Vector:
+    # a float lattice pair is (offset, 0)
+    return line_point(a, u, points[k - 1])
 
 
 @dataclass(frozen=True)
@@ -206,44 +225,31 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 
 def _detect_exact(p, horizon):
-    _, k1, inner1 = p.first_step()
-    lat = OffsetLattice(p.beta1, p.beta2, p.beta, inner1, p.tie_policy)
-    line = lat.line_points(p.hyperplane.normal, (p.b1, p.b2))
-    shifts = (lat.beta1, lat.beta2)
-
-    def decode(key):
-        # invert the line confinement: x sits on b_k + span(u) at the
-        # previous offset, the state's offset minus beta_k
-        k, a, b = key
-        sa, sb = shifts[k - 1]
-        return line.point(k, a - sa, b - sb)
-
-    key = (k1, *lat.start)
+    _, k1, inner1 = p.first_step
+    lat = p.lattice
+    key = (k1, *lat.pair(inner1))
     seen = {key: 1}
     hist = [key]
     for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
         first = seen.get(key)
         if first is not None:
-            return _finalize_cycle(p, horizon, hist, first, n - first, decode)
+            return _finalize_cycle(p, horizon, hist, first, n - first)
         seen[key] = n
         hist.append(key)
     return CycleReport("no_cycle", horizon)
 
 
 def _detect_float(p, horizon):
-    _, k1, inner1 = p.first_step()
-    lat = OffsetLattice(p.beta1, p.beta2, p.beta, inner1, p.tie_policy)
+    _, k1, inner1 = p.first_step
+    lat = p.lattice
     qstep = F64_REL_TOL * max(
         1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
     )
-
-    def decode(key):
-        k, off = key
-        return _state_vector(p, k, off)
-
+    key = (k1, *lat.pair(inner1))
     seen = {(k1, round(inner1 / qstep)): (1, inner1)}
-    hist = [(k1, inner1)]
-    for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(k1, inner1, 0)):
+    hist = [key]
+    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
+        k, off, _ = key
         cell = round(off / qstep)
         first = None
         for probe in (cell - 1, cell, cell + 1):
@@ -252,19 +258,10 @@ def _detect_float(p, horizon):
                 first = entry[0]
                 break
         if first is not None:
-            return _finalize_cycle(
-                p, horizon, hist, first, n - first, decode, approximate=True
-            )
+            return _finalize_cycle(p, horizon, hist, first, n - first, approximate=True)
         seen.setdefault((k, cell), (n, off))
-        hist.append((k, off))
+        hist.append(key)
     return CycleReport("no_cycle", horizon)
-
-
-def _state_vector(p: DoubletonProblem, k: int, offset) -> Vector:
-    # invert the line confinement: x sits on b_k + span(u) at height offset
-    if k == 1:
-        return line_point(offset - p.beta1, p.hyperplane.normal, p.b1)
-    return line_point(offset - p.beta2, p.hyperplane.normal, p.b2)
 
 
 def _vectors_match(x, y, approximate: bool) -> bool:
@@ -274,17 +271,24 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
-def _finalize_cycle(p, horizon, hist, lam, mu, decode, approximate=False):
+def _finalize_cycle(p, horizon, hist, lam, mu, approximate=False):
     """Key table first hit gives (lam, mu); keys exist only from n=1, so the
     true preperiod may be exactly one step earlier.  Check it on vectors."""
+    shifts, point = (p.lattice.beta1, p.lattice.beta2), p.point
+
+    def x(t):
+        # x_t sits on b_k's line at the previous offset: the offset of state
+        # t (hist[t - 1]) minus beta_k
+        if t == 0:
+            return p.x0
+        k, a, b = hist[t - 1]
+        sa, sb = shifts[k - 1]
+        return point(k, a - sa, b - sb)
+
     n0 = lam
-    j = lam - 1
-    xj = p.x0 if j == 0 else decode(hist[j - 1])
-    if _vectors_match(xj, decode(hist[j + mu - 1]), approximate):
-        n0 = j
-    states = tuple(
-        p.x0 if t == 0 else decode(hist[t - 1]) for t in range(n0, n0 + mu)
-    )
+    if _vectors_match(x(lam - 1), x(lam - 1 + mu), approximate):
+        n0 = lam - 1
+    states = tuple(x(t) for t in range(n0, n0 + mu))
     return CycleReport("cycle", horizon, n0, mu, states, approximate)
 
 

@@ -116,6 +116,8 @@ class Hyperplane:
         backend = vector_backend(normal)
         ns = norm_sq(normal)
         if backend == F64:
+            if not all(map(math.isfinite, normal)):
+                raise ValueError(f"hyperplane normal must be finite, got {normal!r}")
             length = math.sqrt(ns)
             if length == 0.0:
                 raise ValueError("hyperplane normal must be nonzero")

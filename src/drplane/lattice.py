@@ -11,19 +11,22 @@ On the exact backends every offset of one orbit is ``(a + b*sqrt(d))/scale``
 for a single integer ``scale``, rationals being the ``b = 0`` slice, so the
 orbit advances on integer triples ``(k, a, b)`` and compares by
 :func:`~drplane.scalars.surd_sign`.  :class:`OffsetLattice` holds that
-set-up; the iteration driver, the cycle search and the closed form all run on
-it, and only decode the offsets they report.  It reads the integers
-``(p, q, n)`` a Surd holds (``(p + q*sqrt(d))/n``) and decodes pairs through
+set-up, and :meth:`OffsetLattice.pair` gives the pair of any offset of the
+orbit.  It reads the integers ``(p, q, n)`` a Surd holds
+(``(p + q*sqrt(d))/n``) and decodes pairs through
 :func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
-on surd orbits.  The f64 cycle search walks the same rule with float
-offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
-difference ``a - t``; a float lattice is only walked, never decoded.
+on surd orbits.  On f64 the pairs are float offsets ``(v, 0)`` over
+``scale = 1``, where the sign test reads the float difference ``a - t``; a
+float lattice is only walked, never decoded.
 
 Points are built from the same integers: :meth:`OffsetLattice.line_points`
 fixes per-coordinate integer constants for one normal and point pair, after
 which an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one Fraction
-or one :func:`~drplane.scalars.surd_from_ints` per coordinate.  Full traces,
-closed-form rows and points, and decoded cycle states all go through it;
+or one :func:`~drplane.scalars.surd_from_ints` per coordinate.
+
+Each :class:`~drplane.cycling.DoubletonProblem` builds its orbit's lattice
+and point evaluator once, for the cycle search and the closed form; the
+iteration driver, which takes a hyperplane and a point set, builds its own.
 :func:`~drplane.geometry.line_point` stays the formula for offsets that are
 already decoded.
 """
@@ -67,12 +70,9 @@ class OffsetLattice:
 
     def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
         values = (beta1, beta2, beta, start)
-        parts = [_int_parts(v) for v in values]
         self.d = next((v.d for v in values if isinstance(v, Surd)), 0)
-        self.scale = scale = math.lcm(*(n for _, _, n in parts))
-        self.beta1, self.beta2, self.beta, self.start = [
-            (p * (scale // n), q * (scale // n)) for p, q, n in parts
-        ]
+        self.scale = math.lcm(*(_int_parts(v)[2] for v in values))
+        self.beta1, self.beta2, self.beta, self.start = map(self.pair, values)
         (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
         # t1 = beta - beta1 and t2 = -beta - beta2 are linear, so they apply
         # to each integer part
@@ -80,6 +80,14 @@ class OffsetLattice:
         # equidistant reflections resolve to the higher offset (b2) only
         # under the default policy; both alternatives pick b1
         self.tie = 2 if tie_policy is TiePolicy.HIGHER_INNER else 1
+
+    def pair(self, v) -> tuple[int, int]:
+        """The integer pair (a, b) of an offset v of this orbit: any sum of
+        the start offset and multiples of beta1 and beta2, whose denominator
+        divides ``scale``."""
+        p, q, n = _int_parts(v)
+        m = self.scale // n
+        return p * m, q * m
 
     def decode(self, a: int, b: int):
         """The offset (a + b*sqrt(d))/scale as a Fraction, or a Surd when d != 0."""

@@ -34,7 +34,7 @@ from .geometry import (
     Vector,
     vector_backend,
 )
-from .scalars import BACKENDS, F64, RATIONAL, SURD, Surd, decode_scalar, encode_scalar
+from .scalars import BACKENDS, F64, RATIONAL, SURD, Surd, decode_scalar, encode_scalar, finite_float
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def make_problem(
                     raise BackendError(
                         "float problems accept only float or int coordinates"
                     )
-        vectors = [tuple(float(c) for c in v) for v in vectors]
+        vectors = [tuple(finite_float(c) for c in v) for v in vectors]
     else:
         backend = RATIONAL
         vectors = [tuple(Fraction(c) for c in v) for v in vectors]

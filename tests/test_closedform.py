@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from drplane.closedform import (
     Betas,
+    FloorForm,
     RegionLabel,
+    _FloatFloorForm,
     beatty_triple,
     closed_form_inner,
     closed_form_inner_alt,
@@ -19,7 +21,6 @@ from drplane.closedform import (
     closed_form_trace,
     compute_betas,
     corollary_point,
-    floor_form,
     region_of,
     selector_counts,
     successor_rule,
@@ -29,6 +30,7 @@ from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import iterate, run_report
 from drplane.errors import PreconditionError
 from drplane.geometry import Hyperplane, TiePolicy, dr_step
+from drplane.lattice import LinePoints, OffsetLattice
 from drplane.problems import load_problem
 from drplane.scalars import Surd, floor
 
@@ -508,7 +510,7 @@ class TestIntegerFloorForm:
         norms = [b.span.a ** 2 - 2 * b.span.b ** 2 for b, _ in instances[:6]]
         assert min(norms) < 0 < max(norms)
         for b, inner0 in instances:
-            form = floor_form(b, inner0)
+            form = FloorForm(OffsetLattice(b.beta1, b.beta2, b.beta, inner0))
             count2, offset = form.count2, form.offset
             for n in range(0, 2001):
                 c = count2(n)
@@ -521,7 +523,7 @@ class TestIntegerFloorForm:
     def test_float_backend_keeps_quotient(self):
         A = Hyperplane((1.0,))
         b = compute_betas(DoubletonProblem(A, (-1.0,), (3.7,), (0.0,)))
-        form = floor_form(b, 0.25)
+        form = _FloatFloorForm(b, 0.25)
         count2, offset = form.count2, form.offset
         for n in range(200):
             assert count2(n) == quotient_count2(b, 0.25, n)
@@ -617,8 +619,9 @@ def _outcome(call):
 
 
 class TestDerivedState:
-    """The first step, the Betas and the closed-form plan are derived once
-    per DoubletonProblem, and none of it shows from outside."""
+    """The first step, the orbit lattice, the point evaluator, the Betas and
+    the closed-form plan are derived once per DoubletonProblem, and none of
+    it shows from outside."""
 
     def use(self, p):
         return (
@@ -667,12 +670,39 @@ class TestDerivedState:
                     lambda: closed_form_point(p, b, n)
                 )
 
+    def count_builds(self, monkeypatch):
+        built = {OffsetLattice: 0, LinePoints: 0}
+        for cls in built:
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    def test_one_lattice_and_one_point_evaluator_per_problem(self, monkeypatch):
+        # starts on the hyperplane with rational distance ratios, so the
+        # cycle search decodes a cycle and the corollary applies
+        exact = [line_doubleton(-1, 2), surd_line_doubleton(Surd(0, -1, 2), Surd(0, 2, 2))]
+        for p in exact:
+            built = self.count_builds(monkeypatch)
+            assert detect_cycle(p, 100).status == "cycle"
+            closed_form_trace(p, 20)
+            for n in (1, 2, 7):
+                closed_form_point(p, compute_betas(p), n)
+                corollary_point(p, n)
+            assert built == {OffsetLattice: 1, LinePoints: 1}
+        f64 = DoubletonProblem(Hyperplane((1.0,)), (-1.0,), (2.0,), (0.0,))
+        built = self.count_builds(monkeypatch)
+        assert detect_cycle(f64, 100).status == "cycle"
+        closed_form_trace(f64, 20)
+        assert built[OffsetLattice] <= 1 and built[LinePoints] == 0
+
     def test_other_betas_are_not_served_the_instance_plan(self):
-        # a window constant below -beta2 must refuse although p's own plan
-        # (already built) applies
+        # Betas of another value are refused although p's own plan (already
+        # built) applies
         p = line_doubleton(-1, 2)
         assert closed_form_point(p, compute_betas(p), 3) == ((Fraction(0),), 1)
         shifted = Betas(Fraction(-1), Fraction(2), Fraction(-3))
-        with pytest.raises(PreconditionError, match=r"beta \+ beta2 < 0"):
+        with pytest.raises(PreconditionError, match="not the offset constants"):
             closed_form_point(p, shifted, 3)
         assert closed_form_point(p, compute_betas(p), 3) == ((Fraction(0),), 1)

@@ -80,6 +80,11 @@ class TestHyperplane:
         with pytest.raises(BackendError):
             Hyperplane((Fraction(0), 1.0))
 
+    @pytest.mark.parametrize("normal", [(float("inf"), 1.0), (float("nan"),), (1.0, -float("inf"))])
+    def test_nonfinite_float_normal_rejected(self, normal):
+        with pytest.raises(ValueError, match="must be finite"):
+            Hyperplane(normal)
+
     def test_projection_reflection_distance(self):
         A = Hyperplane((Fraction(0), Fraction(1)))
         x = (Fraction(5), Fraction(3))

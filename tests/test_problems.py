@@ -130,3 +130,14 @@ class TestMakeProblem:
     def test_mixed_radicands_rejected(self):
         with pytest.raises(BackendError):
             make_problem((1,), [(Surd(0, 1, 2),), (Surd(0, 1, 3),)], (0,))
+
+    @pytest.mark.parametrize("normal, points, x0, shown", [
+        ((1.0,), [(-1.0,), (float("inf"),)], (0.0,), "inf"),
+        ((1.0,), [(-1.0,), (2.0,)], (float("nan"),), "nan"),
+        ((float("nan"),), [(-1.0,), (2.0,)], (0.0,), "nan"),
+        # an int out of the f64 range on a float problem
+        ((1.0,), [(-(10**400),), (2.0,)], (0.0,), "-1000"),
+    ])
+    def test_nonfinite_float_coordinates_rejected(self, normal, points, x0, shown):
+        with pytest.raises(ProblemFormatError, match=f"^{shown}.* is not a finite f64 value"):
+            make_problem(normal, points, x0)

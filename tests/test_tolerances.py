@@ -105,8 +105,8 @@ def test_points_agree_scaled_per_coordinate():
     # it, the second the next float up
     (-0.3333333343333333, [3, 1]),
     (-0.33333333433333334, None),
-    # the guess is 0, so the first sits exactly 1e-9 away
-    (-1e-9, [1, 0]),
+    # the guess is 0, exactly 1e-9 away, but no positive relation
+    (-1e-9, None),
     (-above(1e-9), None),
 ])
 def test_heuristic_rationality_margin(capsys, tmp_path, b1, relation):
