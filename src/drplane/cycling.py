@@ -14,10 +14,17 @@ point evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
 search and the closed form read these and build none of their own.
 
 The detector walks the lattice from the pair of the first iterate's offset.
-The exact backends hash the states (k, a, b) exactly; the float backend's
-pairs are (offset, 0), which it hashes quantized into cells, and it labels
-its reports approximate.  Only the states of a found cycle are decoded, each
-by ``point`` from the pair of the offset before it.
+The exact backends hash the states (k, a, b) exactly in a table of at most
+TABLE_BUDGET (2^13) keys: every state until it fills, then only the states
+whose index is a multiple of a spacing that doubles each time it fills
+again.  A hit past that point is a state of the cycle; one walk round the
+cycle from it gives the minimal period and its keys, and one walk from the
+start gives the preperiod.  Memory is O(TABLE_BUDGET + period), whatever the
+horizon, and the search stops at index horizon + spacing.  The float
+backend's pairs are (offset, 0), which it hashes quantized into cells with
+one entry per state, and it labels its reports approximate.  Only the states
+of a found cycle are decoded, each by ``point`` from the pair of the offset
+before it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import count
 
-from .errors import BackendError, PreconditionError
+from .errors import BackendError, PreconditionError, ProblemFormatError
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -46,11 +54,16 @@ from .scalars import (
     Scalar,
     as_fraction,
     encode_scalar,
+    finite_float,
     format_scalar,
     is_rational,
 )
 
 logger = logging.getLogger(__name__)
+
+# The exact cycle search keeps at most this many states in its key table,
+# about 2 MB on long surd orbits; past it the table is sampled.
+TABLE_BUDGET = 2**13
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,12 @@ class DoubletonProblem:
                 )
             if vector_backend(v) != A.backend:
                 raise BackendError(f"{name} does not match the hyperplane backend")
+            if A.backend == F64:
+                try:
+                    for c in v:
+                        finite_float(c)
+                except ProblemFormatError as exc:
+                    raise ProblemFormatError(f"{name}: {exc}") from None
         object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
         b1_off, b2_off = A.inner(self.b1), A.inner(self.b2)
         object.__setattr__(self, "beta1", b1_off)
@@ -208,10 +227,15 @@ def cycle_relation(p: DoubletonProblem) -> tuple[int, int] | None:
 def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """Search for a state recurrence within the first `horizon` iterates.
 
-    Exact backends hash exact states, so a hit certifies a genuine cycle and
-    the returned preperiod/period are minimal.  The float backend quantizes
-    offsets at relative tolerance F64_REL_TOL and labels the report
-    approximate.
+    The report is 'cycle' exactly when the first repeat index, preperiod +
+    period, is at most `horizon`.  Exact backends hash exact states, so a
+    hit certifies a genuine cycle and the returned preperiod/period are
+    minimal; their table holds at most TABLE_BUDGET (2^13) states, so memory
+    is O(TABLE_BUDGET + period) at any horizon, and a search that finds
+    nothing walks to index horizon + spacing, the spacing being the table's
+    sampling step (1 until the table first fills).  The float backend
+    quantizes offsets at relative tolerance F64_REL_TOL, keeps one entry per
+    state and labels the report approximate.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -225,21 +249,58 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 
 def _detect_exact(p, horizon):
+    """Key table over the lattice states n = 1, 2, ..., dense then sampled.
+
+    The table keeps every state until it holds TABLE_BUDGET of them; each
+    time it fills, the spacing doubles and only the indices it divides stay,
+    so the table holds the multiples of the spacing below n.  While the
+    spacing is 1 the first hit is the first repeat index R = lam + mu.  Later
+    a hit at n only shows some state of the cycle; it comes before R plus
+    the spacing at the hit (doublings are TABLE_BUDGET/2 stored states
+    apart), so the search stops at horizon + spacing, and one walk round the
+    cycle and one from the start give mu and lam exactly.
+    """
     _, k1, inner1 = p.first_step
     lat = p.lattice
-    key = (k1, *lat.pair(inner1))
-    seen = {key: 1}
-    hist = [key]
-    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
+    start = (k1, *lat.pair(inner1))
+    seen = {start: 1}
+    spacing, stop = 1, horizon + 1
+    for n, key in zip(count(2), lat.walk(*start)):
+        if n == stop:
+            return CycleReport("no_cycle", horizon)
         first = seen.get(key)
         if first is not None:
-            return _finalize_cycle(p, horizon, hist, first, n - first)
-        seen[key] = n
-        hist.append(key)
-    return CycleReport("no_cycle", horizon)
+            break
+        if n % spacing == 0:
+            seen[key] = n
+            if len(seen) == TABLE_BUDGET:
+                spacing *= 2
+                stop = horizon + spacing
+                seen = {k: i for k, i in seen.items() if i % spacing == 0}
+    if spacing == 1:
+        # the dense table lists states 1 .. n-1 in index order
+        return _finalize_cycle(p, horizon, first, [None, *seen][first - 1 :])
+    cycle = [key]
+    for nxt in lat.walk(*key):
+        if nxt == key:
+            break
+        cycle.append(nxt)
+    on_cycle = set(cycle)
+    before, key, lam = None, start, 1
+    walk = lat.walk(*start)
+    while key not in on_cycle:
+        before, key = key, next(walk)
+        lam += 1
+    if lam + len(cycle) > horizon:
+        # the first repeat lies past the horizon
+        return CycleReport("no_cycle", horizon)
+    i = cycle.index(key)
+    return _finalize_cycle(p, horizon, lam, [before, *cycle[i:], *cycle[:i]])
 
 
 def _detect_float(p, horizon):
+    """Quantized offset table with one entry per state: an approximate match
+    probes the neighbouring cells, so this table is not sampled."""
     _, k1, inner1 = p.first_step
     lat = p.lattice
     qstep = F64_REL_TOL * max(
@@ -247,7 +308,7 @@ def _detect_float(p, horizon):
     )
     key = (k1, *lat.pair(inner1))
     seen = {(k1, round(inner1 / qstep)): (1, inner1)}
-    hist = [key]
+    hist = [None, key]
     for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
         k, off, _ = key
         cell = round(off / qstep)
@@ -258,7 +319,7 @@ def _detect_float(p, horizon):
                 first = entry[0]
                 break
         if first is not None:
-            return _finalize_cycle(p, horizon, hist, first, n - first, approximate=True)
+            return _finalize_cycle(p, horizon, first, hist[first - 1 :], approximate=True)
         seen.setdefault((k, cell), (n, off))
         hist.append(key)
     return CycleReport("no_cycle", horizon)
@@ -271,25 +332,26 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
-def _finalize_cycle(p, horizon, hist, lam, mu, approximate=False):
-    """Key table first hit gives (lam, mu); keys exist only from n=1, so the
-    true preperiod may be exactly one step earlier.  Check it on vectors."""
+def _finalize_cycle(p, horizon, lam, keys, approximate=False):
+    """The report for first repeated key state lam, from keys = the states
+    lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so the true
+    preperiod may be exactly one step earlier.  Check it on vectors."""
     shifts, point = (p.lattice.beta1, p.lattice.beta2), p.point
 
-    def x(t):
+    def x(key):
         # x_t sits on b_k's line at the previous offset: the offset of state
-        # t (hist[t - 1]) minus beta_k
-        if t == 0:
+        # t minus beta_k
+        if key is None:
             return p.x0
-        k, a, b = hist[t - 1]
+        k, a, b = key
         sa, sb = shifts[k - 1]
         return point(k, a - sa, b - sb)
 
-    n0 = lam
-    if _vectors_match(x(lam - 1), x(lam - 1 + mu), approximate):
-        n0 = lam - 1
-    states = tuple(x(t) for t in range(n0, n0 + mu))
-    return CycleReport("cycle", horizon, n0, mu, states, approximate)
+    xs = [x(key) for key in keys]
+    mu = len(xs) - 1
+    if _vectors_match(xs[0], xs[-1], approximate):
+        return CycleReport("cycle", horizon, lam - 1, mu, tuple(xs[:-1]), approximate)
+    return CycleReport("cycle", horizon, lam, mu, tuple(xs[1:]), approximate)
 
 
 def coefficient_limits(p: DoubletonProblem, trace):

@@ -15,14 +15,16 @@ set-up, and :meth:`OffsetLattice.pair` gives the pair of any offset of the
 orbit.  It reads the integers ``(p, q, n)`` a Surd holds
 (``(p + q*sqrt(d))/n``) and decodes pairs through
 :func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
-on surd orbits.  On f64 the pairs are float offsets ``(v, 0)`` over
+on surd orbits; rational pairs decode through
+:func:`~drplane.scalars.fraction_from_ints`.  On f64 the pairs are float offsets ``(v, 0)`` over
 ``scale = 1``, where the sign test reads the float difference ``a - t``; a
 float lattice is only walked, never decoded.
 
 Points are built from the same integers: :meth:`OffsetLattice.line_points`
 fixes per-coordinate integer constants for one normal and point pair, after
-which an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one Fraction
-or one :func:`~drplane.scalars.surd_from_ints` per coordinate.
+which an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
+:func:`~drplane.scalars.fraction_from_ints` or one
+:func:`~drplane.scalars.surd_from_ints` per coordinate.
 
 Each :class:`~drplane.cycling.DoubletonProblem` builds its orbit's lattice
 and point evaluator once, for the cycle search and the closed form; the
@@ -34,10 +36,9 @@ already decoded.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .geometry import DEFAULT_TIE_POLICY, TiePolicy, Vector, norm_sq, vsub
-from .scalars import Scalar, Surd, surd_from_ints, surd_sign
+from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
 
 
 def _int_parts(v) -> tuple[int, int, int]:
@@ -93,7 +94,7 @@ class OffsetLattice:
         """The offset (a + b*sqrt(d))/scale as a Fraction, or a Surd when d != 0."""
         if self.d:
             return surd_from_ints(a, b, self.scale, self.d)
-        return Fraction(a, self.scale)
+        return fraction_from_ints(a, self.scale)
 
     def line_points(self, u: Vector, points: tuple[Vector, ...]) -> "LinePoints":
         """The point evaluator of this lattice for normal u and points (b1, b2)."""
@@ -155,7 +156,7 @@ class LinePoints:
                 ua, ub, ud, pa, pb, den = c
                 x.append(surd_from_ints(ua * a + ud * b + pa, ub * a + ua * b + pb, den, d))
             else:
-                x.append(Fraction(c[0] * a + c[3], c[5]))
+                x.append(fraction_from_ints(c[0] * a + c[3], c[5]))
         return tuple(x)
 
 

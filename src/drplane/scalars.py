@@ -330,7 +330,7 @@ class Surd:
         return format_scalar(self)
 
 
-_new_surd = object.__new__
+_new_object = object.__new__
 _set_p, _set_q, _set_n, _set_d = (getattr(Surd, name).__set__ for name in Surd.__slots__)
 
 
@@ -349,12 +349,31 @@ def surd_from_ints(p: int, q: int, n: int, d: int) -> Surd:
         p //= g
         q //= g
         n //= g
-    s = _new_surd(Surd)
+    s = _new_object(Surd)
     _set_p(s, p)
     _set_q(s, q)
     _set_n(s, n)
     _set_d(s, d)
     return s
+
+
+_set_numerator, _set_denominator = (getattr(Fraction, name).__set__ for name in Fraction.__slots__)
+
+
+def fraction_from_ints(p: int, n: int) -> Fraction:
+    """The Fraction p/n for ints p and n > 0, in lowest terms by one gcd.
+
+    Equal in value, type, hash, repr and pickle to ``Fraction(p, n)``,
+    without its argument dispatch; ``n > 0`` is not checked.
+    """
+    g = math.gcd(p, n)
+    if g != 1:
+        p //= g
+        n //= g
+    f = _new_object(Fraction)
+    _set_numerator(f, p)
+    _set_denominator(f, n)
+    return f
 
 
 def _quotient(p1: int, q1: int, n1: int, p2: int, q2: int, n2: int, d: int) -> Surd:

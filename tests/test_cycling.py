@@ -1,13 +1,18 @@
 """Cycle detection and the rationality dichotomy for doubletons."""
 
 import copy
+import json
+import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from drplane.cycling import (
+    TABLE_BUDGET,
     CycleReport,
     DoubletonProblem,
     coefficient_limits,
@@ -16,10 +21,12 @@ from drplane.cycling import (
     rationality_predicate,
 )
 from drplane.dynamics import iterate, run_report
-from drplane.errors import BackendError, PreconditionError
+from drplane.errors import BackendError, PreconditionError, ProblemFormatError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
-from drplane.problems import make_problem
-from drplane.scalars import Surd
+from drplane.problems import make_problem, problem_from_dict
+from drplane.scalars import Surd, encode_scalar
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def line_doubleton(b1, b2, x0, tie_policy=TiePolicy.HIGHER_INNER):
@@ -51,6 +58,40 @@ def brute_cycle(p, horizon):
             return first, n - first
         seen[x] = n
     return None
+
+
+def hash_cycle(p, horizon):
+    """Reference report (as a dict) from a table of every lattice state.
+
+    The first hit gives the first repeat index lam + mu; keys exist only from
+    n = 1, so the preperiod may be one step earlier, which the vectors
+    decide.  Memory grows with the horizon; detect_cycle must agree with it.
+    """
+    lat = p.lattice
+    _, k1, inner1 = p.first_step
+    key = (k1, *lat.pair(inner1))
+    seen, hist = {key: 1}, [key]
+    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
+        first = seen.get(key)
+        if first is not None:
+            break
+        seen[key] = n
+        hist.append(key)
+    else:
+        return {"status": "no_cycle", "horizon": horizon}
+
+    def x(t):
+        if t == 0:
+            return p.x0
+        k, a, b = hist[t - 1]
+        sa, sb = (lat.beta1, lat.beta2)[k - 1]
+        return p.point(k, a - sa, b - sb)
+
+    lam, mu = first, n - first
+    if x(lam - 1) == x(lam - 1 + mu):
+        lam -= 1
+    states = [[encode_scalar(c) for c in x(t)] for t in range(lam, lam + mu)]
+    return {"status": "cycle", "preperiod": lam, "period": mu, "states": states}
 
 
 class TestDoubletonProblem:
@@ -87,6 +128,14 @@ class TestDoubletonProblem:
             assert clone == p
             assert (clone.beta1, clone.beta2) == (p.beta1, p.beta2)
             assert detect_cycle(clone, 300) == detect_cycle(p, 300)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["b1", "b2", "x0"])
+    def test_rejects_nonfinite_f64(self, name, bad):
+        vectors = {"b1": (-1.0, 0.0), "b2": (2.0, 0.0), "x0": (0.0, 0.0)}
+        vectors[name] = (bad, 0.0)
+        with pytest.raises(ProblemFormatError, match=f"^{name}: .* is not a finite f64 value"):
+            DoubletonProblem(Hyperplane((1.0, 0.0)), **vectors)
 
     def test_from_problem_rejects_triples(self):
         prob = make_problem((1,), [(-1,), (2,), (3,)], (0,))
@@ -328,6 +377,96 @@ class TestAgainstBruteForce:
             report = detect_cycle(p, 100_000)
             assert report.status == "cycle"
             assert brute_cycle(p, 100_000) == (report.preperiod, report.period)
+
+
+def coprime_pair(rng, lo, hi):
+    """Coprime positive (q1, q2) with lo <= q1 + q2 <= hi."""
+    while True:
+        total = rng.randint(lo, hi)
+        q1 = rng.randint(1, total - 1)
+        if math.gcd(q1, total) == 1:
+            return q1, total - q1
+
+
+def relation_doubleton(rng, q1, q2, x0_offset, planar, policy):
+    """A rational doubleton with q1*d_A(b1) = q2*d_A(b2) and start offset
+    x0_offset; thirds share the offsets' denominator, so threshold ties
+    occur and the tie policy matters."""
+    s = Fraction(rng.randint(1, 9), 3)
+    if not planar:
+        return line_doubleton(-q2 * s, q1 * s, x0_offset, policy)
+    lead = [Fraction(rng.randint(-3, 3), 3) for _ in range(3)]
+    A = Hyperplane((Fraction(0), Fraction(1)))
+    return DoubletonProblem(
+        A, (lead[0], -q2 * s), (lead[1], q1 * s), (lead[2], Fraction(x0_offset)), policy
+    )
+
+
+class TestAgainstHashSearch:
+    """detect_cycle's sampled table against the table of every state, at
+    the horizons around the first repeat index R = preperiod + period."""
+
+    def assert_matches_at_horizons(self, p):
+        full = hash_cycle(p, 10**6)
+        assert full["status"] == "cycle"
+        R = full["preperiod"] + full["period"]
+        for horizon in (R - 1, R, R + 1, 2 * R):
+            assert detect_cycle(p, horizon).to_dict() == hash_cycle(p, horizon)
+        return R
+
+    def test_small_instances_each_policy(self):
+        rng = random.Random(20261019)
+        for policy in TiePolicy:
+            for planar in (False, True):
+                for _ in range(12):
+                    q1, q2 = coprime_pair(rng, 3, 40)
+                    x0 = Fraction(rng.randint(-60, 60), 3)
+                    self.assert_matches_at_horizons(
+                        relation_doubleton(rng, q1, q2, x0, planar, policy)
+                    )
+
+    def test_beyond_table_budget(self):
+        # periods past the budget (q1 + q2 > 2^13) and preperiods past it (a
+        # far-away start), so the search thins its table before the repeat
+        rng = random.Random(20261020)
+        lo = TABLE_BUDGET + 1
+        instances = []
+        for policy in TiePolicy:
+            q1, q2 = coprime_pair(rng, lo, lo + 4000)
+            instances.append(relation_doubleton(rng, q1, q2, Fraction(1, 3), False, policy))
+            # from far above the orbit falls by d_A(b1) = q2*s a step, from
+            # far below it climbs by d_A(b2) = q1*s
+            q1, q2 = coprime_pair(rng, 3, 20)
+            s, steps = Fraction(1, 3), lo + rng.randint(0, 3000)
+            far = rng.choice((steps * q2 * s, -steps * q1 * s))
+            instances.append(line_doubleton(-q2 * s, q1 * s, far, policy))
+        q1, q2 = coprime_pair(rng, lo, lo + 2000)
+        instances.append(relation_doubleton(rng, q1, q2, 0, True, TiePolicy.HIGHER_INNER))
+        unit = Surd(1, Fraction(1, 2), 2)
+        q1, q2 = coprime_pair(rng, lo, lo + 2000)
+        instances.append(surd_line_doubleton(-q2 * unit, q1 * unit, Surd(0, 1, 2)))
+        for p in instances:
+            assert self.assert_matches_at_horizons(p) > TABLE_BUDGET
+
+    def test_irrational_past_budget(self):
+        p = surd_line_doubleton(Surd(-1, -1, 2), 3, Fraction(1, 2))
+        horizon = 3 * TABLE_BUDGET + 5
+        expected = hash_cycle(p, horizon)
+        assert expected["status"] == "no_cycle"
+        assert detect_cycle(p, horizon).to_dict() == expected
+
+
+def test_cycle_search_memory_is_bounded():
+    wire = json.loads((PROBLEMS / "surd_aperiodic.json").read_text())
+    p = DoubletonProblem.from_problem(problem_from_dict(wire))
+    tracemalloc.start()
+    try:
+        report = detect_cycle(p, 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "no_cycle"
+    assert peak < 8 * 2**20
 
 
 def random_dyadic(rng, lo, hi):

@@ -12,6 +12,7 @@ import copy
 import math
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from drplane.scalars import (
     encode_scalar,
     floor,
     format_scalar,
+    fraction_from_ints,
     is_rational,
     is_square_free,
     parse_rational,
@@ -374,6 +376,23 @@ class TestHashing:
         seen = {Surd(1, 1, 2): "x"}
         assert seen[Surd(1, 1, 2)] == "x"
         assert Surd(1, 2, 2) not in seen
+
+
+class TestFractionFromInts:
+    def test_matches_fraction_constructor(self):
+        rng = random.Random(20261018)
+        cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (10**40, 6 * 10**25)]
+        cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(500)]
+        cases += [(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(100)]
+        for p, n in cases:
+            got, want = fraction_from_ints(p, n), Fraction(p, n)
+            assert type(got) is Fraction
+            assert got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            clone = pickle.loads(pickle.dumps(got))
+            assert type(clone) is Fraction and clone == want
 
 
 class TestCodecs:
