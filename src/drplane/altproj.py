@@ -5,6 +5,10 @@ onto the hyperplane, then onto the nearest point of the finite set, keeping
 every intermediate point. Useful as a contrast run, since this scheme settles
 into a short back-and-forth regardless of the offset arithmetic that governs
 the reflected dynamics.
+
+Every backend and every set takes one path: the projectors run on vectors,
+and from the first set point on, each point's two projections are computed
+on its first visit and reused (see :func:`ap_iterate`).
 """
 
 from __future__ import annotations
@@ -42,21 +46,32 @@ def ap_iterate(A: Hyperplane, B: FiniteSet, x0: Vector, steps: int) -> ApTrace:
     Entry 0 is x0. Odd entries are hyperplane projections (offset exactly
     zero on exact backends); even entries from 2 on are members of B, ties
     resolved by B's tie policy.
+
+    From entry 2 on the iterate is a point b_k of B, so the next two
+    entries depend only on k: each k's pair is projected once, on the first
+    visit, by the same projector calls, and reused after that.  Entries
+    are therefore the ones a plain projector loop gives, on every backend.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_start(A, B, x0)
-    points = [x0]
-    selectors: list[int | None] = [None]
-    x = x0
-    for i in range(1, steps + 1):
-        if i % 2 == 1:
-            x = project_hyperplane(A, x)
-            selectors.append(None)
-        else:
-            x, k = project_finite_set(B, x)
-            selectors.append(k)
+    plane = project_hyperplane(A, x0)
+    points: list[Vector] = [x0, plane]
+    selectors: list[int | None] = [None, None]
+    after: dict[int, tuple] = {}  # k -> (P_A b_k, (point nearest it, its index))
+    nearest = project_finite_set(B, plane)
+    while len(points) <= steps:
+        x, k = nearest
         points.append(x)
+        selectors.append(k)
+        if len(points) > steps:
+            break
+        if k not in after:
+            plane = project_hyperplane(A, x)
+            after[k] = plane, project_finite_set(B, plane)
+        plane, nearest = after[k]
+        points.append(plane)
+        selectors.append(None)
     return ApTrace(points, selectors)
 
 

@@ -15,15 +15,15 @@ selector counts are export columns, tallied once by the exporters at the
 end of this module, and the hyperplane shadow ``P_A x_n = x_n - inner*u``
 comes from ``reconstruct_shadow``.
 
-Two paths produce the same records.  An exact-backend doubleton that
-strictly straddles the hyperplane (so it cannot reach a fixed point or
-diverge) takes one vector step from x0 and then advances its
-(selector, offset) state on the integer lattice of :mod:`drplane.lattice`,
-decoding each offset once and building full-trace iterates from the
-lattice integers.
-Everything else (f64, one-sided or touching doubletons, m != 2) runs the
-generic vector loop.  A ``drplane`` debug log record names the path taken
-and, for the vector loop, why.
+Two paths produce the same records.  An exact-backend set that strictly
+straddles the hyperplane and does not touch it (so it cannot reach a fixed
+point or diverge) takes one vector step from x0 and then advances its
+(selector, offset) state on an integer lattice of :mod:`drplane.lattice`:
+a doubleton on its thresholds, a set of m >= 3 points on its per-selector
+distance scores.  Each offset is decoded once and full-trace iterates are
+built from the lattice integers.  Everything else (f64, one-sided or
+touching sets) runs the generic vector loop.  A ``drplane`` debug log
+record names the path taken and, for the vector loop, why.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .lattice import OffsetLattice, window_constant
+from .lattice import OffsetLattice, SetLattice, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 
 logger = logging.getLogger(__name__)
@@ -203,8 +203,6 @@ def iterate(
 
 def _lattice_refusal(A: Hyperplane, B: FiniteSet, cls: Classification) -> str | None:
     """Why iterate cannot run B on the integer lattice; None when it can."""
-    if B.m != 2:
-        return f"{B.m} points"
     if A.backend == F64:
         return "f64 backend"
     if cls.intersects:
@@ -215,19 +213,24 @@ def _lattice_refusal(A: Hyperplane, B: FiniteSet, cls: Classification) -> str | 
 
 
 def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, counts, max_n: int, slim: bool) -> None:
-    """Append steps 2..max_n of a straddling exact doubleton, advanced on the
+    """Append steps 2..max_n of a straddling exact set, advanced on the
     integer lattice from the state of step 1, and add them to counts.
 
-    Each offset is decoded once; a full record's iterate is built from the
-    integers of the previous offset by the lattice's point evaluator.
-    Records hold no counts or shadows: the exporters tally counts as
-    columns, and a shadow is x_n - inner*u.
+    A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
+    m >= 3 points its per-selector scores (:class:`SetLattice`).  Each offset
+    is decoded once; a full record's iterate is built from the integers of
+    the previous offset by the lattice's point evaluator.  Records hold no
+    counts or shadows: the exporters tally counts as columns, and a shadow
+    is x_n - inner*u.
     """
-    (b1, b2), (beta1, beta2) = B.points, B.inners
     first = trace[1]
-    lat = OffsetLattice(
-        beta1, beta2, window_constant(b1, b2, beta1, beta2), first.inner, B.tie_policy
-    )
+    if B.m == 2:
+        (b1, b2), (beta1, beta2) = B.points, B.inners
+        lat = OffsetLattice(
+            beta1, beta2, window_constant(b1, b2, beta1, beta2), first.inner, B.tie_policy
+        )
+    else:
+        lat = SetLattice(A.normal, B, first.inner)
     decode = lat.decode
     point = None if slim else lat.line_points(A.normal, B.points).point
     pa, pb = lat.start

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import BackendError, DimensionMismatch
@@ -232,15 +233,23 @@ def project_finite_set(B: FiniteSet, x: Vector) -> tuple[Vector, int]:
 
     Squared distances are compared (exactly, on exact backends); ties go to
     the policy, with equal-offset ties falling back to the lowest index.
+    Each distance is ``norm_sq(vsub(x, b))``, its float operations in the
+    same order, without a dimension check per point.
     """
-    dists = [norm_sq(vsub(x, b)) for b in B.points]
-    dmin = dists[0]
-    for dv in dists[1:]:
-        if dv < dmin:
-            dmin = dv
+    points = B.points
+    _check_dims(x, points[0])
+    dists = []
+    for b in points:
+        diffs = map(sub, x, b)
+        v = next(diffs)
+        total = v * v
+        for v in diffs:
+            total = total + v * v
+        dists.append(total)
+    dmin = min(dists)  # the first minimum, as a scan with < keeps it
     winners = [i for i, dv in enumerate(dists) if dv == dmin]
     best = _pick_winner(winners, B.inners, B.tie_policy)
-    return B.points[best], best + 1
+    return points[best], best + 1
 
 
 def dr_step(A: Hyperplane, B: FiniteSet, x: Vector) -> tuple[Vector, int]:
@@ -248,9 +257,16 @@ def dr_step(A: Hyperplane, B: FiniteSet, x: Vector) -> tuple[Vector, int]:
 
     next = x - P_A x + P_B(R_A x); with cu = <x,u> u this is cu + P_B(R_A x),
     so the new iterate visibly sits on the line b_k + span(u), and the
-    selected point satisfies b_k = next - x + P_A x.
+    selected point satisfies b_k = next - x + P_A x.  The float operations
+    are those of ``dot``, ``vscale``, ``vsub`` and ``vadd``, in their order.
     """
-    cu = vscale(A.inner(x), A.normal)
-    ra = vsub(vsub(x, cu), cu)  # R_A x = P_A x - cu
+    u = A.normal
+    _check_dims(x, u)
+    products = map(mul, x, u)
+    c = next(products)
+    for v in products:
+        c = c + v
+    cu = tuple([c * a for a in u])
+    ra = tuple(map(sub, map(sub, x, cu), cu))  # R_A x = P_A x - cu
     pb, k = project_finite_set(B, ra)
-    return vadd(cu, pb), k
+    return tuple(map(add, cu, pb)), k

@@ -1,28 +1,38 @@
-"""Integer lattice of doubleton orbit states.
+"""Integer lattices of exact orbit states.
 
-After its first step, the orbit of a doubleton B = {b1, b2} that straddles
-the hyperplane is the pair (selector k, offset c): the iterate is
-``x_n = c_{n-1}*u + b_k``, the offset moves by ``c_n = c_{n-1} + beta_k``, and
-the next selector is 1 when ``c_n > t_k``, 2 when ``c_n < t_k``, the tie
-policy deciding at equality.  The thresholds are ``t1 = beta - beta1`` and
-``t2 = -beta - beta2``, with ``beta`` the window constant.
+After its first step, every iterate of a set B that straddles the
+hyperplane is ``x_n = c_{n-1}*u + b_k``: the orbit is the pair (selector k,
+offset c), and the offset moves by ``c_n = c_{n-1} + beta_k``.  On the exact
+backends every offset of one orbit is ``(a + b*sqrt(d))/scale`` for a single
+integer ``scale``, rationals being the ``b = 0`` slice, so the orbit
+advances on integer triples ``(k, a, b)`` and compares by
+:func:`~drplane.scalars.surd_sign`.  Two walks pick the next selector:
 
-On the exact backends every offset of one orbit is ``(a + b*sqrt(d))/scale``
-for a single integer ``scale``, rationals being the ``b = 0`` slice, so the
-orbit advances on integer triples ``(k, a, b)`` and compares by
-:func:`~drplane.scalars.surd_sign`.  :class:`OffsetLattice` holds that
-set-up, and :meth:`OffsetLattice.pair` gives the pair of any offset of the
-orbit.  It reads the integers ``(p, q, n)`` a Surd holds
-(``(p + q*sqrt(d))/n``) and decodes pairs through
+* :class:`OffsetLattice`, for a doubleton B = {b1, b2}: the next selector is
+  1 when ``c_n > t_k``, 2 when ``c_n < t_k``, the tie policy deciding at
+  equality.  The thresholds are ``t1 = beta - beta1`` and
+  ``t2 = -beta - beta2``, with ``beta`` the window constant.  The cycle
+  search and the closed form walk it too, and on f64 its pairs are float
+  offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
+  difference ``a - t``; a float lattice is only walked, never decoded.
+* :class:`SetLattice`, for m >= 3 points: the next selector minimises the
+  score ``Q_kj + 2*c_n*beta_j`` over j, from a table of
+  ``Q_kj = |P_A b_k - b_j|^2``, and the tie policy resolves equal scores as
+  :func:`~drplane.geometry.project_finite_set` resolves equal distances.
+  Only the iteration driver walks it, on exact backends.
+
+The m = 2 threshold test is the special case of the score rule, kept apart
+because the cycle search's hot loop runs on it.
+
+Both read the integers ``(p, q, n)`` a Surd holds (``(p + q*sqrt(d))/n``)
+through ``pair`` and decode pairs through
 :func:`~drplane.scalars.surd_from_ints`, so no Fraction is built either way
 on surd orbits; rational pairs decode through
-:func:`~drplane.scalars.fraction_from_ints`.  On f64 the pairs are float offsets ``(v, 0)`` over
-``scale = 1``, where the sign test reads the float difference ``a - t``; a
-float lattice is only walked, never decoded.
+:func:`~drplane.scalars.fraction_from_ints`.
 
-Points are built from the same integers: :meth:`OffsetLattice.line_points`
-fixes per-coordinate integer constants for one normal and point pair, after
-which an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
+Points are built from the same integers: ``line_points`` fixes
+per-coordinate integer constants for one normal and point set, after which
+an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
 :func:`~drplane.scalars.fraction_from_ints` or one
 :func:`~drplane.scalars.surd_from_ints` per coordinate.
 
@@ -37,7 +47,16 @@ from __future__ import annotations
 
 import math
 
-from .geometry import DEFAULT_TIE_POLICY, TiePolicy, Vector, norm_sq, vsub
+from .geometry import (
+    DEFAULT_TIE_POLICY,
+    FiniteSet,
+    TiePolicy,
+    Vector,
+    _pick_winner,
+    line_point,
+    norm_sq,
+    vsub,
+)
 from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
 
 
@@ -56,36 +75,20 @@ def window_constant(b1: Vector, b2: Vector, beta1: Scalar, beta2: Scalar) -> Sca
     return norm_sq(vsub(b1, b2)) / (2 * (beta1 - beta2))
 
 
-class OffsetLattice:
-    """Exact offsets ``(a + b*sqrt(d))/scale`` of one doubleton orbit.
+class _LineLattice:
+    """Offsets ``(a + b*sqrt(d))/scale`` over one integer ``scale`` and
+    radicand ``d`` (0 on rationals), and the points ``offset*u + b_k``."""
 
-    Built from the two point offsets, the window constant and one start
-    offset (ints, Fractions or Surds over one radicand).  ``beta1``,
-    ``beta2``, ``beta``, ``start``, ``t1`` and ``t2`` are their integer pairs
-    ``(a, b)`` over the common ``scale``; ``d`` is 0 on rationals.  Float
-    values give float pairs ``(v, 0)`` over ``scale = 1``, for :meth:`walk`
-    only.
-    """
+    __slots__ = ("scale", "d")
 
-    __slots__ = ("scale", "d", "beta1", "beta2", "beta", "start", "t1", "t2", "tie")
-
-    def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
-        values = (beta1, beta2, beta, start)
+    def __init__(self, values):
         self.d = next((v.d for v in values if isinstance(v, Surd)), 0)
         self.scale = math.lcm(*(_int_parts(v)[2] for v in values))
-        self.beta1, self.beta2, self.beta, self.start = map(self.pair, values)
-        (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
-        # t1 = beta - beta1 and t2 = -beta - beta2 are linear, so they apply
-        # to each integer part
-        self.t1, self.t2 = (wa - b1a, wb - b1b), (-wa - b2a, -wb - b2b)
-        # equidistant reflections resolve to the higher offset (b2) only
-        # under the default policy; both alternatives pick b1
-        self.tie = 2 if tie_policy is TiePolicy.HIGHER_INNER else 1
 
     def pair(self, v) -> tuple[int, int]:
         """The integer pair (a, b) of an offset v of this orbit: any sum of
-        the start offset and multiples of beta1 and beta2, whose denominator
-        divides ``scale``."""
+        the start offset and multiples of the point offsets, whose
+        denominator divides ``scale``."""
         p, q, n = _int_parts(v)
         m = self.scale // n
         return p * m, q * m
@@ -97,8 +100,34 @@ class OffsetLattice:
         return fraction_from_ints(a, self.scale)
 
     def line_points(self, u: Vector, points: tuple[Vector, ...]) -> "LinePoints":
-        """The point evaluator of this lattice for normal u and points (b1, b2)."""
+        """The point evaluator of this lattice for normal u and the points b_k."""
         return LinePoints(self, u, points)
+
+
+class OffsetLattice(_LineLattice):
+    """Exact offsets ``(a + b*sqrt(d))/scale`` of one doubleton orbit.
+
+    Built from the two point offsets, the window constant and one start
+    offset (ints, Fractions or Surds over one radicand).  ``beta1``,
+    ``beta2``, ``beta``, ``start``, ``t1`` and ``t2`` are their integer pairs
+    ``(a, b)`` over the common ``scale``; ``d`` is 0 on rationals.  Float
+    values give float pairs ``(v, 0)`` over ``scale = 1``, for :meth:`walk`
+    only.
+    """
+
+    __slots__ = ("beta1", "beta2", "beta", "start", "t1", "t2", "tie")
+
+    def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
+        values = (beta1, beta2, beta, start)
+        super().__init__(values)
+        self.beta1, self.beta2, self.beta, self.start = map(self.pair, values)
+        (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
+        # t1 = beta - beta1 and t2 = -beta - beta2 are linear, so they apply
+        # to each integer part
+        self.t1, self.t2 = (wa - b1a, wb - b1b), (-wa - b2a, -wb - b2b)
+        # equidistant reflections resolve to the higher offset (b2) only
+        # under the default policy; both alternatives pick b1
+        self.tie = 2 if tie_policy is TiePolicy.HIGHER_INNER else 1
 
     def walk(self, k: int, a: int, b: int):
         """The states (k, a, b) after state (k, a, b), one per step, without end."""
@@ -123,6 +152,71 @@ class OffsetLattice:
             yield k, a, b
 
 
+class SetLattice(_LineLattice):
+    """Exact orbit states ``(k, a, b)`` of a straddling set of m points.
+
+    After its first step every iterate is ``x = c*u + b_k``, with offset
+    ``t = <x,u>``, so with ``<u,u> = 1`` the squared distance from
+    ``R_A x = P_A b_k - t*u`` to ``b_j`` is ``Q_kj + 2*t*beta_j + t^2``, where
+    ``Q_kj = |P_A b_k - b_j|^2``.  The nearest point minimises the score
+    ``Q_kj + 2*t*beta_j``: the same minimisers, so the same winner set, as
+    the squared distances :func:`~drplane.geometry.project_finite_set`
+    compares, and :func:`~drplane.geometry._pick_winner` resolves a tie the
+    same way.  Offsets are integer pairs over ``scale`` as on
+    :class:`OffsetLattice`; scores are integer pairs ``(sa, sb)``, meaning
+    ``(sa + sb*sqrt(d))/denom`` for one denominator, compared by
+    :func:`~drplane.scalars.surd_sign`.  Exact backends only.
+    """
+
+    __slots__ = ("start", "steps", "scores", "slopes", "inners", "tie_policy")
+
+    def __init__(self, u: Vector, B: FiniteSet, start):
+        inners = B.inners
+        super().__init__((*inners, start))
+        self.start = self.pair(start)
+        self.steps = tuple(map(self.pair, inners))
+        self.inners, self.tie_policy = inners, B.tie_policy
+        shadows = [line_point(-beta, u, b) for b, beta in zip(B.points, inners)]
+        q = [[_int_parts(norm_sq(vsub(s, b))) for b in B.points] for s in shadows]
+        scale2 = self.scale * self.scale
+        denom = math.lcm(scale2, *(n for row in q for _, _, n in row))
+        self.scores = tuple(
+            tuple((p * (denom // n), r * (denom // n)) for p, r, n in row) for row in q
+        )
+        # 2*t*beta_j*denom is the product of the pairs of t and beta_j times
+        # f = 2*denom/scale^2; slopes hold beta_j's pair (ja, jb) as
+        # (f*ja, f*d*jb, f*jb)
+        f, d = 2 * denom // scale2, self.d
+        self.slopes = tuple((f * ja, f * d * jb, f * jb) for ja, jb in self.steps)
+
+    def walk(self, k: int, a: int, b: int):
+        """The states (k, a, b) after state (k, a, b), one per step, without end."""
+        d, steps, scores, slopes = self.d, self.steps, self.scores, self.slopes
+        inners, policy = self.inners, self.tie_policy
+        while True:
+            # score_j*denom = (qa + a*ja + b*jd) + (qb + a*jb + b*ja)*sqrt(d),
+            # (qa, qb) being Q_kj's pair and (ja, jd, jb) beta_j's slopes
+            winners, la, lb = [], 0, 0
+            for j, ((qa, qb), (ja, jd, jb)) in enumerate(zip(scores[k - 1], slopes)):
+                sa, sb = qa + a * ja + b * jd, qb + a * jb + b * ja
+                if winners:
+                    da, db = sa - la, sb - lb
+                    # with no sqrt(d) part, da carries the sign
+                    sign = surd_sign(da, db, d) if db else da
+                    if sign > 0:
+                        continue
+                    if sign == 0:
+                        winners.append(j)
+                        continue
+                la, lb, winners = sa, sb, [j]
+            j = winners[0] if len(winners) == 1 else _pick_winner(winners, inners, policy)
+            k = j + 1
+            da, db = steps[j]
+            a += da
+            b += db
+            yield k, a, b
+
+
 class LinePoints:
     """Iterates ``x = ((a + b*sqrt(d))/scale)*u + b_k`` from lattice integers.
 
@@ -137,7 +231,7 @@ class LinePoints:
 
     __slots__ = ("d", "rows")
 
-    def __init__(self, lat: OffsetLattice, u: Vector, points: tuple[Vector, ...]):
+    def __init__(self, lat: _LineLattice, u: Vector, points: tuple[Vector, ...]):
         self.d = d = lat.d
         zero = lat.decode(0, 0)
         self.rows = tuple(

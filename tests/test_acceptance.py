@@ -1,22 +1,31 @@
 """Acceptance gate: ten end-to-end checks at their pinned tolerances.
 
-Each test below is one criterion; the terminal summary (conftest) prints one
-PASS/FAIL line per criterion. Randomized suites are seeded, so every run
-checks the same instances.
+Each test_criterion_* test is one criterion; the terminal summary
+(conftest) prints one PASS/FAIL line per criterion. Randomized suites are
+seeded, so every run checks the same instances. The period and balance
+property tests after criterion 5 read its seeded orbits.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 from drplane.altproj import ap_iterate
 from drplane.closedform import (
+    RegionLabel,
     beatty_triple,
     closed_form_point,
     compute_betas,
+    region_of,
     verify_closed_form,
 )
-from drplane.cycling import DoubletonProblem, detect_cycle, rationality_predicate
+from drplane.cycling import (
+    DoubletonProblem,
+    cycle_relation,
+    detect_cycle,
+    rationality_predicate,
+)
 from drplane.dynamics import (
     Outcome,
     check_step_gap,
@@ -194,6 +203,136 @@ def test_criterion_05_cycling_characterization_suite():
         _CRIT5_SURD.append(p)
 
 
+def _crit5_rational():
+    return _CRIT5_RATIONAL or [
+        (p, detect_cycle(p, HORIZON_CYCLING)) for p in _random_rational_doubletons(200)
+    ]
+
+
+def _balanced(word) -> bool:
+    """Any two factors of word of equal length differ by at most one in
+    their count of 2s (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    prefix = [0]
+    for k in word:
+        prefix.append(prefix[-1] + (k == 2))
+    n = len(word)
+    for length in range(1, n):
+        counts = [prefix[i + length] - prefix[i] for i in range(n - length + 1)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+def _periodic_balanced(period) -> bool:
+    """_balanced for the infinite word period*period*..., in one pass.
+
+    With N 2s among the L letters of the period and P(i) the 2s among its
+    first i, a factor from i to j holds ((j - i)*N + D(j) - D(i))/L 2s, where
+    D(i) = L*P(i) - i*N repeats with period L.  The length-l counts average
+    l*N/L, so the word is balanced exactly when each lies in
+    {floor(l*N/L), ceil(l*N/L)}, that is when max D - min D < L.
+    """
+    size, twos = len(period), period.count(2)
+    d, count = [], 0
+    for i, k in enumerate(period):
+        d.append(size * count - i * twos)
+        count += k == 2
+    return max(d) - min(d) < size
+
+
+def _cycle_word(p, report):
+    """The selectors k_{mu+1} .. k_{mu+lambda} of one period after the preperiod."""
+    steps = report.preperiod + report.period
+    run = iterate(p.hyperplane, p.finite_set(), p.x0, steps, slim=True)
+    return [r.selector_k for r in run.trace[report.preperiod + 1:]]
+
+
+def test_periodic_balance_matches_its_definition():
+    for size in range(1, 11):
+        for period in itertools.product((1, 2), repeat=size):
+            # every factor of period^infinity up to length L lies in period*2
+            assert _periodic_balanced(period) == _balanced(period * 2), period
+
+
+def test_rational_period_and_balance():
+    """On criterion 5's seeded rational doubletons, every 1-D instance and
+    every planar one with beta + beta2 >= 0 has minimal period q1 + q2, the
+    sum of cycle_relation's coprime pair, and a balanced selector word after
+    its preperiod.  On every instance the period is a multiple of q1 + q2:
+    over one period the offset returns, so c1*beta1 + c2*beta2 = 0 for the
+    selector counts c1, c2."""
+    checked = 0
+    for p, report in _crit5_rational():
+        q1, q2 = cycle_relation(p)
+        assert report.period % (q1 + q2) == 0
+        if p.hyperplane.dim == 1 or p.beta + p.beta2 >= 0:
+            assert report.period == q1 + q2
+            assert _periodic_balanced(_cycle_word(p, report))
+            checked += 1
+    assert checked == 176  # 165 on the line, 11 planar
+
+
+def test_planar_shifted_window_exceptions_observed():
+    """Observed on criterion 5's seeded data, not a claim of the paper: of
+    the 24 planar instances with beta + beta2 < 0, five have a period that
+    is a larger multiple of q1 + q2 and eight, those five among them, have
+    an unbalanced selector word."""
+    multiples, unbalanced, shifted = [], [], 0
+    for p, report in _crit5_rational():
+        if p.hyperplane.dim == 1 or p.beta + p.beta2 >= 0:
+            continue
+        shifted += 1
+        q1, q2 = cycle_relation(p)
+        if report.period != q1 + q2:
+            multiples.append(report.period // (q1 + q2))
+        if not _periodic_balanced(_cycle_word(p, report)):
+            unbalanced.append(report.period // (q1 + q2))
+    assert shifted == 24
+    assert sorted(multiples) == [2, 2, 4, 6, 7]
+    assert len(unbalanced) == 8
+    assert sorted(m for m in unbalanced if m > 1) == sorted(multiples)
+
+
+def _planar_irrational_doubletons(count):
+    """Seeded planar sqrt(2) doubletons with lateral separation, irrational
+    distance ratio and beta + beta2 >= 0."""
+    rng = random.Random(2027)
+    z = lambda v: Surd(v, 0, 2)  # noqa: E731
+    A = Hyperplane((z(0), z(1)))
+    out = []
+    while len(out) < count:
+        b1 = (z(rng.randint(-3, 3)), z(-Fraction(rng.randint(1, 8), rng.randint(1, 4))))
+        b2 = (
+            z(rng.randint(-3, 3)),
+            Surd(Fraction(rng.randint(0, 4), rng.randint(1, 3)),
+                 Fraction(rng.randint(1, 4), rng.randint(1, 3)), 2),
+        )
+        x0 = (z(rng.randint(-3, 3)),
+              Surd(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-2, 2), 2), 2))
+        p = DoubletonProblem(A, b1, b2, x0)
+        if b1[0] != b2[0] and p.beta + p.beta2 >= 0:
+            out.append(p)
+    return out
+
+
+def test_irrational_selector_words_balanced():
+    """Criterion 5's irrational doubletons (all 1-D), the planar sqrt(2)
+    instance of problems/r2_beatty.json and seeded planar irrational ones
+    with beta + beta2 >= 0: 300 selectors from the first state in the
+    absorbing window on form a balanced word."""
+    pool = _CRIT5_SURD or _random_irrational_ratio_doubletons(50)
+    for p in pool + [_plane_sqrt2(0)] + _planar_irrational_doubletons(8):
+        assert cycle_relation(p) is None
+        run = iterate(p.hyperplane, p.finite_set(), p.x0, 400, slim=True)
+        betas = compute_betas(p)
+        entry = next(
+            r.n for r in run.trace[1:]
+            if region_of(betas, r.inner, r.selector_k) is not RegionLabel.OUTSIDE
+        )
+        word = [r.selector_k for r in run.trace[entry:entry + 300]]
+        assert len(word) == 300 and _balanced(word)
+
+
 def test_criterion_06_selector_frequency_limits():
     n_max = HORIZON_FORMULA
     p = _line(-1, 2)
@@ -254,10 +393,7 @@ def test_criterion_07_step_gap_invariant():
         assert check_step_gap(run, p.hyperplane, p.finite_set())
         assert _transitions_bounded(p)
         assert _dr_step_gaps_bounded(p, 2000)
-    rational_pool = _CRIT5_RATIONAL or [
-        (p, detect_cycle(p, HORIZON_CYCLING)) for p in _random_rational_doubletons(200)
-    ]
-    for p, report in rational_pool:
+    for p, report in _crit5_rational():
         # the orbit repeats states from preperiod+period on, so this prefix
         # contains every consecutive pair the infinite run ever produces
         steps = report.preperiod + report.period + 1

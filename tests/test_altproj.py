@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 from drplane.altproj import ap_iterate, ap_report, ap_rows
 from drplane.dynamics import trace_csv_header, write_csv
 from drplane.errors import DimensionMismatch
-from drplane.geometry import FiniteSet, Hyperplane
+from drplane.geometry import (
+    FiniteSet,
+    Hyperplane,
+    TiePolicy,
+    project_finite_set,
+    project_hyperplane,
+)
 from drplane.scalars import Surd
 
 
@@ -77,6 +83,61 @@ class TestTraceValues:
             ap_iterate(A, B, x0, 0)
         with pytest.raises(DimensionMismatch):
             ap_iterate(A, B, (Fraction(0), Fraction(0)), 3)
+
+
+def plain_ap(A, B, x0, steps):
+    """The projectors applied alternately by a plain loop, every entry
+    projected afresh."""
+    x, points, selectors = x0, [x0], [None]
+    for i in range(1, steps + 1):
+        if i % 2 == 1:
+            x, k = project_hyperplane(A, x), None
+        else:
+            x, k = project_finite_set(B, x)
+        points.append(x)
+        selectors.append(k)
+    return points, selectors
+
+
+class TestAgainstPlainLoop:
+    """ap_iterate projects each set point's pair once; every entry must be
+    the plain loop's, float bits and scalar types included."""
+
+    @staticmethod
+    def assert_matches(A, B, x0, steps):
+        points, selectors = plain_ap(A, B, x0, steps)
+        trace = ap_iterate(A, B, x0, steps)
+        assert trace.selectors == selectors
+        assert repr(trace.points) == repr(points)
+        assert [type(c) for p in trace.points for c in p] == [type(c) for p in points for c in p]
+
+    CASES = {
+        "rational_line": (frac_line, [-3, Fraction(-1, 2), 2, Fraction(7, 3)], Fraction(5, 4)),
+        "surd_line": (surd_line, [-1, Surd(0, 1, 2), Surd(2, -1, 2)], Surd(Fraction(1, 3), 1, 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lines(self, name):
+        build, pts, x0 = self.CASES[name]
+        for steps in (1, 2, 3, 4, 5, 17, 40):
+            self.assert_matches(*build(pts, x0), steps)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_planes_under_each_policy(self, policy):
+        # (0, +/-1) and (+/-1, 0) are equidistant from P_A x0 = (0, 0); on the
+        # second plane so are (1, 1) and (-1, 1), which share an offset
+        F = lambda *v: tuple(Fraction(c) for c in v)  # noqa: E731
+        A = Hyperplane(F(Fraction(3, 5), Fraction(4, 5)))
+        pts = [F(-1, 0), F(1, 0), F(0, 1), F(0, -1), F(Fraction(1, 3), 2)]
+        for x0 in (F(0, 0), F(3, -1), F(-2, 5)):
+            self.assert_matches(A, FiniteSet.ordered(pts, A, policy), x0, 31)
+        A = Hyperplane(F(0, 1))
+        pts = [F(1, 1), F(-1, 1), F(0, 2), F(3, -2)]
+        self.assert_matches(A, FiniteSet.ordered(pts, A, policy), F(0, 9), 31)
+        Af = Hyperplane((0.6, 0.8))
+        fpts = [(-1.0, -0.25), (1.0, 0.5), (0.3, 0.2), (-0.5, 1.0), (0.1, -0.7)]
+        for x0 in ((3.0, -2.0), (0.0, 0.0), (-0.3, 1.7)):
+            self.assert_matches(Af, FiniteSet.ordered(fpts, Af, policy), x0, 31)
 
 
 class TestMembership:

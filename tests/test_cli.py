@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from drplane.cli import main
+from drplane.geometry import TiePolicy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "problems"
 
@@ -442,6 +443,65 @@ def test_golden_output(capsys, command, fmt):
         code, out, err = run_cli(capsys, *argv)
         digest.update(f"{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == GOLDEN[command, fmt]
+
+
+# Sets of m != 2 points, which problems/ does not hold (its doubletons are
+# pinned by the tests that load it).  Each is strictly straddling and off the
+# hyperplane, and every selector word below visits at least three points.
+M_POINT_PROBLEMS = {
+    # R_A x0 = 0 is the midpoint of -1 and 1, and the orbit returns there
+    # every other step, so the tie policy decides half the selectors
+    "line_m3_tie": {
+        "normal": [1], "points": [[-1], [1], ["5/2"]], "x0": [0], "backend": "rational",
+    },
+    # <x_n,u> = 0 on every odd step, where points 2 and 3 (offsets -5/9 and
+    # 5/9) are exactly equidistant from R_A x_n
+    "tilted_m5_tie": {
+        "normal": ["2/3", "1/3", "2/3"],
+        "points": [["1/3", 1, 0], ["-11/27", "17/27", "-20/27"], [-4, 4, 1],
+                   ["-28/9", "40/9", "17/9"], [5, 4, "-4/3"]],
+        "x0": [0, 0, -4], "backend": "rational",
+    },
+    "surd_plane_m3": {
+        "normal": [{"a": "0", "b": "1/2"}, {"a": "0", "b": "1/2"}],
+        "points": [[0, -1], [2, {"a": "0", "b": "1"}], [-1, {"a": "-1/3", "b": "1/2"}]],
+        "x0": ["1/3", {"a": "0", "b": "1"}], "backend": "surd", "surd_d": 2,
+    },
+    "f64_plane_m4": {
+        "normal": [0.6, 0.8],
+        "points": [[-1.0, -0.25], [1.0, 0.5], [0.3, 0.2], [-0.5, 1.0]],
+        "x0": [3.0, -2.0], "backend": "f64",
+    },
+}
+
+# sha256 over exit code, stdout and stderr of one subcommand on each problem
+# above under each tie policy, problems in the order above and policies in
+# TiePolicy order.
+M_POINT_GOLDEN = {
+    ("run", "csv"):
+        "aa73f61f6ac02b734578c943013281341d0b79bf22d2a35c293f9803d37102bb",
+    ("run", "json"):
+        "23e371b71e67411b9aa56a1b6650c775b74dc3bba3d592ac3832ecb489fc6e56",
+    ("map", "csv"):
+        "68979750a8e3ab5c76dfdd9c7529bc550f23fdd5f7b23c7d37d2af17f256f5d4",
+    ("map", "json"):
+        "de5165a4e3a5294a0f639762a672d55ab6ec8546698368989077559b70df0be5",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(M_POINT_GOLDEN))
+def test_m_point_golden_output(capsys, tmp_path, command, fmt):
+    horizon = "200" if command == "run" else "40"
+    digest = hashlib.sha256()
+    for name, data in M_POINT_PROBLEMS.items():
+        problem = write_problem(tmp_path, f"{name}.json", data)
+        for policy in TiePolicy:
+            code, out, err = run_cli(
+                capsys, command, "--problem", problem, "--horizon", horizon,
+                "--tie-policy", policy.value, "--format", fmt,
+            )
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == M_POINT_GOLDEN[command, fmt]
 
 
 def test_module_entry_point():

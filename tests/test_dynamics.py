@@ -35,6 +35,7 @@ from drplane.geometry import (
     dr_step,
     norm_sq,
     project_hyperplane,
+    reflect_hyperplane,
     vec_equal,
     vsub,
 )
@@ -429,9 +430,57 @@ def random_straddling(rng, normal):
     return A, FiniteSet.ordered(pts, A), x0
 
 
+HALF_ROOT2 = Surd(0, Fraction(1, 2), 2)
+# unit normals over sqrt(2) in dimensions 1-3, with sqrt(2) parts from 2 on
+SURD_NORMALS = (
+    (Surd(1, 0, 2),),
+    (HALF_ROOT2, HALF_ROOT2),
+    (Surd(Fraction(1, 2), 0, 2), Surd(Fraction(-1, 2), 0, 2), HALF_ROOT2),
+)
+RATIONAL_NORMALS = ((1,), (Fraction(3, 5), Fraction(4, 5)), (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)))
+
+
+def random_straddling_set(rng, normal, m, policy, coordinate):
+    """m distinct points strictly on both sides of the hyperplane and off it,
+    drawn by coordinate(rng), and a start."""
+    A = Hyperplane(tuple(normal))
+    while True:
+        pts = [tuple(coordinate(rng) for _ in normal) for _ in range(m)]
+        inners = sorted(A.inner(p) for p in pts)
+        if inners[0] < 0 < inners[-1] and 0 not in inners and len(set(pts)) == m:
+            break
+    x0 = tuple(coordinate(rng) for _ in normal)
+    return A, FiniteSet.ordered(pts, A, policy), x0
+
+
+def rational_coordinate(rng):
+    return random_fraction(rng, -5, 5, rng.randint(1, 6))
+
+
+def surd_coordinate(rng):
+    return Surd(random_fraction(rng, -4, 4, rng.randint(1, 4)), random_fraction(rng, -2, 2, 2), 2)
+
+
+def tied_steps(A, B, x0, max_n):
+    """Steps n >= 2 of the plain dr_step loop whose reflection is exactly
+    equidistant from two or more points of B."""
+    x, tied = tuple(x0), []
+    for n in range(1, max_n + 1):
+        ra = reflect_hyperplane(A, x)
+        dists = [norm_sq(vsub(ra, b)) for b in B.points]
+        if n >= 2 and dists.count(min(dists)) > 1:
+            tied.append(n)
+        x, _ = dr_step(A, B, x)
+    return tied
+
+
+def with_policy(B, policy):
+    return FiniteSet(B.points, B.inners, policy)
+
+
 class TestLatticeAgainstDrStep:
-    """iterate runs straddling exact doubletons on the integer lattice; its
-    traces must be the plain dr_step loop's."""
+    """iterate runs straddling exact sets on the integer lattice; its traces
+    must be the plain dr_step loop's."""
 
     def test_seeded_rational_line_and_plane(self):
         rng = random.Random(20261018)
@@ -480,7 +529,9 @@ class TestLatticeAgainstDrStep:
         assert_matches_reference(prob.hyperplane, prob.points, prob.x0, 80)
 
     def test_vector_path_cases(self):
-        # one-sided disjoint (divergent), touching (fixed point), f64, m = 3
+        # one-sided disjoint (divergent), touching (fixed point), f64; then
+        # m = 3 sets on vectors (straddling but touching, one-sided) and the
+        # straddling disjoint one, which runs on the lattice
         A, B = plane_problem([(0, 1), (0, 2)])
         assert_matches_reference(A, B, F(0, 0), 40, divergence_window=5)
         assert iterate(A, B, F(0, 0), 40, divergence_window=5).outcome == Outcome.DIVERGENCE
@@ -488,6 +539,11 @@ class TestLatticeAgainstDrStep:
         assert_matches_reference(A, B, F(1, 1), 10)
         A = Hyperplane((1.0,))
         assert_matches_reference(A, FiniteSet.ordered([(-1.0,), (3.7,)], A), (0.25,), 50)
+        A, B = plane_problem([(1, -1), (0, 0), (3, 1)])
+        assert_matches_reference(A, B, F(2, 5), 50)
+        A, B = plane_problem([(1, 1), (0, 2), (3, 1)])
+        assert_matches_reference(A, B, F(2, 5), 40, divergence_window=5)
+        assert iterate(A, B, F(2, 5), 40, divergence_window=5).outcome == Outcome.DIVERGENCE
         A, B = plane_problem([(1, -1), (0, 2), (3, 1)])
         assert_matches_reference(A, B, F(2, 5), 50)
 
@@ -495,6 +551,63 @@ class TestLatticeAgainstDrStep:
         A, B = line_problem([-1, 2])
         for max_n in (0, 1, 2):
             assert_matches_reference(A, B, (Fraction(1, 2),), max_n)
+        A, B = line_problem([-1, 2, 3])
+        for max_n in (0, 1, 2, 3):
+            assert_matches_reference(A, B, (Fraction(1, 2),), max_n)
+
+    @pytest.mark.parametrize("backend", ["rational", "surd"])
+    def test_seeded_m_point_sets(self, backend):
+        normals, coordinate = {
+            "rational": (RATIONAL_NORMALS, rational_coordinate),
+            "surd": (SURD_NORMALS, surd_coordinate),
+        }[backend]
+        rng = random.Random(f"m-point {backend}")
+        for normal in normals:
+            for m in range(3, 9):
+                for policy in TiePolicy:
+                    A, B, x0 = random_straddling_set(rng, normal, m, policy, coordinate)
+                    assert_matches_reference(A, B, x0, 40)
+
+    def test_m_point_shared_offset_ties(self):
+        # b +/- w with w orthogonal to u share an offset, and their shadows are
+        # equidistant from the shadow of c, so their scores tie after every
+        # step that selects c; equal offsets leave the lower index to win
+        for normal, c, w, x0 in (
+            ((0, 1), F(0, -1), F(1, 0), F(0, 0)),
+            ((Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), F(-1, 0, 0), F(1, -2, 0), F(1, 2, 0)),
+        ):
+            A = Hyperplane(tuple(Fraction(v) for v in normal))
+            b = project_hyperplane(A, c)
+            b = tuple(bi + Fraction(3, 2) * ui for bi, ui in zip(b, A.normal))
+            plus = tuple(p + q for p, q in zip(b, w))
+            minus = tuple(p - q for p, q in zip(b, w))
+            far = tuple(p + 4 * q for p, q in zip(b, A.normal))
+            B = FiniteSet.ordered([c, plus, minus, far], A)
+            assert B.inners[1] == B.inners[2]
+            assert tied_steps(A, B, x0, 60)
+            for policy in TiePolicy:
+                assert_matches_reference(A, with_policy(B, policy), x0, 60)
+
+    def test_m_point_constructed_distance_ties(self):
+        # pairs b, R_A b with an orbit that returns to the hyperplane, where
+        # R_A x_n is equidistant from each pair's two points
+        A1 = Hyperplane((Fraction(1),))
+        A3 = Hyperplane((Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)))
+        b1, b2 = F(Fraction(1, 3), 1, 0), F(-4, 4, 1)
+        Ah = Hyperplane(SURD_NORMALS[1])
+        lift = lambda *v: tuple(c if isinstance(c, Surd) else Surd(c, 0, 2) for c in v)  # noqa: E731
+        s1 = lift(1, Fraction(1, 2))
+        cases = (
+            (A1, [F(-1), F(1), F(Fraction(5, 2))], F(0)),
+            (A3, [b1, reflect_hyperplane(A3, b1), b2, reflect_hyperplane(A3, b2),
+                  F(5, 4, Fraction(-4, 3))], F(Fraction(1, 2), 1, -1)),
+            (Ah, [s1, reflect_hyperplane(Ah, s1), lift(Surd(0, 1, 2), 3)], lift(1, -1)),
+        )
+        for A, pts, x0 in cases:
+            B = FiniteSet.ordered(pts, A)
+            assert tied_steps(A, B, x0, 60)
+            for policy in TiePolicy:
+                assert_matches_reference(A, with_policy(B, policy), x0, 60)
 
 
 def test_path_is_logged(caplog):
@@ -513,7 +626,7 @@ def test_path_is_logged(caplog):
         ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (f64 backend)"),
         ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (one-sided)"),
         ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (touches the hyperplane)"),
-        ("drplane.dynamics", logging.DEBUG, "iterate: generic vectors (3 points)"),
+        ("drplane.dynamics", logging.DEBUG, "iterate: integer lattice"),
         ("drplane.cycling", logging.DEBUG, "detect_cycle: integer lattice"),
         ("drplane.cycling", logging.DEBUG, "detect_cycle: quantized float offsets (f64 backend)"),
     ]
