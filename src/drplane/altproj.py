@@ -75,15 +75,27 @@ def ap_iterate(A: Hyperplane, B: FiniteSet, x0: Vector, steps: int) -> ApTrace:
     return ApTrace(points, selectors)
 
 
-def _records(trace: ApTrace, A: Hyperplane):
+def _records(trace: ApTrace, A: Hyperplane, B: FiniteSet):
+    # a set point b_k's offset is B.inners[k-1]; from entry 3 on a plane
+    # entry is P_A b_k for the k before it, its offset taken on k's first visit
+    inners, plane, before = B.inners, {}, None
     for n, (x, k) in enumerate(zip(trace.points, trace.selectors)):
-        yield n, k, A.inner(x), x
+        if k is not None:
+            inner = inners[k - 1]
+        elif before is None:  # x0 and P_A x0
+            inner = A.inner(x)
+        elif before in plane:
+            inner = plane[before]
+        else:
+            inner = plane[before] = A.inner(x)
+        before = k
+        yield n, k, inner, x
 
 
 def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
     """Rows in the layout of the reflected-iteration export."""
-    return export_rows(_records(trace, A), B.m)
+    return export_rows(_records(trace, A, B), B.m)
 
 
 def ap_report(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> dict:
-    return export_report("map", Outcome.HORIZON, A, B, _records(trace, A))
+    return export_report("map", Outcome.HORIZON, A, B, _records(trace, A, B))

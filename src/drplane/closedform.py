@@ -13,16 +13,17 @@ The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
 fixed once.  On the exact backends that floor is an integer square-root
 floor and the offsets are integer pairs on the problem's orbit lattice (see
 :class:`FloorForm`); f64 keeps the float quotient, with pairs (offset, 0).
-Each point is the problem's ``point`` evaluator at the pair of the previous
-offset.  iterate reaches the same offsets by stepping, so verify_closed_form
-still compares two derivations.
+Each point is the orbit's ``point`` evaluator at the pair of the previous
+offset.  iterate reaches the same offsets by stepping, on an orbit of its
+own, so verify_closed_form still compares two derivations.
 
 Everything that depends only on the problem is derived once per
-:class:`~drplane.cycling.DoubletonProblem` and kept on it: the first
-iterate, the orbit lattice and the point evaluator (shared with the cycle
-search), the :class:`Betas` that :func:`compute_betas` returns, and the plan
-of closed_form_point and closed_form_trace, which is either the refusal
-message of the first failed hypothesis or the floor form.  closed_form_point
+:class:`~drplane.cycling.DoubletonProblem` and kept on it: its
+:class:`~drplane.dynamics.Orbit` (start offset, first iterate, lattice and
+point evaluator, shared with the cycle search), the :class:`Betas` that
+:func:`compute_betas` returns, and the plan of closed_form_point and
+closed_form_trace, which is either the refusal message of the first failed
+hypothesis or the floor form.  closed_form_point
 refuses a Betas that differs in value from the problem's own.
 """
 
@@ -265,18 +266,17 @@ def _plan(p: DoubletonProblem, betas: Betas):
         raise PreconditionError("betas are not the offset constants of this problem")
     plan = p._closed_form
     if plan is None:
-        betas, form = compute_betas(p), None
-        inner0 = p.hyperplane.inner(p.x0)
-        refusal = _refusal(betas, inner0)
+        betas, form, orbit = compute_betas(p), None, p.orbit
+        refusal = _refusal(betas, orbit.inner0)
         if refusal is None:
-            _, k1, inner1 = p.first_step
+            _, k1, inner1 = orbit.first_step
             if region_of(betas, inner1, k1) is RegionLabel.OUTSIDE:
                 refusal = f"{NOT_APPLICABLE} (first iterate misses the window)"
             elif p.backend == F64:
-                form = _FloatFloorForm(betas, inner0)
+                form = _FloatFloorForm(betas, orbit.inner0)
             else:
-                # p's lattice starts at inner0
-                form = FloorForm(p.lattice)
+                # the orbit's lattice starts at inner0
+                form = FloorForm(orbit.lattice)
         plan = (refusal, form)
         object.__setattr__(p, "_closed_form", plan)
     refusal, form = plan
@@ -293,7 +293,7 @@ def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
     """
     if n < 1:
         raise ValueError(f"closed form is stated for n >= 1, got {n}")
-    return _point(_plan(p, betas), p.point, n)
+    return _point(_plan(p, betas), p.orbit.point, n)
 
 
 def corollary_point(p: DoubletonProblem, n: int):
@@ -316,7 +316,7 @@ def corollary_point(p: DoubletonProblem, n: int):
             f"hypothesis beta >= -beta2 fails: {format_scalar(betas.beta)} < "
             f"{format_scalar(-betas.beta2)}"
         )
-    inner0 = p.hyperplane.inner(p.x0)
+    inner0 = p.orbit.inner0
     if inner0 != 0 and not (p.backend == F64 and abs(inner0) <= F64_REL_TOL):
         raise PreconditionError(
             f"hypothesis x0 on the hyperplane fails: offset {format_scalar(inner0)}"
@@ -327,10 +327,10 @@ def corollary_point(p: DoubletonProblem, n: int):
             "hypothesis 2<x0, b1-b2> > |b1|^2 - |b2|^2 fails: "
             f"margin {format_scalar(margin)}"
         )
-    # on the exact backends p's lattice starts at <x0,u>, exactly 0 by now;
-    # f64 drops the offset's slack
-    form = _FloatFloorForm(betas, 0) if p.backend == F64 else FloorForm(p.lattice)
-    return _point(form, p.point, n)
+    # on the exact backends the orbit's lattice starts at <x0,u>, exactly 0
+    # by now; f64 drops the offset's slack
+    form = _FloatFloorForm(betas, 0) if p.backend == F64 else FloorForm(p.orbit.lattice)
+    return _point(form, p.orbit.point, n)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:
@@ -381,8 +381,8 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     Refuses the way closed_form_point does, with p's plan.  Row n's offset
     is row n+1's line coefficient, so each row costs one floor.
     """
-    form, point = _plan(p, compute_betas(p)), p.point
-    trace = [TraceRecord(0, p.x0, None, p.hyperplane.inner(p.x0))]
+    form, point = _plan(p, compute_betas(p)), p.orbit.point
+    trace = [TraceRecord(0, p.x0, None, p.orbit.inner0)]
     prev = form.start
     before = form.count2(0)
     for n in range(1, horizon + 1):

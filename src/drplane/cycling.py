@@ -7,10 +7,11 @@ that predicate, an empirical cycle detector with exact state hashing, and the
 long-run frequencies of the two selectors.
 
 After the first step the whole state is the pair (selector k, offset c),
-and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem derives
-its orbit once, on every backend: the window constant, the first step, the
-orbit's :class:`~drplane.lattice.OffsetLattice` (started at <x0,u>) and the
-point evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
+and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem holds
+the :class:`~drplane.dynamics.Orbit` of x0, which derives on first use, on
+every backend, the first step, the window constant, the
+:class:`~drplane.lattice.OffsetLattice` started at <x0,u> and the point
+evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
 search and the closed form read these and build none of their own.
 
 The detector walks the lattice from the pair of the first iterate's offset.
@@ -32,24 +33,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
 from itertools import count
 
+from .dynamics import ClassificationKind, Orbit
 from .errors import BackendError, PreconditionError, ProblemFormatError
-from .geometry import (
-    FiniteSet,
-    Hyperplane,
-    TiePolicy,
-    Vector,
-    dr_step,
-    line_point,
-    vector_backend,
-)
-from .lattice import OffsetLattice, window_constant
+from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector, vector_backend
 from .problems import Problem
 from .scalars import (
     F64,
-    F64_ABS_TOL,
     F64_REL_TOL,
     Scalar,
     as_fraction,
@@ -75,11 +66,12 @@ class DoubletonProblem:
     b2: Vector
     x0: Vector
     tie_policy: TiePolicy = TiePolicy.HIGHER_INNER
-    # signed offsets <b1,u>, <b2,u> and the window constant, computed once
-    # from the fields above
+    # signed offsets <b1,u>, <b2,u>, the window constant and the orbit of x0,
+    # derived once from the fields above
     beta1: Scalar = field(init=False, repr=False, compare=False)
     beta2: Scalar = field(init=False, repr=False, compare=False)
     beta: Scalar = field(init=False, repr=False, compare=False)
+    orbit: Orbit = field(init=False, repr=False, compare=False)
     # the closed form's Betas and plan, derived on first use in
     # drplane.closedform and kept
     _betas: object = field(default=None, init=False, repr=False, compare=False)
@@ -102,53 +94,27 @@ class DoubletonProblem:
                     raise ProblemFormatError(f"{name}: {exc}") from None
         object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
         b1_off, b2_off = A.inner(self.b1), A.inner(self.b2)
-        object.__setattr__(self, "beta1", b1_off)
-        object.__setattr__(self, "beta2", b2_off)
-        if A.backend == F64:
-            ok = b1_off < -F64_ABS_TOL and b2_off > F64_ABS_TOL
-        else:
-            ok = b1_off < 0 < b2_off
-        if not ok:
+        B = FiniteSet((tuple(self.b1), tuple(self.b2)), (b1_off, b2_off), self.tie_policy)
+        orbit = Orbit(A, B, self.x0)
+        # b1 below and b2 above, neither on the hyperplane; so the two
+        # points are also ordered and distinct
+        cls = orbit.classification
+        if cls.kind != ClassificationKind.STRADDLING or cls.intersects:
             raise PreconditionError(
                 "doubleton must straddle the hyperplane strictly: "
                 f"offsets {format_scalar(b1_off)}, {format_scalar(b2_off)}"
             )
-        object.__setattr__(self, "beta", window_constant(self.b1, self.b2, b1_off, b2_off))
+        object.__setattr__(self, "beta1", b1_off)
+        object.__setattr__(self, "beta2", b2_off)
+        object.__setattr__(self, "beta", orbit.window)
+        object.__setattr__(self, "orbit", orbit)
 
     @property
     def backend(self) -> str:
         return self.hyperplane.backend
 
-    @cached_property
-    def first_step(self) -> tuple:
-        """(x1, k1, inner1): the first DR iterate, its selector and its
-        offset, taken on vectors."""
-        x1, k1 = dr_step(self.hyperplane, self.finite_set(), self.x0)
-        return x1, k1, self.hyperplane.inner(x1)
-
-    @cached_property
-    def lattice(self) -> OffsetLattice:
-        """The orbit's offset lattice, started at <x0,u>; every later offset
-        is that plus multiples of beta1 and beta2, so it has a pair here."""
-        inner0 = self.hyperplane.inner(self.x0)
-        return OffsetLattice(self.beta1, self.beta2, self.beta, inner0, self.tie_policy)
-
-    @cached_property
-    def point(self):
-        """point(k, a, b): the iterate on b_k's line at the offset of
-        lattice pair (a, b).  Built on first use, apart from the lattice, so
-        a search that decodes nothing never builds it."""
-        u, points = self.hyperplane.normal, (self.b1, self.b2)
-        if self.backend == F64:
-            return partial(_f64_point, u, points)
-        return self.lattice.line_points(u, points).point
-
     def finite_set(self) -> FiniteSet:
-        # __post_init__ has checked dimensions, backends and the strict
-        # straddle, which also orders and separates the two points
-        return FiniteSet(
-            (tuple(self.b1), tuple(self.b2)), (self.beta1, self.beta2), self.tie_policy
-        )
+        return self.orbit.B
 
     @classmethod
     def from_problem(cls, problem: Problem) -> "DoubletonProblem":
@@ -158,11 +124,6 @@ class DoubletonProblem:
             )
         b1, b2 = problem.points.points  # already sorted by offset
         return cls(problem.hyperplane, b1, b2, problem.x0, problem.tie_policy)
-
-
-def _f64_point(u: Vector, points: tuple[Vector, ...], k: int, a: float, b: int) -> Vector:
-    # a float lattice pair is (offset, 0)
-    return line_point(a, u, points[k - 1])
 
 
 @dataclass(frozen=True)
@@ -260,8 +221,8 @@ def _detect_exact(p, horizon):
     apart), so the search stops at horizon + spacing, and one walk round the
     cycle and one from the start give mu and lam exactly.
     """
-    _, k1, inner1 = p.first_step
-    lat = p.lattice
+    _, k1, inner1 = p.orbit.first_step
+    lat = p.orbit.lattice
     start = (k1, *lat.pair(inner1))
     seen = {start: 1}
     spacing, stop = 1, horizon + 1
@@ -301,8 +262,8 @@ def _detect_exact(p, horizon):
 def _detect_float(p, horizon):
     """Quantized offset table with one entry per state: an approximate match
     probes the neighbouring cells, so this table is not sampled."""
-    _, k1, inner1 = p.first_step
-    lat = p.lattice
+    _, k1, inner1 = p.orbit.first_step
+    lat = p.orbit.lattice
     qstep = F64_REL_TOL * max(
         1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
     )
@@ -336,7 +297,7 @@ def _finalize_cycle(p, horizon, lam, keys, approximate=False):
     """The report for first repeated key state lam, from keys = the states
     lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so the true
     preperiod may be exactly one step earlier.  Check it on vectors."""
-    shifts, point = (p.lattice.beta1, p.lattice.beta2), p.point
+    shifts, point = (p.orbit.lattice.beta1, p.orbit.lattice.beta2), p.orbit.point
 
     def x(key):
         # x_t sits on b_k's line at the previous offset: the offset of state

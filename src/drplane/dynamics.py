@@ -15,15 +15,18 @@ selector counts are export columns, tallied once by the exporters at the
 end of this module, and the hyperplane shadow ``P_A x_n = x_n - inner*u``
 comes from ``reconstruct_shadow``.
 
-Two paths produce the same records.  An exact-backend set that strictly
-straddles the hyperplane and does not touch it (so it cannot reach a fixed
-point or diverge) takes one vector step from x0 and then advances its
-(selector, offset) state on an integer lattice of :mod:`drplane.lattice`:
-a doubleton on its thresholds, a set of m >= 3 points on its per-selector
-distance scores.  Each offset is decoded once and full-trace iterates are
-built from the lattice integers.  Everything else (f64, one-sided or
-touching sets) runs the generic vector loop.  A ``drplane`` debug log
-record names the path taken and, for the vector loop, why.
+iterate builds one :class:`Orbit` of x0, the state that a
+:class:`~drplane.cycling.DoubletonProblem` keeps for the cycle search and the
+closed form.  Two paths produce the same records.  An exact-backend set that
+strictly straddles the hyperplane and does not touch it (so it cannot reach
+a fixed point or diverge) takes one vector step from x0 and then advances
+its (selector, offset) state on the orbit's integer lattice of
+:mod:`drplane.lattice`: a doubleton on its thresholds, a set of m >= 3
+points on its per-selector distance scores.  Each offset is decoded once
+and full-trace iterates are built from the lattice integers.  Everything
+else (f64, one-sided or touching sets) runs the generic vector loop.  A
+``drplane`` debug log record names the path taken and, for the vector loop,
+why.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .errors import BackendError, DimensionMismatch, PreconditionError
 from .geometry import (
@@ -121,6 +125,65 @@ def _check_start(A: Hyperplane, B: FiniteSet, x0: Vector) -> None:
         raise DimensionMismatch("finite set dimension does not match hyperplane")
 
 
+class Orbit:
+    """The DR orbit of x0 for an already valid A and B: what iterate, the
+    cycle search and the closed form derive from (A, B, x0), once.
+
+    ``inner0`` is <x0,u>; ``refusal`` names why the orbit cannot run on the
+    integer lattice, or is None.  On first use: ``first_step`` is
+    (x1, k1, <x1,u>) on vectors, ``window`` a doubleton's window constant,
+    ``lattice`` the :mod:`drplane.lattice` walk started at <x0,u> (float
+    pairs on f64), and ``point(k, a, b)`` the iterate on b_k's line at the
+    offset of lattice pair (a, b).
+    """
+
+    def __init__(self, A: Hyperplane, B: FiniteSet, x0: Vector):
+        _check_start(A, B, x0)
+        self.A, self.B, self.x0 = A, B, tuple(x0)
+        self.inner0 = A.inner(self.x0)
+        self.classification = cls = classify(A, B)
+        if A.backend == F64:
+            self.refusal = "f64 backend"
+        elif cls.intersects:
+            self.refusal = "touches the hyperplane"
+        elif cls.kind != ClassificationKind.STRADDLING:
+            self.refusal = "one-sided"
+        else:
+            self.refusal = None
+
+    @cached_property
+    def first_step(self) -> tuple:
+        x1, k1 = dr_step(self.A, self.B, self.x0)
+        return x1, k1, self.A.inner(x1)
+
+    @cached_property
+    def window(self) -> Scalar:
+        (b1, b2), (beta1, beta2) = self.B.points, self.B.inners
+        return window_constant(b1, b2, beta1, beta2)
+
+    @cached_property
+    def lattice(self):
+        B = self.B
+        if B.m == 2:
+            beta1, beta2 = B.inners
+            return OffsetLattice(beta1, beta2, self.window, self.inner0, B.tie_policy)
+        return SetLattice(self.A.normal, B, self.inner0)
+
+    @cached_property
+    def point(self):
+        # built apart from the lattice, so a walk that decodes no point never
+        # builds it; on f64 a partial, so that an orbit still pickles
+        u, points = self.A.normal, self.B.points
+        if self.A.backend == F64:
+            return partial(_f64_point, u, points)
+        return self.lattice.line_points(u, points).point
+
+
+def _f64_point(u: Vector, points: tuple[Vector, ...], k: int, a: float, b: int) -> Vector:
+    # a float lattice pair is (offset, 0)
+    return line_point(a, u, points[k - 1])
+
+
 def iterate(
     A: Hyperplane,
     B: FiniteSet,
@@ -134,10 +197,9 @@ def iterate(
     on detected divergence (one-sided infeasible problems only)."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    _check_start(A, B, x0)
+    orbit = Orbit(A, B, x0)
     backend = A.backend
-    cls = classify(A, B)
-    refusal = _lattice_refusal(A, B, cls)
+    cls, refusal = orbit.classification, orbit.refusal
     if refusal is None:
         logger.debug("iterate: integer lattice")
     else:
@@ -146,9 +208,8 @@ def iterate(
         cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
     )
 
-    x0 = tuple(x0)
+    x0, inner0 = orbit.x0, orbit.inner0
     counts = [0] * B.m
-    inner0 = A.inner(x0)
     trace = [TraceRecord(0, x0, None, inner0)]
 
     outcome = Outcome.HORIZON
@@ -190,7 +251,7 @@ def iterate(
                 shadow_limit = vsub(x, vscale(inner, A.normal))
                 break
     if refusal is None and max_n > 1:
-        _lattice_steps(A, B, trace, counts, max_n, slim)
+        _lattice_steps(orbit, trace, counts, max_n, slim)
 
     return RunResult(
         trace=trace,
@@ -201,39 +262,22 @@ def iterate(
     )
 
 
-def _lattice_refusal(A: Hyperplane, B: FiniteSet, cls: Classification) -> str | None:
-    """Why iterate cannot run B on the integer lattice; None when it can."""
-    if A.backend == F64:
-        return "f64 backend"
-    if cls.intersects:
-        return "touches the hyperplane"
-    if cls.kind != ClassificationKind.STRADDLING:
-        return "one-sided"
-    return None
-
-
-def _lattice_steps(A: Hyperplane, B: FiniteSet, trace, counts, max_n: int, slim: bool) -> None:
+def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     """Append steps 2..max_n of a straddling exact set, advanced on the
-    integer lattice from the state of step 1, and add them to counts.
+    orbit's integer lattice from the state of step 1, and add them to counts.
 
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  Each offset
     is decoded once; a full record's iterate is built from the integers of
-    the previous offset by the lattice's point evaluator.  Records hold no
+    the previous offset by the orbit's point evaluator.  Records hold no
     counts or shadows: the exporters tally counts as columns, and a shadow
     is x_n - inner*u.
     """
     first = trace[1]
-    if B.m == 2:
-        (b1, b2), (beta1, beta2) = B.points, B.inners
-        lat = OffsetLattice(
-            beta1, beta2, window_constant(b1, b2, beta1, beta2), first.inner, B.tie_policy
-        )
-    else:
-        lat = SetLattice(A.normal, B, first.inner)
+    lat = orbit.lattice
     decode = lat.decode
-    point = None if slim else lat.line_points(A.normal, B.points).point
-    pa, pb = lat.start
+    point = None if slim else orbit.point
+    pa, pb = lat.pair(first.inner)
     states = lat.walk(first.selector_k, pa, pb)
     for n, (k, a, b) in zip(range(2, max_n + 1), states):
         counts[k - 1] += 1

@@ -36,11 +36,10 @@ an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
 :func:`~drplane.scalars.fraction_from_ints` or one
 :func:`~drplane.scalars.surd_from_ints` per coordinate.
 
-Each :class:`~drplane.cycling.DoubletonProblem` builds its orbit's lattice
-and point evaluator once, for the cycle search and the closed form; the
-iteration driver, which takes a hyperplane and a point set, builds its own.
-:func:`~drplane.geometry.line_point` stays the formula for offsets that are
-already decoded.
+A :class:`~drplane.dynamics.Orbit` builds its lattice and point evaluator
+once, for whichever of the iteration driver, the cycle search and the
+closed form reads it.  :func:`~drplane.geometry.line_point` stays the
+formula for offsets that are already decoded.
 """
 
 from __future__ import annotations
@@ -162,18 +161,17 @@ class SetLattice(_LineLattice):
     ``Q_kj + 2*t*beta_j``: the same minimisers, so the same winner set, as
     the squared distances :func:`~drplane.geometry.project_finite_set`
     compares, and :func:`~drplane.geometry._pick_winner` resolves a tie the
-    same way.  Offsets are integer pairs over ``scale`` as on
-    :class:`OffsetLattice`; scores are integer pairs ``(sa, sb)``, meaning
-    ``(sa + sb*sqrt(d))/denom`` for one denominator, compared by
-    :func:`~drplane.scalars.surd_sign`.  Exact backends only.
+    same way.  The orbit's offsets, ``start`` among them, are integer pairs
+    over ``scale`` as on :class:`OffsetLattice`; scores are integer pairs
+    ``(sa, sb)``, meaning ``(sa + sb*sqrt(d))/denom`` for one denominator,
+    compared by :func:`~drplane.scalars.surd_sign`.  Exact backends only.
     """
 
-    __slots__ = ("start", "steps", "scores", "slopes", "inners", "tie_policy")
+    __slots__ = ("steps", "scores", "slopes", "inners", "tie_policy")
 
     def __init__(self, u: Vector, B: FiniteSet, start):
         inners = B.inners
         super().__init__((*inners, start))
-        self.start = self.pair(start)
         self.steps = tuple(map(self.pair, inners))
         self.inners, self.tie_policy = inners, B.tie_policy
         shadows = [line_point(-beta, u, b) for b, beta in zip(B.points, inners)]

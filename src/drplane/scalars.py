@@ -46,8 +46,8 @@ HEURISTIC_MAX_DENOMINATOR = 10**6
 #     geometry.vec_equal        |x_i - y_i| <= tol on every coordinate
 #     geometry.Hyperplane       rejects a normal with |<u,u> - 1| > tol after
 #                               normalising
-#     cycling.DoubletonProblem  straddles when beta1 < -tol and beta2 > tol
-#     dynamics.classify         a point with |offset| <= tol touches A
+#     dynamics.classify         a point with |offset| <= tol touches A, so a
+#                               DoubletonProblem needs beta1 < -tol < tol < beta2
 #     dynamics.check_step_gap   fails on a gap < min_i d_A(b_i) - tol
 #   F64_REL_TOL, relative:
 #     cycling.detect_cycle      offset cells of width tol * max(1, |c|) over

@@ -67,8 +67,8 @@ def hash_cycle(p, horizon):
     n = 1, so the preperiod may be one step earlier, which the vectors
     decide.  Memory grows with the horizon; detect_cycle must agree with it.
     """
-    lat = p.lattice
-    _, k1, inner1 = p.first_step
+    lat = p.orbit.lattice
+    _, k1, inner1 = p.orbit.first_step
     key = (k1, *lat.pair(inner1))
     seen, hist = {key: 1}, [key]
     for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
@@ -85,7 +85,7 @@ def hash_cycle(p, horizon):
             return p.x0
         k, a, b = hist[t - 1]
         sa, sb = (lat.beta1, lat.beta2)[k - 1]
-        return p.point(k, a - sa, b - sb)
+        return p.orbit.point(k, a - sa, b - sb)
 
     lam, mu = first, n - first
     if x(lam - 1) == x(lam - 1 + mu):
@@ -123,11 +123,25 @@ class TestDoubletonProblem:
             assert p.finite_set() == FiniteSet.ordered([p.b2, p.b1], p.hyperplane, policy)
 
     def test_surd_problem_copies_and_pickles(self):
-        p = surd_line_doubleton(Surd(-1, -1, 2), Surd(Fraction(1, 2), 1, 2), Fraction(1, 3))
-        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-            assert clone == p
-            assert (clone.beta1, clone.beta2) == (p.beta1, p.beta2)
-            assert detect_cycle(clone, 300) == detect_cycle(p, 300)
+        # surd, rational and f64 doubletons, each copied after its orbit's
+        # lattice and point evaluator are derived, so that they go through
+        # copy and pickle too
+        A = Hyperplane((1.0,))
+        for p in (
+            surd_line_doubleton(Surd(-1, -1, 2), Surd(Fraction(1, 2), 1, 2), Fraction(1, 3)),
+            line_doubleton(-1, 2, Fraction(1, 3)),
+            DoubletonProblem(A, (-1.0,), (3.7,), (0.3,)),
+        ):
+            report = detect_cycle(p, 300)
+            _, k1, inner1 = p.orbit.first_step
+            pair = p.orbit.lattice.pair(inner1)
+            x = p.orbit.point(k1, *pair)
+            for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert clone == p
+                assert (clone.beta1, clone.beta2, clone.beta) == (p.beta1, p.beta2, p.beta)
+                assert {"lattice", "point"} <= vars(clone.orbit).keys()
+                assert clone.orbit.point(k1, *pair) == x
+                assert detect_cycle(clone, 300) == report
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["b1", "b2", "x0"])
