@@ -7,7 +7,7 @@ its module (string annotations included) or be listed in the module's
 imports are exempt.  Standard library only.
 
 Usage:
-    python3 scripts/check_imports.py src/drplane
+    python3 scripts/check_imports.py src/drplane scripts tests
 
 Each argument is a ``.py`` file or a directory whose ``*.py`` files are
 checked.  Prints ``path:line: unused import 'name'`` for each finding and

@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .altproj import ap_iterate, ap_report, ap_rows
 from .closedform import beatty_triple, closed_form_trace, verify_closed_form
@@ -31,8 +32,8 @@ from .dynamics import (
     write_csv,
 )
 from .errors import PreconditionError, ProblemFormatError
-from .geometry import FiniteSet, Hyperplane, TiePolicy
-from .problems import Problem, load_problem
+from .geometry import TiePolicy
+from .problems import Problem, load_problem, make_problem
 from .scalars import BACKENDS, F64, F64_REL_TOL, finite_float, rational_heuristic
 
 OUTCOME_LABELS = {
@@ -52,21 +53,17 @@ def _convert_backend(p: Problem, target: str) -> Problem:
             f"cannot convert a {p.backend} problem to {target!r}; "
             "only downgrades to f64 are supported"
         )
-    cast = lambda v: tuple(finite_float(c) for c in v)  # noqa: E731
-    hyperplane = Hyperplane(cast(p.hyperplane.normal))
-    finite = FiniteSet.ordered(
-        [cast(pt) for pt in p.points.points], hyperplane, p.tie_policy
+    cast = lambda v: [finite_float(c) for c in v]  # noqa: E731
+    return make_problem(
+        cast(p.hyperplane.normal), [cast(pt) for pt in p.points.points], cast(p.x0),
+        p.tie_policy,
     )
-    return Problem(hyperplane, finite, cast(p.x0), F64, None)
 
 
 def _load(args: argparse.Namespace) -> Problem:
     p = load_problem(args.problem)
     if args.tie_policy is not None:
-        policy = TiePolicy(args.tie_policy)
-        if policy is not p.points.tie_policy:
-            finite = FiniteSet(p.points.points, p.points.inners, policy)
-            p = Problem(p.hyperplane, finite, p.x0, p.backend, p.surd_d)
+        p = replace(p, points=replace(p.points, tie_policy=args.tie_policy))
     if args.backend is not None:
         p = _convert_backend(p, args.backend)
     return p

@@ -327,9 +327,9 @@ def corollary_point(p: DoubletonProblem, n: int):
             "hypothesis 2<x0, b1-b2> > |b1|^2 - |b2|^2 fails: "
             f"margin {format_scalar(margin)}"
         )
-    # on the exact backends the orbit's lattice starts at <x0,u>, exactly 0
-    # by now; f64 drops the offset's slack
-    form = _FloatFloorForm(betas, 0) if p.backend == F64 else FloorForm(p.orbit.lattice)
+    # the hypotheses imply the general closed form's, so the exact backends
+    # take p's plan; f64 drops the start offset's slack
+    form = _FloatFloorForm(betas, 0) if p.backend == F64 else _plan(p, betas)
     return _point(form, p.orbit.point, n)
 
 

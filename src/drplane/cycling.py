@@ -36,8 +36,8 @@ from fractions import Fraction
 from itertools import count
 
 from .dynamics import ClassificationKind, Orbit
-from .errors import BackendError, PreconditionError, ProblemFormatError
-from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector, vector_backend
+from .errors import BackendError, PreconditionError
+from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
 from .problems import Problem
 from .scalars import (
     F64,
@@ -45,7 +45,6 @@ from .scalars import (
     Scalar,
     as_fraction,
     encode_scalar,
-    finite_float,
     format_scalar,
     is_rational,
 )
@@ -59,7 +58,9 @@ TABLE_BUDGET = 2**13
 
 @dataclass(frozen=True)
 class DoubletonProblem:
-    """Two-point feasibility instance with b1 below the hyperplane, b2 above."""
+    """Two-point feasibility instance with b1 below the hyperplane, b2 above.
+
+    b1 and b2 are checked by ``hyperplane.check``, and x0 by its orbit."""
 
     hyperplane: Hyperplane
     b1: Vector
@@ -79,19 +80,8 @@ class DoubletonProblem:
 
     def __post_init__(self):
         A = self.hyperplane
-        for name, v in (("b1", self.b1), ("b2", self.b2), ("x0", self.x0)):
-            if len(v) != A.dim:
-                raise PreconditionError(
-                    f"{name} dimension {len(v)} != hyperplane dimension {A.dim}"
-                )
-            if vector_backend(v) != A.backend:
-                raise BackendError(f"{name} does not match the hyperplane backend")
-            if A.backend == F64:
-                try:
-                    for c in v:
-                        finite_float(c)
-                except ProblemFormatError as exc:
-                    raise ProblemFormatError(f"{name}: {exc}") from None
+        A.check("b1", self.b1)
+        A.check("b2", self.b2)
         object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
         b1_off, b2_off = A.inner(self.b1), A.inner(self.b2)
         B = FiniteSet((tuple(self.b1), tuple(self.b2)), (b1_off, b2_off), self.tie_policy)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .errors import BackendError, DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -48,7 +48,6 @@ from .geometry import (
     norm_sq,
     project_hyperplane,
     vec_equal,
-    vector_backend,
     vscale,
     vsub,
 )
@@ -117,17 +116,15 @@ def classify(A: Hyperplane, B: FiniteSet) -> Classification:
 
 
 def _check_start(A: Hyperplane, B: FiniteSet, x0: Vector) -> None:
-    if len(x0) != A.dim:
-        raise DimensionMismatch(f"x0 dimension {len(x0)} != {A.dim}")
-    if vector_backend(x0) != A.backend:
-        raise BackendError("x0 backend does not match the problem backend")
+    A.check("x0", x0)
     if B.dim != A.dim:
         raise DimensionMismatch("finite set dimension does not match hyperplane")
 
 
 class Orbit:
     """The DR orbit of x0 for an already valid A and B: what iterate, the
-    cycle search and the closed form derive from (A, B, x0), once.
+    cycle search and the closed form derive from (A, B, x0), once.  It
+    checks only x0, with ``A.check``, and the dimension of B.
 
     ``inner0`` is <x0,u>; ``refusal`` names why the orbit cannot run on the
     integer lattice, or is None.  On first use: ``first_step`` is

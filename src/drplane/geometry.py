@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mul, sub
 from typing import Sequence
 
-from .errors import BackendError, DimensionMismatch
-from .scalars import F64, F64_ABS_TOL, Scalar, backend_of
+from .errors import BackendError, DimensionMismatch, ProblemFormatError
+from .scalars import F64, F64_ABS_TOL, Scalar, backend_of, finite_float
 
 Vector = tuple  # tuple of scalars, one backend per problem
 
@@ -105,10 +105,12 @@ class Hyperplane:
     Float normals are normalized on construction; exact backends must supply
     a normal with <u,u> = 1 exactly (signed standard basis vectors and
     rational unit vectors like (3/5, 4/5) qualify), otherwise the promise of
-    exact projections cannot be kept.
+    exact projections cannot be kept.  ``backend`` is derived from the
+    normal once, here.
     """
 
     normal: Vector
+    backend: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normal = tuple(self.normal)
@@ -134,14 +136,28 @@ class Hyperplane:
                     f"got <u,u> = {ns}"
                 )
         object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "backend", backend)
 
     @property
     def dim(self) -> int:
         return len(self.normal)
 
-    @property
-    def backend(self) -> str:
-        return vector_backend(self.normal)
+    def check(self, name: str, v: Vector) -> None:
+        """The one check of a vector against this hyperplane: its dimension
+        (DimensionMismatch), its backend (BackendError) and, on f64, finite
+        coordinates (ProblemFormatError); each message names the vector."""
+        if len(v) != self.dim:
+            raise DimensionMismatch(
+                f"{name} dimension {len(v)} != hyperplane dimension {self.dim}"
+            )
+        if vector_backend(v) != self.backend:
+            raise BackendError(f"{name} does not match the hyperplane backend")
+        if self.backend == F64:
+            try:
+                for c in v:
+                    finite_float(c)
+            except ProblemFormatError as exc:
+                raise ProblemFormatError(f"{name}: {exc}") from None
 
     def inner(self, x: Vector) -> Scalar:
         """<x, u>; the signed offset of x from the hyperplane."""
@@ -177,21 +193,15 @@ class FiniteSet:
         pts = [tuple(p) for p in points]
         if not pts:
             raise ValueError("finite set needs at least one point")
-        backend = hyperplane.backend
         for p in pts:
-            if len(p) != hyperplane.dim:
-                raise DimensionMismatch(
-                    f"point dimension {len(p)} != hyperplane dimension {hyperplane.dim}"
-                )
-            if vector_backend(p) != backend:
-                raise BackendError("finite set points must share the hyperplane backend")
+            hyperplane.check("point", p)
         inners = [hyperplane.inner(p) for p in pts]
         order = sorted(range(len(pts)), key=lambda i: inners[i])
         pts = [pts[i] for i in order]
         inners = [inners[i] for i in order]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if vec_equal(pts[i], pts[j], backend):
+                if vec_equal(pts[i], pts[j], hyperplane.backend):
                     raise ValueError(f"finite set points must be pairwise distinct: {pts[i]}")
         return cls(tuple(pts), tuple(inners), TiePolicy(tie_policy))
 

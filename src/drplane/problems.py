@@ -1,7 +1,9 @@
 """Problem container and its JSON wire format.
 
-A problem is a hyperplane (unit normal ``u``), a finite point set, a starting
-point, and the backend the scalars live on.  On disk:
+A problem is a hyperplane (unit normal ``u``), a finite point set and a
+starting point.  Its backend and, on the surd backend, its radicand are read
+from the normal, and ``Problem`` checks x0 and each point against the
+hyperplane once, with :meth:`~drplane.geometry.Hyperplane.check`.  On disk:
 
 .. code-block:: json
 
@@ -25,16 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BackendError, DimensionMismatch, ProblemFormatError
-from .geometry import (
-    DEFAULT_TIE_POLICY,
-    FiniteSet,
-    Hyperplane,
-    TiePolicy,
-    Vector,
-    vector_backend,
-)
-from .scalars import BACKENDS, F64, RATIONAL, SURD, Surd, decode_scalar, encode_scalar, finite_float
+from .errors import BackendError, ProblemFormatError
+from .geometry import DEFAULT_TIE_POLICY, FiniteSet, Hyperplane, TiePolicy, Vector
+from .scalars import BACKENDS, SURD, Surd, decode_scalar, encode_scalar, finite_float
 
 
 @dataclass(frozen=True)
@@ -42,21 +37,20 @@ class Problem:
     hyperplane: Hyperplane
     points: FiniteSet
     x0: Vector
-    backend: str
-    surd_d: int | None = None
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ProblemFormatError(f"unknown backend {self.backend!r}")
-        if (self.backend == SURD) != (self.surd_d is not None):
-            raise ProblemFormatError("surd_d must be given exactly for the surd backend")
-        if len(self.x0) != self.hyperplane.dim:
-            raise DimensionMismatch(
-                f"x0 dimension {len(self.x0)} != hyperplane dimension {self.hyperplane.dim}"
-            )
-        for v in (self.hyperplane.normal, self.x0, *self.points.points):
-            if vector_backend(v) != self.backend:
-                raise BackendError("problem data does not match the declared backend")
+        self.hyperplane.check("x0", self.x0)
+        for pt in self.points.points:
+            self.hyperplane.check("point", pt)
+
+    @property
+    def backend(self) -> str:
+        return self.hyperplane.backend
+
+    @property
+    def surd_d(self) -> int | None:
+        c = self.hyperplane.normal[0]
+        return c.d if isinstance(c, Surd) else None
 
     @property
     def tie_policy(self) -> TiePolicy:
@@ -112,11 +106,8 @@ def problem_from_dict(data: dict) -> Problem:
     except ValueError as exc:
         raise ProblemFormatError(f"bad points: {exc}") from None
 
-    try:
-        x0 = _decode_vector(data["x0"], "x0", backend, surd_d)
-    except ProblemFormatError:
-        raise
-    return Problem(hyperplane, finite, x0, backend, surd_d)
+    x0 = _decode_vector(data["x0"], "x0", backend, surd_d)
+    return Problem(hyperplane, finite, x0)
 
 
 def problem_to_dict(p: Problem) -> dict:
@@ -173,13 +164,11 @@ def make_problem(
     if surd_d is not None and saw_float:
         raise BackendError("problem mixes float and surd scalars")
     if surd_d is not None:
-        backend = SURD
         vectors = [
             tuple(c if isinstance(c, Surd) else Surd(c, 0, surd_d) for c in v)
             for v in vectors
         ]
     elif saw_float:
-        backend = F64
         for v in vectors:
             for c in v:
                 if isinstance(c, bool) or not isinstance(c, (float, int)):
@@ -188,9 +177,7 @@ def make_problem(
                     )
         vectors = [tuple(finite_float(c) for c in v) for v in vectors]
     else:
-        backend = RATIONAL
         vectors = [tuple(Fraction(c) for c in v) for v in vectors]
     normal_v, *pts, x0_v = vectors
     hyperplane = Hyperplane(normal_v)
-    finite = FiniteSet.ordered(pts, hyperplane, tie_policy)
-    return Problem(hyperplane, finite, x0_v, backend, surd_d)
+    return Problem(hyperplane, FiniteSet.ordered(pts, hyperplane, tie_policy), x0_v)

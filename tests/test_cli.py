@@ -445,6 +445,57 @@ def test_golden_output(capsys, command, fmt):
     assert digest.hexdigest() == GOLDEN[command, fmt]
 
 
+# The same digests with an override of the problem file: --backend f64
+# downgrades each problem, --tie-policy replaces its policy.  closed-form and
+# verify run with --fallback-iterate, so every problem produces output.
+OVERRIDES = {
+    "backend": ["--backend", "f64"],
+    "tie-policy": ["--tie-policy", "lowest_index"],
+}
+OVERRIDE_GOLDEN = {
+    ("backend", "run", "csv"):
+        "bdda8ad5cd2837ee69fdacde112b53a9fe25503956bbc2dd7a012ed87c9b1650",
+    ("backend", "run", "json"):
+        "d07b84487e85d7df33a7ca0add448321ee58369f37b68b72e54fceb4a52b9a6f",
+    ("backend", "map", "csv"):
+        "b63dbecb009d3eeda9861615f7a672b7d782c0e5fff8319545d17feb1a1b85c5",
+    ("backend", "map", "json"):
+        "f801fc60a833e1e1aa34c3b759517e68b3416a07c2c44e4f11ec5a65507b53fa",
+    ("backend", "cycle", ""):
+        "0eb211bb0abe55fcf90dcdc9cc442aacd67e8eeddea34e7862223471ce5d1ea4",
+    ("backend", "closed-form", "csv"):
+        "1b230778c85e277435b1188b4e856a39b519dae07f2a8ce0cb5fc25bbdad2052",
+    ("backend", "verify", ""):
+        "15c7a945f3fbf5a67708132a4f5e2e289478ffdaf0eeac48506dead67e989f7a",
+    ("tie-policy", "run", "csv"):
+        "c9e526dee2b26ef4c13fad32da04cecc2f833669418b968417661a4a7c16101d",
+    ("tie-policy", "run", "json"):
+        "5f93b503eebe4d9b7c590637950e9caf53559bdc7b8936de9917a546a8a62eb5",
+    ("tie-policy", "map", "csv"):
+        "d617e69070dae93d309465462f10d71c7f1901a87453f61304431326887e235c",
+    ("tie-policy", "map", "json"):
+        "e608f42dbd5597d13dee07767177e14ea05ab595137da7d496c94d0609ef35ad",
+    ("tie-policy", "cycle", ""):
+        "c307f3955a61bebda3e4a8123688b629925e23ca4e100bf861b19e024b49b6d5",
+    ("tie-policy", "closed-form", "csv"):
+        "83b0135764919b74df35e52a3b1b7b646e623f85cc29465542d2b45857044f1b",
+    ("tie-policy", "verify", ""):
+        "91890da1257bbc13773b9d761fe70177d58b17e54d07f06b8215ada92a374710",
+}
+
+
+@pytest.mark.parametrize("override, command, fmt", sorted(OVERRIDE_GOLDEN))
+def test_override_golden_output(capsys, override, command, fmt):
+    extra = list(OVERRIDES[override])
+    if command in ("closed-form", "verify"):
+        extra.append("--fallback-iterate")
+    digest = hashlib.sha256()
+    for argv in golden_invocations(command, fmt):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == OVERRIDE_GOLDEN[override, command, fmt]
+
+
 # Sets of m != 2 points, which problems/ does not hold (its doubletons are
 # pinned by the tests that load it).  Each is strictly straddling and off the
 # hyperplane, and every selector word below visits at least three points.

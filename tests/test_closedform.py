@@ -14,6 +14,8 @@ from drplane.closedform import (
     FloorForm,
     RegionLabel,
     _FloatFloorForm,
+    _plan,
+    _point,
     beatty_triple,
     closed_form_inner,
     closed_form_inner_alt,
@@ -29,7 +31,7 @@ from drplane.closedform import (
 from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import iterate, run_report
 from drplane.errors import PreconditionError
-from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
+from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step, norm_sq, vsub
 from drplane.lattice import LinePoints, OffsetLattice, SetLattice
 from drplane.problems import load_problem
 from drplane.scalars import Surd, floor
@@ -331,6 +333,36 @@ class TestCorollary:
                 x, k = corollary_point(p, n)
                 assert x == run.trace[n].x
                 assert k == run.trace[n].selector_k
+
+    def test_hypotheses_imply_the_general_closed_form(self):
+        # the corollary's hypotheses, checked here by hand, on seeded 1-D and
+        # planar rational doubletons that start on the hyperplane: each one
+        # that meets them has an applicable plan, and the corollary's points
+        # are the iterates
+        rng = random.Random(20261019)
+        line = Hyperplane((Fraction(1),))
+        plane = Hyperplane((Fraction(3, 5), Fraction(4, 5)))
+        along = lambda s, off: (s * Fraction(4, 5) + off * Fraction(3, 5),  # noqa: E731
+                                s * Fraction(-3, 5) + off * Fraction(4, 5))
+        met = 0
+        for i in range(1500):
+            b1 = -Fraction(rng.randint(1, 30), rng.randint(1, 9))
+            b2 = Fraction(rng.randint(1, 30), rng.randint(1, 9))
+            if i % 2 == 0:
+                p = DoubletonProblem(line, (b1,), (b2,), (Fraction(0),))
+            else:
+                s1, s2, s0 = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+                p = DoubletonProblem(plane, along(s1, b1), along(s2, b2), along(s0, 0))
+            closer_to_b1 = norm_sq(vsub(p.x0, p.b1)) < norm_sq(vsub(p.x0, p.b2))
+            if not (p.beta1 > p.beta >= -p.beta2 and closer_to_b1):
+                continue
+            met += 1
+            plan = _plan(p, compute_betas(p))
+            run = iterate(p.hyperplane, p.finite_set(), p.x0, 100)
+            for n in (1, 2, 5, 17, 100):
+                expected = (run.trace[n].x, run.trace[n].selector_k)
+                assert corollary_point(p, n) == _point(plan, p.orbit.point, n) == expected
+        assert met == 624
 
     def test_degenerate_ratio_refused(self):
         with pytest.raises(PreconditionError, match="beta1 > beta"):

@@ -21,7 +21,12 @@ from drplane.cycling import (
     rationality_predicate,
 )
 from drplane.dynamics import iterate, run_report
-from drplane.errors import BackendError, PreconditionError, ProblemFormatError
+from drplane.errors import (
+    BackendError,
+    DimensionMismatch,
+    PreconditionError,
+    ProblemFormatError,
+)
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
 from drplane.problems import make_problem, problem_from_dict
 from drplane.scalars import Surd, encode_scalar
@@ -109,7 +114,7 @@ class TestDoubletonProblem:
 
     def test_rejects_dim_mismatch(self):
         A = Hyperplane((Fraction(1),))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DimensionMismatch):
             DoubletonProblem(A, (Fraction(-1), Fraction(0)), (Fraction(2),), (Fraction(0),))
 
     def test_from_problem_sorts_points(self):

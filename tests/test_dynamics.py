@@ -3,6 +3,7 @@
 import copy
 import io
 import logging
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from drplane.altproj import ap_iterate
 from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import (
     Classification,
@@ -27,7 +29,7 @@ from drplane.dynamics import (
     transition_gaps,
     write_csv,
 )
-from drplane.errors import BackendError, DimensionMismatch, PreconditionError
+from drplane.errors import BackendError, DimensionMismatch, PreconditionError, ProblemFormatError
 from drplane.geometry import (
     FiniteSet,
     Hyperplane,
@@ -211,6 +213,14 @@ class TestIterate:
             iterate(A, B, (0.0,), 5)
         with pytest.raises(ValueError):
             iterate(A, B, (Fraction(0),), -1)
+
+    def test_nonfinite_f64_start_refused(self):
+        A = Hyperplane((1.0,))
+        B = FiniteSet.ordered([(-1.0,), (2.0,)], A)
+        for run in (iterate, ap_iterate):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ProblemFormatError, match="^x0: .* is not a finite f64 value$"):
+                    run(A, B, (bad,), 5)
 
     def test_float_backend_run(self):
         A = Hyperplane((1.0,))

@@ -5,6 +5,10 @@ directly in the tests (scan all points, collect the exact minimizers, apply
 the tie policy by hand).
 """
 
+import copy
+import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drplane.errors import BackendError, DimensionMismatch
+from drplane.errors import BackendError, DimensionMismatch, ProblemFormatError
 from drplane.geometry import (
     FiniteSet,
     Hyperplane,
@@ -111,6 +115,34 @@ class TestHyperplane:
         r = reflect_hyperplane(A, reflect_hyperplane(A, tuple(x)))
         assert max(abs(a - b) for a, b in zip(r, x)) <= 1e-9
 
+    @pytest.mark.parametrize("normal, backend", [
+        ((Fraction(3, 5), Fraction(4, 5)), "rational"),
+        ((Surd(0, 1, 2) / 2, Surd(0, 1, 2) / 2), "surd"),
+        ((0.6, 0.8), "f64"),
+    ])
+    def test_backend_is_derived_once_and_stays_out_of_identity(self, normal, backend):
+        A = Hyperplane(normal)
+        assert A.backend == vector_backend(A.normal) == backend
+        assert [f.name for f in dataclasses.fields(A) if f.init] == ["normal"]
+        assert repr(A) == f"Hyperplane(normal={A.normal!r})"
+        assert A == Hyperplane(normal) and hash(A) == hash((A.normal,))
+        for again in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert again == A and hash(again) == hash(A)
+            assert again.backend == backend and repr(again) == repr(A)
+
+    def test_check_names_the_vector(self):
+        A = Hyperplane((Fraction(0), Fraction(1)))
+        with pytest.raises(DimensionMismatch, match="^v dimension 1 != hyperplane dimension 2$"):
+            A.check("v", (Fraction(1),))
+        with pytest.raises(BackendError, match="^v does not match the hyperplane backend$"):
+            A.check("v", (1.0, 2.0))
+        Af = Hyperplane((0.0, 1.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ProblemFormatError, match="^v: .* is not a finite f64 value$"):
+                Af.check("v", (1.0, bad))
+        A.check("v", (Fraction(1), Fraction(2)))
+        Af.check("v", (1.0, 2.0))
+
 
 exact_coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -153,6 +185,11 @@ class TestFiniteSet:
             FiniteSet.ordered([(Fraction(1),)], A)
         with pytest.raises(BackendError):
             FiniteSet.ordered([(1.0, 2.0)], A)
+
+    def test_nonfinite_f64_point_rejected(self):
+        A = Hyperplane((1.0,))
+        with pytest.raises(ProblemFormatError, match="^point: nan is not a finite f64 value$"):
+            FiniteSet.ordered([(-1.0,), (math.nan,)], A)
 
     def test_empty_rejected(self):
         A = Hyperplane((Fraction(1),))

@@ -1,4 +1,5 @@
-"""The dead-import check that CI runs over the package (scripts/check_imports.py)."""
+"""The dead-import check that CI runs over the package, scripts and tests
+(scripts/check_imports.py)."""
 
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,11 @@ _spec.loader.exec_module(check_imports)
 
 def test_package_imports_are_all_read():
     for path in sorted((ROOT / "src" / "drplane").glob("*.py")):
+        assert check_imports.unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_script_and_test_imports_are_all_read():
+    for path in sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
         assert check_imports.unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 

@@ -1,13 +1,15 @@
 """Problem JSON wire format: round-trips, validation, inference."""
 
+import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from drplane.errors import BackendError, ProblemFormatError
-from drplane.geometry import TiePolicy
+from drplane.errors import BackendError, DimensionMismatch, ProblemFormatError
+from drplane.geometry import FiniteSet, Hyperplane, TiePolicy
 from drplane.problems import (
     Problem,
     load_problem,
@@ -42,6 +44,13 @@ class TestRoundTrip:
         path = tmp_path / "out.json"
         save_problem(p, path)
         assert load_problem(path) == p
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_encoding_is_a_fixed_point(self, name):
+        # the backend and surd_d are derived from the normal, so they survive
+        d = problem_to_dict(load_problem(FIXTURES / name))
+        assert problem_to_dict(problem_from_dict(d)) == d
+        assert d.get("surd_d") == json.loads((FIXTURES / name).read_text()).get("surd_d")
 
     def test_fixture_files_are_canonical(self):
         # encoded dict values survive a dump/parse cycle untouched
@@ -107,6 +116,41 @@ class TestValidation:
                 {"normal": [1], "points": [[1], [1]], "x0": [0],
                  "backend": "rational"}
             )
+
+
+class TestProblem:
+    """Problem(hyperplane, points, x0) checks x0 and each point itself."""
+
+    A = Hyperplane((Fraction(1),))
+    B = FiniteSet.ordered([(Fraction(-1),), (Fraction(2),)], A)
+
+    def test_fields_and_derived_values(self):
+        p = Problem(self.A, self.B, (Fraction(0),))
+        assert [f.name for f in dataclasses.fields(p)] == ["hyperplane", "points", "x0"]
+        assert (p.backend, p.surd_d, p.tie_policy) == ("rational", None, TiePolicy.HIGHER_INNER)
+        A = Hyperplane((Surd(1, 0, 3),))
+        B = FiniteSet.ordered([(Surd(-1, 0, 3),), (Surd(0, 1, 3),)], A)
+        p = Problem(A, B, (Surd(0, 0, 3),))
+        assert (p.backend, p.surd_d) == ("surd", 3)
+
+    def test_x0_of_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch, match="^x0 dimension 2 != hyperplane dimension 1$"):
+            Problem(self.A, self.B, (Fraction(0), Fraction(0)))
+
+    def test_x0_of_wrong_backend(self):
+        with pytest.raises(BackendError, match="^x0 does not match the hyperplane backend$"):
+            Problem(self.A, self.B, (0.0,))
+
+    def test_hand_built_point_of_wrong_backend(self):
+        B = FiniteSet(((Fraction(-1),), (2.0,)), (Fraction(-1), 2.0))
+        with pytest.raises(BackendError, match="^point does not match the hyperplane backend$"):
+            Problem(self.A, B, (Fraction(0),))
+
+    def test_nan_x0_on_f64(self):
+        A = Hyperplane((1.0,))
+        B = FiniteSet.ordered([(-1.0,), (2.0,)], A)
+        with pytest.raises(ProblemFormatError, match="^x0: nan is not a finite f64 value$"):
+            Problem(A, B, (math.nan,))
 
 
 class TestMakeProblem:
