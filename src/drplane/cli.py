@@ -3,7 +3,9 @@
 Loads a problem JSON, runs the requested analysis, and writes CSV, JSON, or
 an aligned text table to stdout or --out. Exit codes: 0 success, 1 a
 verification mismatch, 2 invalid input (bad file, bad flags, or a request
-whose preconditions fail).
+whose preconditions fail).  The cycle search, the closed form and the
+alternating projections are imported by the commands that run them, so
+each child process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -14,14 +16,6 @@ import json
 import sys
 from dataclasses import replace
 
-from .altproj import ap_iterate, ap_report, ap_rows
-from .closedform import beatty_triple, closed_form_trace, verify_closed_form
-from .cycling import (
-    DoubletonProblem,
-    cycle_relation,
-    detect_cycle,
-    rationality_predicate,
-)
 from .dynamics import (
     Outcome,
     RunResult,
@@ -128,7 +122,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heuristic_rationality(dp: DoubletonProblem):
+def _heuristic_rationality(dp):
     ratio = (-dp.beta1) / dp.beta2
     guess = rational_heuristic(ratio)
     # the ratio is declared rational when a positive guess sits this close;
@@ -139,6 +133,8 @@ def _heuristic_rationality(dp: DoubletonProblem):
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
+    from .cycling import DoubletonProblem, cycle_relation, detect_cycle, rationality_predicate
+
     p = _load(args)
     dp = DoubletonProblem.from_problem(p)
     report = detect_cycle(dp, args.horizon).to_dict()
@@ -157,6 +153,9 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
+    from .closedform import closed_form_trace
+    from .cycling import DoubletonProblem
+
     p = _load(args)
     try:
         dp = DoubletonProblem.from_problem(p)
@@ -172,6 +171,9 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .closedform import verify_closed_form
+    from .cycling import DoubletonProblem
+
     p = _load(args)
     try:
         dp = DoubletonProblem.from_problem(p)
@@ -194,6 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from .altproj import ap_iterate, ap_report, ap_rows
+
     p = _load(args)
     A, B = p.hyperplane, p.points
     trace = ap_iterate(A, B, p.x0, args.horizon)
@@ -207,6 +211,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_beatty(args: argparse.Namespace) -> int:
+    from .closedform import beatty_triple
+
     triples = [beatty_triple(n) for n in range(args.horizon + 1)]
     _emit_formatted(
         args,

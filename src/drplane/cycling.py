@@ -30,12 +30,11 @@ before it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .dynamics import ClassificationKind, Orbit
+from .dynamics import ClassificationKind, Orbit, log_path
 from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
 from .problems import Problem
@@ -48,8 +47,6 @@ from .scalars import (
     format_scalar,
     is_rational,
 )
-
-logger = logging.getLogger(__name__)
 
 # The exact cycle search keeps at most this many states in its key table,
 # about 2 MB on long surd orbits; past it the table is sampled.
@@ -193,9 +190,9 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     if horizon == 1:
         return CycleReport("no_cycle", horizon)
     if p.backend == F64:
-        logger.debug("detect_cycle: quantized float offsets (f64 backend)")
+        log_path(__name__, "detect_cycle: quantized float offsets (f64 backend)")
         return _detect_float(p, horizon)
-    logger.debug("detect_cycle: integer lattice")
+    log_path(__name__, "detect_cycle: integer lattice")
     return _detect_exact(p, horizon)
 
 

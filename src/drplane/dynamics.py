@@ -26,15 +26,16 @@ points on its per-selector distance scores.  Each offset is decoded once
 and full-trace iterates are built from the lattice integers.  Everything
 else (f64, one-sided or touching sets) runs the generic vector loop.  A
 ``drplane`` debug log record names the path taken and, for the vector loop,
-why.
+why; records are emitted only when ``logging`` is loaded, since a program
+that configures logging has imported it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -54,7 +55,14 @@ from .geometry import (
 from .lattice import OffsetLattice, SetLattice, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 
-logger = logging.getLogger(__name__)
+
+def log_path(logger: str, message: str, *args) -> None:
+    """One debug record naming the path a driver took, when ``logging`` is
+    loaded; otherwise nothing is imported and nothing is built."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(message, *args)
+
 
 # Consecutive strictly-monotone inner products required before an
 # (already known infeasible, one-sided) run is declared divergent.
@@ -198,9 +206,9 @@ def iterate(
     backend = A.backend
     cls, refusal = orbit.classification, orbit.refusal
     if refusal is None:
-        logger.debug("iterate: integer lattice")
+        log_path(__name__, "iterate: integer lattice")
     else:
-        logger.debug("iterate: generic vectors (%s)", refusal)
+        log_path(__name__, "iterate: generic vectors (%s)", refusal)
     may_diverge = (
         cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
     )

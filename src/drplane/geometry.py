@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import add, mul, sub
-from typing import Sequence
 
 from .errors import BackendError, DimensionMismatch, ProblemFormatError
-from .scalars import F64, F64_ABS_TOL, Scalar, backend_of, finite_float
+from .scalars import F64, F64_ABS_TOL, SURD, Scalar, backend_of, finite_float
 
 Vector = tuple  # tuple of scalars, one backend per problem
 
@@ -137,6 +137,8 @@ class Hyperplane:
                 )
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "backend", backend)
+        if backend == SURD:
+            self.check("normal", normal)
 
     @property
     def dim(self) -> int:
@@ -144,8 +146,10 @@ class Hyperplane:
 
     def check(self, name: str, v: Vector) -> None:
         """The one check of a vector against this hyperplane: its dimension
-        (DimensionMismatch), its backend (BackendError) and, on f64, finite
-        coordinates (ProblemFormatError); each message names the vector."""
+        (DimensionMismatch), its backend (BackendError), on f64 finite
+        coordinates (ProblemFormatError) and on surds no sqrt part over a
+        radicand other than the normal's (BackendError); each message names
+        the vector."""
         if len(v) != self.dim:
             raise DimensionMismatch(
                 f"{name} dimension {len(v)} != hyperplane dimension {self.dim}"
@@ -158,6 +162,11 @@ class Hyperplane:
                     finite_float(c)
             except ProblemFormatError as exc:
                 raise ProblemFormatError(f"{name}: {exc}") from None
+        elif self.backend == SURD:
+            d = self.normal[0].d
+            for c in v:
+                if c.q and c.d != d:
+                    raise BackendError(f"{name} has a sqrt({c.d}) part; the normal is over sqrt({d})")
 
     def inner(self, x: Vector) -> Scalar:
         """<x, u>; the signed offset of x from the hyperplane."""

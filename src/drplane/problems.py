@@ -23,9 +23,9 @@ rational backend, and ``{"a": "p/q", "b": "p/q"}`` objects (meaning
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import BackendError, ProblemFormatError
 from .geometry import DEFAULT_TIE_POLICY, FiniteSet, Hyperplane, TiePolicy, Vector

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import BackendError, ProblemFormatError
 
@@ -397,7 +396,7 @@ def _common_radicand(x: Surd, y: Surd) -> int:
     raise BackendError(f"cannot combine surds over sqrt({x.d}) and sqrt({y.d})")
 
 
-Scalar = Union[float, int, Fraction, Surd]
+Scalar = float | int | Fraction | Surd
 
 
 def backend_of(s: Scalar) -> str:

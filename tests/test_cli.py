@@ -496,6 +496,29 @@ def test_override_golden_output(capsys, override, command, fmt):
     assert digest.hexdigest() == OVERRIDE_GOLDEN[override, command, fmt]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("command", ["run", "map"])
+def test_tie_policy_override_reaches_the_trace(capsys, tmp_path, command, fmt):
+    # a tie override changes no output on the canonical problems at the
+    # golden horizons, so the digests above would not see a dropped one.  On
+    # {-1, 1} from x0 = 0 the projections tie and the policy picks each
+    # selector: an override must give the bytes of a file that declares it,
+    # and not those of the file's own policy
+    sym = {"normal": [1], "points": [[-1], [1]], "x0": [0], "backend": "rational"}
+    for policy in ("higher_inner", "lower_inner"):
+        write_problem(tmp_path, f"{policy}.json", {**sym, "tie_policy": policy})
+
+    def trace(declared, *override):
+        path = str(tmp_path / f"{declared}.json")
+        argv = [command, "--problem", path, "--horizon", "6", "--format", fmt]
+        return run_cli(capsys, *argv, *override)
+
+    overridden = trace("higher_inner", "--tie-policy", "lower_inner")
+    assert overridden == trace("lower_inner")
+    assert overridden != trace("higher_inner")
+    assert overridden[0] == 0
+
+
 # Sets of m != 2 points, which problems/ does not hold (its doubletons are
 # pinned by the tests that load it).  Each is strictly straddling and off the
 # hyperplane, and every selector word below visits at least three points.

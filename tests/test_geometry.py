@@ -143,6 +143,18 @@ class TestHyperplane:
         A.check("v", (Fraction(1), Fraction(2)))
         Af.check("v", (1.0, 2.0))
 
+    def test_normal_over_two_radicands_rejected(self):
+        # 2/9 + 7/9 = 1: a unit normal whose sqrt parts lie over sqrt(2) and
+        # sqrt(7), which no inner product with it could combine
+        third = Fraction(1, 3)
+        refusal = r"^normal has a sqrt\(7\) part; the normal is over sqrt\(2\)$"
+        with pytest.raises(BackendError, match=refusal):
+            Hyperplane((Surd(0, third, 2), Surd(0, third, 7)))
+        # rational coordinates may carry any radicand
+        half = Fraction(1, 2)
+        A = Hyperplane((Surd(0, half, 2), Surd(0, half, 2), Surd(0, 0, 5)))
+        A.check("v", (Surd(1, 0, 3), Surd(0, 1, 2), Surd(0, 0, 2)))
+
 
 exact_coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 

@@ -1,7 +1,11 @@
-"""The dead-import check that CI runs over the package, scripts and tests
-(scripts/check_imports.py)."""
+"""Imports: the dead-import check that CI runs over the package, scripts
+and tests (scripts/check_imports.py), and what importing the package loads."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +37,72 @@ def test_finds_unused_names_and_exempts_reexports():
         "    return xml\n"
     )
     assert check_imports.unused_imports(source) == [(2, "os"), (4, "b"), (4, "e"), (5, "h")]
+
+
+def test_function_local_imports_are_read_in_their_own_function():
+    # another function's read of the same name does not count; a nested
+    # function's does, and a module-level import may be read anywhere
+    source = (
+        "import json\n"
+        "def f():\n"
+        "    from a import b, c\n"
+        "    return b\n"
+        "def g():\n"
+        "    from a import c\n"
+        "    import os\n"
+        "    return c, json\n"
+        "def h():\n"
+        "    import sys\n"
+        "    def inner():\n"
+        "        return sys\n"
+        "    return inner\n"
+        "def k():\n"
+        "    return os\n"
+    )
+    assert check_imports.unused_imports(source) == [(3, "c"), (7, "os")]
+
+
+# Run in a fresh `python -S` interpreter: prints, as JSON, what the package
+# import loads and how its lazy names and path records behave.
+IMPORT_PROBE = """
+import json, sys
+heavy = ("logging", "typing", "drplane.cycling", "drplane.closedform", "drplane.altproj")
+loaded = lambda: [m for m in heavy if m in sys.modules]
+out = {}
+import drplane
+out["after_package"] = loaded()
+import drplane.cli
+out["after_cli"] = loaded()
+out["dir_has_all"] = "__all__" in dir(drplane)
+out["unresolved"] = [n for n in drplane.__all__ if getattr(drplane, n, None) is None]
+try:
+    drplane.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+import io, logging
+from fractions import Fraction
+stream = io.StringIO()
+logging.basicConfig(stream=stream, level=logging.DEBUG, format="%(name)s: %(message)s")
+A = drplane.Hyperplane((Fraction(1),))
+drplane.iterate(A, drplane.FiniteSet.ordered([(Fraction(-1),), (Fraction(2),)], A), (Fraction(0),), 3)
+out["log"] = stream.getvalue()
+print(json.dumps(out))
+"""
+
+
+def test_package_import_is_lazy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "after_package": [],
+        "after_cli": [],
+        "dir_has_all": True,
+        "unresolved": [],
+        "unknown": "module 'drplane' has no attribute 'no_such_name'",
+        # logging imported after drplane still gets iterate's path record
+        "log": "drplane.dynamics: iterate: integer lattice\n",
+    }

@@ -52,6 +52,14 @@ class TestRoundTrip:
         assert problem_to_dict(problem_from_dict(d)) == d
         assert d.get("surd_d") == json.loads((FIXTURES / name).read_text()).get("surd_d")
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_canonical_problems_pass_the_radicand_check(self, name):
+        # all six load under Hyperplane.check and come back equal, in value
+        # and in wire form
+        p = load_problem(FIXTURES / name)
+        again = problem_from_dict(problem_to_dict(p))
+        assert again == p and problem_to_dict(again) == problem_to_dict(p)
+
     def test_fixture_files_are_canonical(self):
         # encoded dict values survive a dump/parse cycle untouched
         for name in ("rational_cycle.json", "r2_beatty.json"):
@@ -151,6 +159,22 @@ class TestProblem:
         B = FiniteSet.ordered([(-1.0,), (2.0,)], A)
         with pytest.raises(ProblemFormatError, match="^x0: nan is not a finite f64 value$"):
             Problem(A, B, (math.nan,))
+
+    def test_sqrt_part_over_another_radicand(self):
+        A = Hyperplane((Surd(1, 0, 2),))
+        B = FiniteSet.ordered([(Surd(-1, 0, 2),), (Surd(2, 0, 2),)], A)
+        refusal = r" has a sqrt\(3\) part; the normal is over sqrt\(2\)$"
+        with pytest.raises(BackendError, match="^x0" + refusal):
+            Problem(A, B, (Surd(0, 1, 3),))
+        with pytest.raises(BackendError, match="^point" + refusal):
+            FiniteSet.ordered([(Surd(-1, 0, 2),), (Surd(0, 1, 3),)], A)
+        B3 = FiniteSet(((Surd(-1, 0, 2),), (Surd(0, 1, 3),)), (Surd(-1, 0, 2), Surd(0, 1, 3)))
+        with pytest.raises(BackendError, match="^point" + refusal):
+            Problem(A, B3, (Surd(0, 0, 2),))
+        # a rational value is the same number over any radicand, so it passes
+        # and its wire form keeps its value
+        p = Problem(A, B, (Surd(Fraction(1, 2), 0, 3),))
+        assert problem_from_dict(problem_to_dict(p)) == p
 
 
 class TestMakeProblem:
