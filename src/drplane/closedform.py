@@ -23,14 +23,15 @@ Everything that depends only on the problem is derived once per
 point evaluator, shared with the cycle search), the :class:`Betas` that
 :func:`compute_betas` returns, and the plan of closed_form_point and
 closed_form_trace, which is either the refusal message of the first failed
-hypothesis or the floor form.  closed_form_point
-refuses a Betas that differs in value from the problem's own.
+hypothesis or the floor form, and likewise the verdict of corollary_point.
+closed_form_point refuses a Betas that differs in value from the problem's
+own.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
@@ -301,10 +302,26 @@ def corollary_point(p: DoubletonProblem, n: int):
 
     Needs beta1 > beta >= -beta2, x0 on the hyperplane, and x0 strictly
     closer to b1 than to b2; each failed hypothesis is named.  The start
-    offset drops out of all formulas.
+    offset drops out of all formulas.  The verdict is derived once and kept
+    on p.
     """
     if n < 1:
         raise ValueError(f"closed form is stated for n >= 1, got {n}")
+    form = p._corollary
+    if form is None:
+        try:
+            form = _corollary_form(p)
+        except PreconditionError as exc:
+            form = str(exc)
+        object.__setattr__(p, "_corollary", form)
+    if isinstance(form, str):
+        raise PreconditionError(form)
+    return _point(form, p.orbit.point, n)
+
+
+def _corollary_form(p: DoubletonProblem):
+    """The corollary's floor form on p, or PreconditionError naming its first
+    failed hypothesis."""
     betas = compute_betas(p)
     if not betas.beta1 > betas.beta:
         raise PreconditionError(
@@ -329,8 +346,7 @@ def corollary_point(p: DoubletonProblem, n: int):
         )
     # the hypotheses imply the general closed form's, so the exact backends
     # take p's plan; f64 drops the start offset's slack
-    form = _FloatFloorForm(betas, 0) if p.backend == F64 else _plan(p, betas)
-    return _point(form, p.orbit.point, n)
+    return _FloatFloorForm(betas, 0) if p.backend == F64 else _plan(p, betas)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:
@@ -358,12 +374,7 @@ class VerifyReport:
     first_mismatch: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "horizon": self.horizon,
-            "first_mismatch": self.first_mismatch,
-        }
+        return asdict(self)
 
 
 def _points_agree(x, y, backend: str) -> bool:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .dynamics import ClassificationKind, Orbit, log_path
+from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
 from .problems import Problem
@@ -70,10 +70,11 @@ class DoubletonProblem:
     beta2: Scalar = field(init=False, repr=False, compare=False)
     beta: Scalar = field(init=False, repr=False, compare=False)
     orbit: Orbit = field(init=False, repr=False, compare=False)
-    # the closed form's Betas and plan, derived on first use in
-    # drplane.closedform and kept
+    # the closed form's Betas, plan and corollary verdict, derived on first
+    # use in drplane.closedform and kept
     _betas: object = field(default=None, init=False, repr=False, compare=False)
     _closed_form: object = field(default=None, init=False, repr=False, compare=False)
+    _corollary: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.hyperplane
@@ -302,14 +303,14 @@ def _finalize_cycle(p, horizon, lam, keys, approximate=False):
     return CycleReport("cycle", horizon, lam, mu, tuple(xs[1:]), approximate)
 
 
-def coefficient_limits(p: DoubletonProblem, trace):
+def coefficient_limits(p: DoubletonProblem, trace: RunResult):
     """Long-run selector frequencies and the deviation observed at the end.
 
     Returns (limit1, limit2, deviation): the selector-1 and selector-2
     frequencies converge to beta2/(beta2-beta1) and -beta1/(beta2-beta1),
-    and deviation is |count_1/n - limit1| at the final trace index.
+    and deviation is |count_1/n - limit1| at the final record of trace.
     """
-    records = getattr(trace, "trace", trace)
+    records = trace.trace
     if len(records) < 2:
         raise PreconditionError("coefficient limits need at least one step")
     beta1, beta2 = p.beta1, p.beta2

@@ -96,6 +96,14 @@ def golden_invocations(command, fmt):
         yield [command, "--problem", problem, "--horizon", horizon] + fmt_args
 
 
+# a boundary orbit under the non-default tie policy departs the formula, so
+# verify exits 1
+TIE_MISMATCH = {
+    "normal": [1], "points": [[-1], [2]], "x0": ["1/2"],
+    "backend": "rational", "tie_policy": "lower_inner",
+}
+
+
 def write_problem(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -318,12 +326,7 @@ class TestVerify:
         assert code == 0
 
     def test_mismatch_exits_1(self, capsys, tmp_path):
-        # boundary orbit under the non-default tie policy departs the formula
-        path = write_problem(
-            tmp_path, "tie.json",
-            {"normal": [1], "points": [[-1], [2]], "x0": ["1/2"],
-             "backend": "rational", "tie_policy": "lower_inner"},
-        )
+        path = write_problem(tmp_path, "tie.json", TIE_MISMATCH)
         code, out, _ = run_cli(capsys, "verify", "--problem", path)
         assert code == 1
         report = json.loads(out)
@@ -443,6 +446,44 @@ def test_golden_output(capsys, command, fmt):
         code, out, err = run_cli(capsys, *argv)
         digest.update(f"{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN))
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, command, fmt):
+    invocations = list(golden_invocations(command, fmt))
+    if command == "verify":
+        mismatch = write_problem(tmp_path, "tie.json", TIE_MISMATCH)
+        invocations.append(["verify", "--problem", mismatch])
+    for i, argv in enumerate(invocations):
+        target = tmp_path / f"out{i}"
+        code, out, err = run_cli(capsys, *argv)
+        # same exit code and stderr, nothing on stdout, and no file on a refusal
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", err)
+        if code == 2:
+            assert out == "" and not target.exists()
+        else:
+            assert target.read_bytes() == out.encode()
+
+
+def test_refusal_writes_no_out_file(capsys, tmp_path):
+    target = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "closed-form", "--problem", str(FIXTURES / "halfspace_fixed.json"),
+        "--out", str(target),
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_out_in_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "trace.csv"
+    with pytest.raises(OSError) as exc:
+        open(target, "w")
+    code, out, err = run_cli(
+        capsys, "run", "--problem", str(FIXTURES / "rational_cycle.json"),
+        "--out", str(target),
+    )
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
 # The same digests with an override of the problem file: --backend f64

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drplane import closedform
 from drplane.closedform import (
     Betas,
     FloorForm,
@@ -389,6 +390,36 @@ class TestCorollary:
         )
         with pytest.raises(PreconditionError, match="b1-b2"):
             corollary_point(p, 1)
+
+
+    def test_verdict_is_derived_once(self, monkeypatch):
+        # only the first of five calls checks the hypotheses, whether they
+        # hold (exact and f64) or the last of them fails
+        calls = []
+        for name in ("dot", "norm_sq"):
+            real = getattr(closedform, name)
+            monkeypatch.setattr(
+                closedform, name, lambda *a, real=real: calls.append(1) or real(*a)
+            )
+        A = Hyperplane((Fraction(0), Fraction(1)))
+        far_from_b1 = DoubletonProblem(
+            A, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2)),
+            (Fraction(3), Fraction(0)),
+        )
+        f64 = DoubletonProblem(Hyperplane((1.0,)), (-1.0,), (2.0,), (0.0,))
+        for p in (line_doubleton(-1, 2), plane_sqrt2_doubleton(), f64, far_from_b1):
+            outcomes = []
+            for i in range(5):
+                try:
+                    outcomes.append(corollary_point(p, 7))
+                except PreconditionError as exc:
+                    outcomes.append(str(exc))
+                if i == 0:
+                    assert calls
+                    made = len(calls)
+            assert len(calls) == made and all(o == outcomes[0] for o in outcomes)
+            calls.clear()
+        assert "b1-b2" in outcomes[0]
 
 
 class TestBeatty:

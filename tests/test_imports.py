@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("check_imports", ROOT / "scripts" / "check_imports.py")
 check_imports = importlib.util.module_from_spec(_spec)
@@ -106,3 +108,43 @@ def test_package_import_is_lazy():
         # logging imported after drplane still gets iterate's path record
         "log": "drplane.dynamics: iterate: integer lattice\n",
     }
+
+
+# Run one subcommand in a fresh `python -S` interpreter, its output going to
+# --out, and print its exit code and which of these modules it loaded.
+SUBCOMMAND_PROBE = """
+import json, sys
+from drplane.cli import main
+code = main(sys.argv[1:])
+heavy = ("logging", "drplane.cycling", "drplane.closedform", "drplane.altproj")
+print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+"""
+
+# subcommand: (drplane modules it loads, drplane modules it must not load);
+# none of them loads logging
+SUBCOMMAND_MODULES = {
+    "run": ((), ("cycling", "closedform", "altproj")),
+    "map": (("altproj",), ("cycling", "closedform")),
+    "cycle": (("cycling",), ("closedform", "altproj")),
+    "closed-form": ((), ("altproj",)),
+    "verify": ((), ("altproj",)),
+    "beatty": ((), ("altproj",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_own_modules(tmp_path, command):
+    argv = [command, "--horizon", "20", "--out", str(tmp_path / "out")]
+    if command != "beatty":
+        argv += ["--problem", str(ROOT / "problems" / "rational_cycle.json")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SUBCOMMAND_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    loads, not_loaded = SUBCOMMAND_MODULES[command]
+    assert code == 0 and (tmp_path / "out").stat().st_size > 0
+    assert {f"drplane.{m}" for m in loads} <= set(loaded)
+    assert not {"logging", *(f"drplane.{m}" for m in not_loaded)} & set(loaded)
