@@ -8,14 +8,16 @@ the reflected dynamics.
 
 Every backend and every set takes one path: the projectors run on vectors,
 and from the first set point on, each point's two projections are computed
-on its first visit and reused (see :func:`ap_iterate`).
+on its first visit and reused (see :func:`ap_iterate`).  The entries from 2
+on are therefore fixed by (selector, selector before), a handful of states,
+which the exporters format once each (see :func:`_records`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import Outcome, _check_start, export_report, export_rows
+from .dynamics import Outcome, _check_start, export_json, export_report, export_rows
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -76,8 +78,13 @@ def ap_iterate(A: Hyperplane, B: FiniteSet, x0: Vector, steps: int) -> ApTrace:
 
 
 def _records(trace: ApTrace, A: Hyperplane, B: FiniteSet):
-    # a set point b_k's offset is B.inners[k-1]; from entry 3 on a plane
-    # entry is P_A b_k for the k before it, its offset taken on k's first visit
+    """Each entry as an export record (n, k, inner, x, key).
+
+    From entry 2 on, an entry is fixed by its selector k and the selector
+    before it: a set point b_k is (k, None), and its offset is
+    B.inners[k-1]; a plane entry P_A b_j is (None, j), its offset taken on
+    j's first visit.  That pair is the entry's key.
+    """
     inners, plane, before = B.inners, {}, None
     for n, (x, k) in enumerate(zip(trace.points, trace.selectors)):
         if k is not None:
@@ -88,8 +95,8 @@ def _records(trace: ApTrace, A: Hyperplane, B: FiniteSet):
             inner = plane[before]
         else:
             inner = plane[before] = A.inner(x)
+        yield n, k, inner, x, (k, before) if n >= 2 else None
         before = k
-        yield n, k, inner, x
 
 
 def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
@@ -99,3 +106,8 @@ def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
 
 def ap_report(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> dict:
     return export_report("map", Outcome.HORIZON, A, B, _records(trace, A, B))
+
+
+def ap_json(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> str:
+    """The JSON text of ap_report, rendered by :func:`~drplane.dynamics.export_json`."""
+    return export_json("map", Outcome.HORIZON, A, B, _records(trace, A, B))

@@ -4,11 +4,14 @@ Loads a problem JSON, runs the requested analysis, and writes the result once
 through ``_write``: CSV, JSON, or an aligned text table, to stdout or --out,
 which gets exactly the bytes stdout would (cycle and verify write JSON).  CSV
 is built in one buffer and written once, since a write per row to stdout costs
-about 5 % more CPU on a 3000-row trace.  Exit codes: 0 success, 1 a
-verification mismatch, 2 invalid input (bad file, bad flags, or a request
-whose preconditions fail).  The cycle search, the closed form and the
-alternating projections are imported by the commands that run them, so
-each child process loads only what its subcommand uses.
+about 5 % more CPU on a 3000-row trace.  Trace rows and trace JSON come from
+the exporters of :mod:`drplane.dynamics`, which format each orbit state once
+and render JSON records from those per-state fragments, byte-identical to
+``json.dumps(report, indent=2)``; other reports go through ``json.dumps``.
+Exit codes: 0 success, 1 a verification mismatch, 2 invalid input (bad file,
+bad flags, or a request whose preconditions fail).  The cycle search, the
+closed form and the alternating projections are imported by the commands
+that run them, so each child process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .dynamics import (
     Outcome,
     RunResult,
     iterate,
-    run_report,
+    run_json,
     trace_csv_header,
     trace_rows,
     write_csv,
@@ -81,9 +84,13 @@ def _table_text(header: list[str], rows, trailer: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args: argparse.Namespace, report, header=None, rows=None, trailer=None) -> None:
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _write(args: argparse.Namespace, json_text, header=None, rows=None, trailer=None) -> None:
     """Write one result to --out or stdout: --format csv or table of header
-    and rows(), or json of report() (cycle and verify have no --format).
+    and rows(), or the json_text() (cycle and verify have no --format).
     Only the format's own callable runs, and --out is opened last."""
     fmt = getattr(args, "fmt", "json")
     if fmt == "csv":
@@ -91,7 +98,7 @@ def _write(args: argparse.Namespace, report, header=None, rows=None, trailer=Non
         write_csv(buf, header, rows())
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(report(), indent=2) + "\n"
+        text = json_text()
     else:
         text = _table_text(header, rows(), trailer)
     if args.out:
@@ -102,18 +109,17 @@ def _write(args: argparse.Namespace, report, header=None, rows=None, trailer=Non
 
 
 def _trace(p: Problem, result: RunResult, method: str):
-    """_write's report, header, rows and trailer for a trace."""
+    """_write's json_text, header, rows and trailer for a trace."""
     A, B = p.hyperplane, p.points
-
-    def report():
-        out = run_report(result, A, B)
-        out["method"] = method
-        return out
-
     trailer = "outcome: " + OUTCOME_LABELS[result.outcome]
     if result.fixed_at is not None:
         trailer += f" (fixed from n={result.fixed_at})"
-    return report, trace_csv_header(B.m, A.dim), lambda: trace_rows(result, A, B), trailer
+    return (
+        lambda: run_json(result, A, B, method),
+        trace_csv_header(B.m, A.dim),
+        lambda: trace_rows(result, A, B),
+        trailer,
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -148,7 +154,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
         relation = cycle_relation(dp)
     report["rational"] = rational
     report["relation"] = None if relation is None else list(relation)
-    _write(args, lambda: report)
+    _write(args, lambda: _json(report))
     return 0
 
 
@@ -185,18 +191,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "ok": None, "checked": 0, "horizon": args.horizon, "first_mismatch": None,
             "note": f"{exc}; ran the direct iteration instead",
         }
-    _write(args, lambda: report)
+    _write(args, lambda: _json(report))
     return 1 if report["ok"] is False else 0
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .altproj import ap_iterate, ap_report, ap_rows
+    from .altproj import ap_iterate, ap_json, ap_rows
 
     p = _load(args)
     A, B = p.hyperplane, p.points
     trace = ap_iterate(A, B, p.x0, args.horizon)
     header = trace_csv_header(B.m, A.dim)
-    _write(args, lambda: ap_report(trace, A, B), header, lambda: ap_rows(trace, A, B))
+    _write(args, lambda: ap_json(trace, A, B), header, lambda: ap_rows(trace, A, B))
     return 0
 
 
@@ -206,7 +212,7 @@ def cmd_beatty(args: argparse.Namespace) -> int:
     triples = [(n, *beatty_triple(n)) for n in range(args.horizon + 1)]
     _write(
         args,
-        lambda: {"method": "beatty", "records": [dict(zip("nuvw", t)) for t in triples]},
+        lambda: _json({"method": "beatty", "records": [dict(zip("nuvw", t)) for t in triples]}),
         list("nuvw"),
         lambda: ([str(c) for c in t] for t in triples),
     )

@@ -16,7 +16,8 @@ search and the closed form read these and build none of their own.
 
 The detector walks the lattice from the pair of the first iterate's offset.
 The exact backends hash the states (k, a, b) exactly in a table of at most
-TABLE_BUDGET (2^13) keys: every state until it fills, then only the states
+:data:`~drplane.lattice.TABLE_BUDGET` (2^13) keys, the one bound on every
+per-orbit state table: every state until it fills, then only the states
 whose index is a multiple of a spacing that doubles each time it fills
 again.  A hit past that point is a state of the cycle; one walk round the
 cycle from it gives the minimal period and its keys, and one walk from the
@@ -37,6 +38,7 @@ from itertools import count
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
+from .lattice import TABLE_BUDGET
 from .problems import Problem
 from .scalars import (
     F64,
@@ -47,10 +49,6 @@ from .scalars import (
     format_scalar,
     is_rational,
 )
-
-# The exact cycle search keeps at most this many states in its key table,
-# about 2 MB on long surd orbits; past it the table is sampled.
-TABLE_BUDGET = 2**13
 
 
 @dataclass(frozen=True)

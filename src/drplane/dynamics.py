@@ -22,18 +22,31 @@ strictly straddles the hyperplane and does not touch it (so it cannot reach
 a fixed point or diverge) takes one vector step from x0 and then advances
 its (selector, offset) state on the orbit's integer lattice of
 :mod:`drplane.lattice`: a doubleton on its thresholds, a set of m >= 3
-points on its per-selector distance scores.  Each offset is decoded once
-and full-trace iterates are built from the lattice integers.  Everything
-else (f64, one-sided or touching sets) runs the generic vector loop.  A
-``drplane`` debug log record names the path taken and, for the vector loop,
-why; records are emitted only when ``logging`` is loaded, since a program
-that configures logging has imported it.
+points on its per-selector distance scores.  Full-trace iterates are built
+from the lattice integers.  Everything else (f64, one-sided or touching
+sets) runs the generic vector loop.  A ``drplane`` debug log record names
+the path taken and, for the vector loop, why; records are emitted only when
+``logging`` is loaded, since a program that configures logging has imported
+it.
+
+Work and formatting are per distinct state.  Straddling orbits are bounded,
+and on rational data eventually periodic, so they revisit few states: the
+lattice walk finds its first revisited integer state (k, a, b) and repeats
+the records one period back from there, the f64 vector loop keys dr_step on
+the iterate's bits, and the exporters format each state's offset and
+iterate once, rendering JSON from those fragments with the bytes of
+``json.dumps(report, indent=2)``.  An orbit adds no new state once it has
+come back, so every such table that reaches
+:data:`~drplane.lattice.TABLE_BUDGET` states has seen no repeat and is
+dropped: an orbit that never repeats pays for the first TABLE_BUDGET
+lookups only, and its memory grows with its trace only.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -52,8 +65,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .lattice import OffsetLattice, SetLattice, window_constant
-from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
+from .lattice import TABLE_BUDGET, OffsetLattice, SetLattice, window_constant
+from .scalars import F64, F64_ABS_TOL, SURD, Scalar, encode_scalar, format_scalar
 
 
 def log_path(logger: str, message: str, *args) -> None:
@@ -227,14 +240,29 @@ def iterate(
 
     # on the lattice only step 1 runs on vectors; neither stop can happen there
     vector_steps = max_n if refusal else min(max_n, 1)
+    # f64 orbits repeat iterates bit for bit, so each distinct x takes one
+    # dr_step, offset and fixed-point test.  An orbit adds no new iterate
+    # once it has come back, so a table that fills has seen none come back
+    # and is dropped
+    steps = {} if backend == F64 else None
     for n in range(1, vector_steps + 1):
-        nxt, k = dr_step(A, B, x)
-        if vec_equal(nxt, x, backend):
+        step = None
+        if steps is not None:
+            key = _bits_key(x)
+            step = steps.get(key)
+        if step is None:
+            nxt, k = dr_step(A, B, x)
+            step = nxt, k, A.inner(nxt), vec_equal(nxt, x, backend)
+            if steps is not None:
+                steps[key] = step
+                if len(steps) == TABLE_BUDGET:
+                    steps = None
+        nxt, k, inner, fixed = step
+        if fixed:
             outcome = Outcome.FIXED_POINT
             fixed_at = n - 1
             break
         counts[k - 1] += 1
-        inner = A.inner(nxt)
         trace.append(TraceRecord(n, None if slim else nxt, k, inner))
         x = nxt
 
@@ -267,28 +295,54 @@ def iterate(
     )
 
 
+def _bits_key(v: tuple) -> tuple:
+    """A key that two tuples of floats share only when they are equal bit
+    for bit.  Equal floats differ in their bits only as 0.0 and -0.0, so a
+    tuple that holds a zero also carries the signs of its entries."""
+    return v if 0.0 not in v else (v, tuple(math.copysign(1.0, c) for c in v))
+
+
 def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     """Append steps 2..max_n of a straddling exact set, advanced on the
     orbit's integer lattice from the state of step 1, and add them to counts.
 
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
-    m >= 3 points its per-selector scores (:class:`SetLattice`).  Each offset
-    is decoded once; a full record's iterate is built from the integers of
-    the previous offset by the orbit's point evaluator.  Records hold no
-    counts or shadows: the exporters tally counts as columns, and a shadow
-    is x_n - inner*u.
+    m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
+    record's iterate is built from the integers of the previous offset by
+    the orbit's point evaluator.  The walk is deterministic, so once it
+    revisits a state every later record repeats the one a period before it,
+    iterate and offset shared; a table from each state to its step finds
+    that first revisit among the first TABLE_BUDGET states, and is dropped
+    when it fills without one.  Records hold no counts or shadows: the
+    exporters tally counts as columns, and a shadow is x_n - inner*u.
     """
     first = trace[1]
     lat = orbit.lattice
     decode = lat.decode
     point = None if slim else orbit.point
     pa, pb = lat.pair(first.inner)
-    states = lat.walk(first.selector_k, pa, pb)
-    for n, (k, a, b) in zip(range(2, max_n + 1), states):
+    state = (first.selector_k, pa, pb)
+    seen = {state: 1}
+    for n, state in zip(range(2, max_n + 1), lat.walk(*state)):
+        if seen is not None:
+            j = seen.get(state)
+            if j is not None:
+                break
+            seen[state] = n
+            if len(seen) == TABLE_BUDGET:
+                seen = None
+        k, a, b = state
         counts[k - 1] += 1
-        x = None if slim else point(k, pa, pb)
-        trace.append(TraceRecord(n, x, k, decode(a, b)))
+        trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
         pa, pb = a, b
+    else:
+        return
+    # state n is state j, so record m repeats record m - (n - j) from m = n
+    period = n - j
+    for m in range(n, max_n + 1):
+        rec = trace[m - period]
+        counts[rec.selector_k - 1] += 1
+        trace.append(TraceRecord(m, rec.x, rec.selector_k, rec.inner))
 
 
 def reconstruct_x(result: RunResult, A: Hyperplane, B: FiniteSet, n: int) -> Vector:
@@ -376,7 +430,11 @@ def transition_gaps(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
 # -- export -----------------------------------------------------------------
 #
 # Both DR traces and alternating-projection traces export through here, as
-# (n, k, inner, x) records with k None where no point was selected.
+# (n, k, inner, x, key) records with k None where no point was selected.
+# ``key`` names the record's orbit state where orbits revisit states: records
+# with equal keys have equal inner and x (in their bits, on f64), so the
+# rows and the JSON text format each key's inner and x once, and only n, k
+# and the counts per record.  A record keyed None is formatted on its own.
 
 
 def trace_csv_header(m: int, dim: int) -> list[str]:
@@ -387,44 +445,120 @@ def trace_csv_header(m: int, dim: int) -> list[str]:
     )
 
 
-def _tallied(records, m: int):
-    """Each record with the cumulative selector counts up to it; the one
-    place those counts are tallied."""
+def _tallied(records, m: int, fragment):
+    """(n, k, counts, fragment(inner, x)) for each record.
+
+    counts are the cumulative selector counts up to the record (one list,
+    updated in place); this is the one place they are tallied.  The fragment
+    is made once per key, and for every record keyed None.  On an orbit,
+    keys repeat only once it has come back, after which no new key arrives,
+    so a table that fills to TABLE_BUDGET keys has seen no repeat and is
+    dropped.
+    """
     counts = [0] * m
-    for n, k, inner, x in records:
+    made = {}
+    for n, k, inner, x, key in records:
         if k is not None:
             counts[k - 1] += 1
-        yield n, k, inner, counts, x
+        frag = None if made is None else made.get(key)
+        if frag is None:
+            frag = fragment(inner, x)
+            if made is not None and key is not None:
+                made[key] = frag
+                if len(made) == TABLE_BUDGET:
+                    made = None
+        yield n, k, counts, frag
+
+
+def _row_texts(inner, x):
+    return format_scalar(inner), [format_scalar(c) for c in x]
+
+
+def _encoded(inner, x):
+    return encode_scalar(inner), [encode_scalar(c) for c in x]
 
 
 def export_rows(records, m: int):
     """CSV/table rows, in the trace_csv_header layout."""
-    for n, k, inner, counts, x in _tallied(records, m):
-        yield (
-            [str(n), "" if k is None else str(k), format_scalar(inner)]
-            + [str(c) for c in counts]
-            + [format_scalar(c) for c in x]
-        )
+    count_texts = ["0"] * m  # one count moves per record
+    for n, k, counts, (inner, x) in _tallied(records, m, _row_texts):
+        if k is None:
+            yield [str(n), "", inner, *count_texts, *x]
+        else:
+            count_texts[k - 1] = str(counts[k - 1])
+            yield [str(n), str(k), inner, *count_texts, *x]
 
 
-def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records) -> dict:
-    """JSON-ready report of a run and its records."""
+def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> dict:
+    """JSON-ready report of a run and its records, then the items of extra.
+
+    Every record is encoded on its own: this is the plain form that
+    :func:`export_json` renders the same bytes as.
+    """
     cls = classify(A, B)
-    return {
+    report = {
         "method": method,
         "outcome": outcome.value,
         "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
+        # keys dropped, so that every record is encoded on its own
         "records": [
-            {
-                "n": n,
-                "k": k,
-                "inner": encode_scalar(inner),
-                "counts": list(counts),
-                "x": [encode_scalar(c) for c in x],
-            }
-            for n, k, inner, counts, x in _tallied(records, B.m)
+            {"n": n, "k": k, "inner": inner, "counts": list(counts), "x": x}
+            for n, k, counts, (inner, x) in _tallied(
+                ((*r[:4], None) for r in records), B.m, _encoded
+            )
         ],
     }
+    if extra:
+        report.update(extra)
+    return report
+
+
+# one JSON value's text, as json.dumps writes it at any indent
+_json_leaf = json.JSONEncoder().encode
+
+
+def _nested(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested at this indent, for
+    the lists and dicts a report holds; every other value is a leaf."""
+    if isinstance(value, (list, dict)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [inner + _json_leaf(k) + ": " + _nested(v, inner) for k, v in value.items()]
+            return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+        return "[\n" + ",\n".join([inner + _nested(v, inner) for v in value]) + "\n" + indent + "]"
+    return _json_leaf(value)
+
+
+def _json_texts(inner, x):
+    """A JSON record's text after its "k" and before, then after, its counts."""
+    return (
+        ',\n      "inner": ' + _nested(encode_scalar(inner), "      ") + ',\n      "counts": [\n        ',
+        '\n      ],\n      "x": ' + _nested([encode_scalar(c) for c in x], "      ") + "\n    }",
+    )
+
+
+def export_json(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> str:
+    """``json.dumps(export_report(...), indent=2) + "\\n"``, byte for byte.
+
+    Each record is assembled from its key's fragments (:func:`_json_texts`)
+    and its own n, k and counts, and the text is joined once.
+    """
+    out = []
+    for name, value in export_report(method, outcome, A, B, (), extra).items():
+        out.append(("{\n  " if not out else ",\n  ") + _json_leaf(name) + ": ")
+        if name != "records":
+            out.append(_nested(value, "  "))
+            continue
+        sep, count_texts = "[\n", ["0"] * B.m
+        for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts):
+            if k is not None:
+                count_texts[k - 1] = str(counts[k - 1])
+            out += (sep, '    {\n      "n": ', str(n), ',\n      "k": ',
+                    "null" if k is None else str(k), head, ",\n        ".join(count_texts), tail)
+            sep = ",\n"
+        out.append("[]" if sep == "[\n" else "\n  ]")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def write_csv(fp, header: list[str], rows) -> None:
@@ -434,8 +568,47 @@ def write_csv(fp, header: list[str], rows) -> None:
 
 
 def _records(result: RunResult, A: Hyperplane, B: FiniteSet):
-    for n, rec in enumerate(result.trace):
-        yield rec.n, rec.selector_k, rec.inner, reconstruct_x(result, A, B, n)
+    """Each record as (n, k, inner, x, key).
+
+    From record 1 on, x_n = <x_{n-1},u>*u + b_k, so the state (k, <x_{n-1},u>)
+    fixes x_n and with it <x_n,u>.  That state is the key where orbits
+    repeat: on the integer-lattice path as the offset's integers (p, q, n),
+    which hash much faster than the scalar, and on f64 with <x_n,u> too (a
+    closed-form offset is not summed step by step), both bit for bit, since
+    0.0 == -0.0 though their texts differ.  The exact vector path does not
+    repeat and keys nothing.
+    """
+    cls = classify(A, B)
+    if A.backend == F64:
+        keyed = F64
+    elif cls.kind == ClassificationKind.STRADDLING and not cls.intersects:
+        keyed = A.backend
+    else:
+        keyed = None
+    trace, prev = result.trace, None
+    for n, rec in enumerate(trace):
+        k, inner, x = rec.selector_k, rec.inner, rec.x
+        if x is None:
+            x = reconstruct_x(result, A, B, n)
+        if k is None or keyed is None:
+            key = None
+        elif keyed == SURD:
+            key = (k, prev.p, prev.q, prev.n)
+        elif keyed == F64:
+            key = _bits_key((k, prev, inner))
+        else:
+            key = (k, prev.numerator, prev.denominator)
+        yield rec.n, k, inner, x, key
+        prev = inner
+
+
+def _run_extra(result: RunResult) -> dict:
+    extra = {}
+    if result.fixed_at is not None:
+        extra["fixed_at"] = result.fixed_at
+    if result.shadow_limit is not None:
+        extra["shadow_limit"] = [encode_scalar(c) for c in result.shadow_limit]
+    return extra
 
 
 def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
@@ -443,11 +616,11 @@ def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
     return export_rows(_records(result, A, B), B.m)
 
 
-def run_report(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
+def run_report(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> dict:
     """JSON-ready mirror of a RunResult."""
-    report = export_report("dr", result.outcome, A, B, _records(result, A, B))
-    if result.fixed_at is not None:
-        report["fixed_at"] = result.fixed_at
-    if result.shadow_limit is not None:
-        report["shadow_limit"] = [encode_scalar(c) for c in result.shadow_limit]
-    return report
+    return export_report(method, result.outcome, A, B, _records(result, A, B), _run_extra(result))
+
+
+def run_json(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> str:
+    """The JSON text of run_report, rendered by :func:`export_json`."""
+    return export_json(method, result.outcome, A, B, _records(result, A, B), _run_extra(result))

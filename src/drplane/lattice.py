@@ -58,6 +58,13 @@ from .geometry import (
 )
 from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
 
+# The one bound on every per-orbit state table: the cycle search's keys
+# (about 2 MB on a long surd orbit), which it samples past this many, and
+# the iteration driver's step tables and the exporters' text tables, which
+# are dropped at this many: an orbit adds no new state once it has come
+# back, so a table that fills has seen no repeat.
+TABLE_BUDGET = 2**13
+
 
 def _int_parts(v) -> tuple[int, int, int]:
     """(p, q, n) with v == (p + q*sqrt(d))/n; q == 0 for ints and Fractions,

@@ -4,14 +4,22 @@ import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from drplane.altproj import ap_iterate, ap_report
 from drplane.cli import main
+from drplane.closedform import closed_form_trace
+from drplane.cycling import DoubletonProblem
+from drplane.dynamics import iterate, run_report
+from drplane.errors import PreconditionError
 from drplane.geometry import TiePolicy
+from drplane.problems import load_problem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "problems"
 
@@ -617,6 +625,78 @@ def test_m_point_golden_output(capsys, tmp_path, command, fmt):
             )
             digest.update(f"{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == M_POINT_GOLDEN[command, fmt]
+
+
+def seeded_m_point_wires(seed, count):
+    """Straddling, disjoint problems of m = 3..6 points on axis normals in
+    dimensions 1-3: rational and f64 (dyadic, so their orbits revisit
+    states), under random tie policies."""
+    rng = random.Random(seed)
+    wires = []
+    while len(wires) < count:
+        dim, m = rng.randint(1, 3), rng.randint(3, 6)
+        axis = rng.randrange(dim)
+        normal = [0] * dim
+        normal[axis] = rng.choice((-1, 1))
+        pts = {tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))) for _ in range(dim))
+               for _ in range(m)}
+        offsets = [normal[axis] * p[axis] for p in pts]
+        if len(pts) < m or 0 in offsets or min(offsets) > 0 or max(offsets) < 0:
+            continue
+        x0 = [Fraction(rng.randint(-12, 12), 4) for _ in range(dim)]
+        f64 = len(wires) % 2
+        enc = float if f64 else str
+        wires.append({
+            "normal": [enc(c) for c in normal],
+            "points": [[enc(c) for c in p] for p in sorted(pts)],
+            "x0": [enc(c) for c in x0],
+            "backend": "f64" if f64 else "rational",
+            "tie_policy": rng.choice([t.value for t in TiePolicy]),
+        })
+    return wires
+
+
+def reference_json(command, path, horizon):
+    """json.dumps(..., indent=2) of the library's report dict for a CLI
+    json invocation: a reference that renders every record on its own."""
+    p = load_problem(path)
+    A, B = p.hyperplane, p.points
+    if command == "map":
+        report = ap_report(ap_iterate(A, B, p.x0, horizon), A, B)
+    else:
+        try:
+            if command != "closed-form":
+                raise PreconditionError("run")
+            dp = DoubletonProblem.from_problem(p)
+            report = run_report(closed_form_trace(dp, horizon), A, B, "closed_form")
+        except PreconditionError:
+            report = run_report(iterate(A, B, p.x0, horizon), A, B)
+    return json.dumps(report, indent=2) + "\n"
+
+
+def test_json_text_is_json_dumps_of_the_report(capsys, tmp_path):
+    # the CLI renders JSON records from per-state fragments; its bytes must
+    # be those of json.dumps over the report dict, on the canonical problems
+    # (fixed_at on halfspace_fixed, shadow_limit on halfspace_divergent,
+    # {"a", "b"} offsets on the surd ones), the m-point sets above and seeded
+    # rational and f64 m-point sets, which revisit states
+    problems = [FIXTURES / f"{name}.json" for name in CANONICAL]
+    for name, data in M_POINT_PROBLEMS.items():
+        problems.append(write_problem(tmp_path, f"{name}.json", data))
+    for i, data in enumerate(seeded_m_point_wires("json renderer", 12)):
+        problems.append(write_problem(tmp_path, f"seeded_{i}.json", data))
+    seen = set()
+    for path in map(str, problems):
+        horizon = 1100 if "halfspace_divergent" in path else 150
+        for command in ("run", "map", "closed-form"):
+            argv = [command, "--problem", path, "--horizon", str(horizon), "--format", "json"]
+            if command == "closed-form":
+                argv.append("--fallback-iterate")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == reference_json(command, path, horizon), (command, path)
+            seen.update(k for k in ("fixed_at", "shadow_limit") if k in json.loads(out))
+    assert seen == {"fixed_at", "shadow_limit"}
 
 
 def test_module_entry_point():

@@ -6,6 +6,7 @@ import logging
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import (
     Classification,
     ClassificationKind,
+    Orbit,
     Outcome,
+    RunResult,
     check_step_gap,
     classify,
     detect_finite_convergence,
@@ -41,6 +44,7 @@ from drplane.geometry import (
     vec_equal,
     vsub,
 )
+from drplane.lattice import TABLE_BUDGET
 from drplane.problems import load_problem
 from drplane.scalars import Surd
 
@@ -645,3 +649,207 @@ def test_path_is_logged(caplog):
 def test_logger_silent_by_default():
     handlers = logging.getLogger("drplane").handlers
     assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+def untabled_walk(A, B, x0, max_n):
+    """(n, x, k, inner) of steps 2..max_n from the orbit's lattice walk, its
+    point evaluator and decode, one step after another with no state table."""
+    orbit = Orbit(A, B, x0)
+    lat = orbit.lattice
+    _, k1, inner1 = orbit.first_step
+    point = lat.line_points(A.normal, B.points).point
+    pa, pb = lat.pair(inner1)
+    out = []
+    for n, (k, a, b) in zip(range(2, max_n + 1), lat.walk(k1, pa, pb)):
+        out.append((n, point(k, pa, pb), k, lat.decode(a, b)))
+        pa, pb = a, b
+    return out
+
+
+class TestLatticeStateTable:
+    """iterate finds the first lattice state its walk revisits and repeats
+    the records one period back from there; its records must be those of
+    the untabled walk, in value and scalar type."""
+
+    def assert_matches_walk(self, A, B, x0, max_n):
+        expected = untabled_walk(A, B, x0, max_n)
+        full = iterate(A, B, x0, max_n).trace[2:]
+        slim = iterate(A, B, x0, max_n, slim=True).trace[2:]
+        assert [(r.n, r.x, r.selector_k, r.inner) for r in full] == expected
+        assert typed(c for r in full for c in (*r.x, r.inner)) == typed(
+            c for _, x, _, inner in expected for c in (*x, inner)
+        )
+        assert [(r.n, r.selector_k, r.inner) for r in slim] == [
+            (n, k, inner) for n, _, k, inner in expected
+        ]
+        return len({(k, inner) for _, _, k, inner in expected})
+
+    def test_rational_m_point_sets_under_each_policy(self):
+        rng = random.Random("lattice table m-point")
+        revisits = 0
+        for normal in RATIONAL_NORMALS:
+            for m in (3, 5, 8):
+                for policy in TiePolicy:
+                    A, B, x0 = random_straddling_set(rng, normal, m, policy, rational_coordinate)
+                    revisits += self.assert_matches_walk(A, B, x0, 300) < 299
+        assert revisits > 20
+
+    def test_m_point_ties_under_each_policy(self):
+        A, B = plane_problem([(1, -1), (0, 2), (3, 1)])
+        for policy in TiePolicy:
+            self.assert_matches_walk(A, with_policy(B, policy), F(2, 5), 200)
+
+    def test_rational_doubleton_past_the_table_budget(self):
+        # q1*d_A(b1) = q2*d_A(b2) with q1 + q2 > 2^13: the table fills
+        # before the walk comes back, and the walk goes on without it
+        q1, q2 = 4099, 4999
+        A, B = line_problem([Fraction(-q2, 3), Fraction(q1, 3)])
+        distinct = self.assert_matches_walk(A, B, (Fraction(1, 5),), 2 * (q1 + q2) + 50)
+        assert distinct == q1 + q2 > TABLE_BUDGET
+
+    def test_irrational_surd_orbit(self):
+        A, B = surd_line_problem([Surd(-1, Fraction(-1, 2), 2), 3])
+        max_n = TABLE_BUDGET + 300
+        assert self.assert_matches_walk(A, B, (Surd(Fraction(1, 3), 1, 2),), max_n) == max_n - 1
+
+
+def hexes(v):
+    return tuple(c.hex() for c in v)
+
+
+def plain_f64_run(A, B, x0, max_n):
+    """(n, x, k, inner) in float.hex of a plain dr_step loop, stopping at a
+    fixed point."""
+    x = tuple(x0)
+    out = [(0, hexes(x), None, A.inner(x).hex())]
+    for n in range(1, max_n + 1):
+        nxt, k = dr_step(A, B, x)
+        if vec_equal(nxt, x, A.backend):
+            break
+        out.append((n, hexes(nxt), k, A.inner(nxt).hex()))
+        x = nxt
+    return out
+
+
+def signed_zero_sets(count):
+    """Seeded straddling f64 sets on axis normals whose other components,
+    point coordinates and start coordinates are often 0.0 or -0.0, with
+    dyadic data so that the orbits cycle."""
+    rng = random.Random("f64 signed zeros")
+    zero = lambda: rng.choice((0.0, -0.0))  # noqa: E731
+    sets = []
+    while len(sets) < count:
+        dim = rng.choice((2, 3))
+        axis = rng.randrange(dim)
+        normal = [zero() for _ in range(dim)]
+        normal[axis] = rng.choice((1.0, -1.0))
+        pts = set()
+        for _ in range(rng.choice((2, 3, 4))):
+            p = [rng.choice((zero(), rng.randint(-3, 3) / 2)) for _ in range(dim)]
+            p[axis] = rng.choice((-1, 1)) * rng.randint(1, 6) / rng.choice((1, 2))
+            pts.add(tuple(p))
+        x0 = tuple(rng.choice((zero(), rng.randint(-4, 4) / 2)) for _ in range(dim))
+        A = Hyperplane(tuple(normal))
+        try:
+            B = FiniteSet.ordered(sorted(pts), A, rng.choice(list(TiePolicy)))
+        except ValueError:  # two points equal up to the sign of a zero
+            continue
+        if classify(A, B).kind == ClassificationKind.STRADDLING:
+            sets.append((A, B, x0))
+    return sets
+
+
+def zero_sign_collisions(A, B, x0, max_n):
+    """Iterates equal as floats, but not in their bits, whose dr_steps
+    differ in their bits: a table keyed on such an iterate would answer the
+    later one with the earlier one's step."""
+    seen, x, found = {}, tuple(x0), 0
+    for _ in range(max_n):
+        nxt, k = dr_step(A, B, x)
+        step = (hexes(x), hexes(nxt), k)
+        found += sum(h != step[0] and (s, j) != step[1:] for h, s, j in seen.get(x, ()))
+        seen.setdefault(x, []).append(step)
+        x = nxt
+    return found
+
+
+class TestF64StepTable:
+    """iterate looks a revisited f64 iterate up in its table; its traces
+    must be a plain dr_step loop's, bit for bit."""
+
+    def assert_matches_plain(self, A, B, x0, max_n):
+        expected = plain_f64_run(A, B, x0, max_n)
+        full = iterate(A, B, x0, max_n)
+        slim = iterate(A, B, x0, max_n, slim=True)
+        assert [(r.n, hexes(r.x), r.selector_k, r.inner.hex()) for r in full.trace] == expected
+        assert [
+            (r.n, hexes(reconstruct_x(slim, A, B, n)), r.selector_k, r.inner.hex())
+            for n, r in enumerate(slim.trace)
+        ] == expected
+        # the exported offset and coordinates are each record's own repr
+        m = B.m
+        texts = [[repr(float.fromhex(c)) for c in (inner, *x)] for _, x, _, inner in expected]
+        for run in (full, slim):
+            assert [[row[2], *row[3 + m:]] for row in trace_rows(run, A, B)] == texts
+        return expected
+
+    def test_orbits_through_signed_zeros(self):
+        zeros, collisions = set(), 0
+        for A, B, x0 in signed_zero_sets(60):
+            for _, x, _, _ in self.assert_matches_plain(A, B, x0, 300):
+                zeros.update(c for c in x if float.fromhex(c) == 0)
+            collisions += zero_sign_collisions(A, B, x0, 300)
+        # the orbits pass through both zeros, and some pass through iterates
+        # that only a table ignoring the sign of zero would confuse
+        assert zeros == {"0x0.0p+0", "-0x0.0p+0"}
+        assert collisions > 0
+
+    def test_more_distinct_states_than_the_table_holds(self):
+        # dyadic offsets with q1*d_A(b1) = q2*d_A(b2) and q1 + q2 > 2^13 are
+        # exact in floats: the orbit cycles with period q1 + q2, so the table
+        # fills before it comes back and the loop goes on without it
+        q1, q2 = 4099, 4999
+        A = Hyperplane((1.0,))
+        B = FiniteSet.ordered([(-q2 / 4,), (q1 / 4,)], A)
+        expected = self.assert_matches_plain(A, B, (0.125,), 2 * (q1 + q2) + 50)
+        assert len({x for _, x, _, _ in expected[1:]}) == q1 + q2 > TABLE_BUDGET
+
+
+def streamed_rows_peak(run, A, B) -> int:
+    """Peak traced bytes while the CSV rows of run stream past unkept."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    for _ in trace_rows(run, A, B):
+        pass
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def iterate_transient(A, B, x0, max_n) -> int:
+    """Peak traced bytes of iterate beyond the result it returns."""
+    tracemalloc.reset_peak()
+    run = iterate(A, B, x0, max_n)
+    held, peak = tracemalloc.get_traced_memory()
+    return peak - held
+
+
+def test_long_trace_memory_grows_with_the_trace_only():
+    # iterate's step tables and the exporter's text table hold at most
+    # TABLE_BUDGET states, so past them only the trace grows: what iterate
+    # holds beyond its result, on the lattice and on f64 vectors, and what a
+    # 10^5-step trace's CSV rows take while they stream, are what they are
+    # just past the budget
+    prob = load_problem(PROBLEMS / "surd_aperiodic.json")
+    A, B, x0 = prob.hyperplane, prob.points, prob.x0
+    floats = load_problem(PROBLEMS / "float_wide.json")
+    past = TABLE_BUDGET + 1000
+    run = iterate(A, B, x0, 10**5)
+    short = RunResult(run.trace[: past + 1], run.outcome)
+    slack = 2**20
+    tracemalloc.start()
+    try:
+        for p in (prob, floats):
+            args = p.hyperplane, p.points, p.x0
+            assert iterate_transient(*args, 3 * TABLE_BUDGET) < iterate_transient(*args, past) + slack
+        assert streamed_rows_peak(run, A, B) < streamed_rows_peak(short, A, B) + slack
+    finally:
+        tracemalloc.stop()
