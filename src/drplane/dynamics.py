@@ -65,8 +65,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .lattice import TABLE_BUDGET, OffsetLattice, SetLattice, window_constant
-from .scalars import F64, F64_ABS_TOL, SURD, Scalar, encode_scalar, format_scalar
+from .lattice import TABLE_BUDGET, OffsetLattice, SetLattice, _int_parts, window_constant
+from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 
 
 def log_path(logger: str, message: str, *args) -> None:
@@ -445,15 +445,20 @@ def trace_csv_header(m: int, dim: int) -> list[str]:
     )
 
 
+def _built(x) -> Vector:
+    """A record's iterate: x itself, or x() for a record that builds it on use."""
+    return x() if callable(x) else x
+
+
 def _tallied(records, m: int, fragment):
     """(n, k, counts, fragment(inner, x)) for each record.
 
     counts are the cumulative selector counts up to the record (one list,
-    updated in place); this is the one place they are tallied.  The fragment
-    is made once per key, and for every record keyed None.  On an orbit,
-    keys repeat only once it has come back, after which no new key arrives,
-    so a table that fills to TABLE_BUDGET keys has seen no repeat and is
-    dropped.
+    updated in place).  The fragment is made once per key, and for every
+    record keyed None; a record's iterate is built only for its fragment.
+    On an orbit, keys repeat only once it has come back, after which no new
+    key arrives, so a table that fills to TABLE_BUDGET keys has seen no
+    repeat and is dropped.
     """
     counts = [0] * m
     made = {}
@@ -462,7 +467,7 @@ def _tallied(records, m: int, fragment):
             counts[k - 1] += 1
         frag = None if made is None else made.get(key)
         if frag is None:
-            frag = fragment(inner, x)
+            frag = fragment(inner, _built(x))
             if made is not None and key is not None:
                 made[key] = frag
                 if len(made) == TABLE_BUDGET:
@@ -472,10 +477,6 @@ def _tallied(records, m: int, fragment):
 
 def _row_texts(inner, x):
     return format_scalar(inner), [format_scalar(c) for c in x]
-
-
-def _encoded(inner, x):
-    return encode_scalar(inner), [encode_scalar(c) for c in x]
 
 
 def export_rows(records, m: int):
@@ -492,21 +493,22 @@ def export_rows(records, m: int):
 def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> dict:
     """JSON-ready report of a run and its records, then the items of extra.
 
-    Every record is encoded on its own: this is the plain form that
-    :func:`export_json` renders the same bytes as.
+    Every record is encoded on its own, keys unused: this is the plain form
+    that :func:`export_json` renders the same bytes as.
     """
     cls = classify(A, B)
+    counts = [0] * B.m
+    encoded = []
+    for n, k, inner, x, _ in records:
+        if k is not None:
+            counts[k - 1] += 1
+        encoded.append({"n": n, "k": k, "inner": encode_scalar(inner), "counts": list(counts),
+                        "x": [encode_scalar(c) for c in _built(x)]})
     report = {
         "method": method,
         "outcome": outcome.value,
         "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
-        # keys dropped, so that every record is encoded on its own
-        "records": [
-            {"n": n, "k": k, "inner": inner, "counts": list(counts), "x": x}
-            for n, k, counts, (inner, x) in _tallied(
-                ((*r[:4], None) for r in records), B.m, _encoded
-            )
-        ],
+        "records": encoded,
     }
     if extra:
         report.update(extra)
@@ -530,7 +532,11 @@ def _nested(value, indent: str) -> str:
 
 
 def _json_texts(inner, x):
-    """A JSON record's text after its "k" and before, then after, its counts."""
+    """A JSON record's text after its "k" and before, then after, its counts.
+
+    The keys and their order must be those of export_report's records, as
+    export_json writes them: n, k, inner, counts, x.
+    """
     return (
         ',\n      "inner": ' + _nested(encode_scalar(inner), "      ") + ',\n      "counts": [\n        ',
         '\n      ],\n      "x": ' + _nested([encode_scalar(c) for c in x], "      ") + "\n    }",
@@ -568,36 +574,28 @@ def write_csv(fp, header: list[str], rows) -> None:
 
 
 def _records(result: RunResult, A: Hyperplane, B: FiniteSet):
-    """Each record as (n, k, inner, x, key).
+    """Each record as (n, k, inner, x, key); a slim record's x is a callable
+    that rebuilds it, so an exporter builds it only for a new key.
 
     From record 1 on, x_n = <x_{n-1},u>*u + b_k, so the state (k, <x_{n-1},u>)
-    fixes x_n and with it <x_n,u>.  That state is the key where orbits
-    repeat: on the integer-lattice path as the offset's integers (p, q, n),
-    which hash much faster than the scalar, and on f64 with <x_n,u> too (a
-    closed-form offset is not summed step by step), both bit for bit, since
-    0.0 == -0.0 though their texts differ.  The exact vector path does not
-    repeat and keys nothing.
+    fixes x_n and with it <x_n,u>.  That state is the key: on the exact
+    backends as the offset's integers (p, q, n), which hash much faster than
+    the scalar, and on f64 with <x_n,u> too (a closed-form offset is not
+    summed step by step), both bit for bit, since 0.0 == -0.0 though their
+    texts differ.
     """
-    cls = classify(A, B)
-    if A.backend == F64:
-        keyed = F64
-    elif cls.kind == ClassificationKind.STRADDLING and not cls.intersects:
-        keyed = A.backend
-    else:
-        keyed = None
+    f64 = A.backend == F64
     trace, prev = result.trace, None
     for n, rec in enumerate(trace):
         k, inner, x = rec.selector_k, rec.inner, rec.x
         if x is None:
-            x = reconstruct_x(result, A, B, n)
-        if k is None or keyed is None:
+            x = partial(reconstruct_x, result, A, B, n)
+        if k is None:
             key = None
-        elif keyed == SURD:
-            key = (k, prev.p, prev.q, prev.n)
-        elif keyed == F64:
+        elif f64:
             key = _bits_key((k, prev, inner))
         else:
-            key = (k, prev.numerator, prev.denominator)
+            key = (k, *_int_parts(prev))
         yield rec.n, k, inner, x, key
         prev = inner
 
@@ -616,9 +614,9 @@ def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
     return export_rows(_records(result, A, B), B.m)
 
 
-def run_report(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> dict:
+def run_report(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
     """JSON-ready mirror of a RunResult."""
-    return export_report(method, result.outcome, A, B, _records(result, A, B), _run_extra(result))
+    return export_report("dr", result.outcome, A, B, _records(result, A, B), _run_extra(result))
 
 
 def run_json(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> str:

@@ -668,7 +668,8 @@ def reference_json(command, path, horizon):
             if command != "closed-form":
                 raise PreconditionError("run")
             dp = DoubletonProblem.from_problem(p)
-            report = run_report(closed_form_trace(dp, horizon), A, B, "closed_form")
+            report = run_report(closed_form_trace(dp, horizon), A, B)
+            report["method"] = "closed_form"
         except PreconditionError:
             report = run_report(iterate(A, B, p.x0, horizon), A, B)
     return json.dumps(report, indent=2) + "\n"

@@ -26,6 +26,7 @@ from drplane.dynamics import (
     iterate,
     reconstruct_shadow,
     reconstruct_x,
+    run_json,
     run_report,
     trace_csv_header,
     trace_rows,
@@ -347,6 +348,18 @@ class TestExport:
         write_csv(buf_full, header, trace_rows(full, A, B))
         write_csv(buf_slim, header, trace_rows(slim, A, B))
         assert buf_full.getvalue() == buf_slim.getvalue()
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+    def test_slim_trace_exports_as_full(self, path):
+        # a slim record's iterate is rebuilt only for a state the exporter
+        # has not formatted yet; rows and JSON must not show it
+        p = load_problem(path)
+        A, B = p.hyperplane, p.points
+        full = iterate(A, B, p.x0, 1100)
+        slim = iterate(A, B, p.x0, 1100, slim=True)
+        assert list(trace_rows(slim, A, B)) == list(trace_rows(full, A, B))
+        assert run_json(slim, A, B) == run_json(full, A, B)
+        assert run_report(slim, A, B) == run_report(full, A, B)
 
     def test_header_matches_dimensions(self):
         assert trace_csv_header(3, 2) == [
