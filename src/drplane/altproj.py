@@ -15,8 +15,6 @@ which the exporters format once each (see :func:`_records`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynamics import Outcome, _check_start, export_json, export_report, export_rows
 from .geometry import (
     FiniteSet,
@@ -25,18 +23,20 @@ from .geometry import (
     project_finite_set,
     project_hyperplane,
 )
+from .slotted import Record
 
 
-@dataclass
-class ApTrace:
+class ApTrace(Record):
     """Interleaved projection outputs: x0, onto-plane, onto-set, onto-plane, ...
 
     selectors[i] is the 1-based index of the chosen set point when entry i
     came from the finite-set projector, else None.
     """
 
-    points: list[Vector]
-    selectors: list[int | None]
+    __slots__ = _fields = ("points", "selectors")
+
+    def __init__(self, points: list[Vector], selectors: list[int | None]):
+        self.points, self.selectors = points, selectors
 
     def __len__(self) -> int:
         return len(self.points)

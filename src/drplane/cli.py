@@ -9,9 +9,19 @@ the exporters of :mod:`drplane.dynamics`, which format each orbit state once
 and render JSON records from those per-state fragments, byte-identical to
 ``json.dumps(report, indent=2)``; other reports go through ``json.dumps``.
 Exit codes: 0 success, 1 a verification mismatch, 2 invalid input (bad file,
-bad flags, or a request whose preconditions fail).  The cycle search, the
-closed form and the alternating projections are imported by the commands
-that run them, so each child process loads only what its subcommand uses.
+bad flags, or a request whose preconditions fail).
+
+Each child is a fresh interpreter, and on a short run its start-up costs more
+than its work, so a child imports little: argparse, json and the trace path
+(dynamics, geometry, lattice, problems, scalars and slotted, with csv, enum,
+fractions and functools); the cycle search, the closed form and the
+alternating projections are imported by the commands that run them.  No
+drplane module imports dataclasses: it loads inspect, ast, dis and
+tokenize, and each decorated class execs its generated methods, which
+together cost more CPU than a median ``run`` child's own work, so the
+classes are slotted (:mod:`drplane.slotted`).  The parsers' help formatter
+takes argparse's default width itself (:func:`_help_width`), since argparse
+imports shutil, and with it zlib, bz2 and lzma, only to read it.
 """
 
 from __future__ import annotations
@@ -19,8 +29,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
-from dataclasses import replace
+from functools import partial
 
 from .dynamics import (
     Outcome,
@@ -32,7 +43,7 @@ from .dynamics import (
     write_csv,
 )
 from .errors import PreconditionError, ProblemFormatError
-from .geometry import TiePolicy
+from .geometry import FiniteSet, TiePolicy
 from .problems import Problem, load_problem, make_problem
 from .scalars import BACKENDS, F64, F64_REL_TOL, finite_float, rational_heuristic
 
@@ -63,7 +74,8 @@ def _convert_backend(p: Problem, target: str) -> Problem:
 def _load(args: argparse.Namespace) -> Problem:
     p = load_problem(args.problem)
     if args.tie_policy is not None:
-        p = replace(p, points=replace(p.points, tie_policy=args.tie_policy))
+        B = p.points
+        p = Problem(p.hyperplane, FiniteSet(B.points, B.inners, args.tie_policy), p.x0)
     if args.backend is not None:
         p = _convert_backend(p, args.backend)
     return p
@@ -229,9 +241,31 @@ COMMANDS = {
 }
 
 
+def _help_width() -> int:
+    """The width argparse's HelpFormatter takes by default, without its
+    import of shutil: shutil.get_terminal_size().columns - 2, that is
+    COLUMNS, else the columns of sys.__stdout__'s terminal, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+        columns = columns or 80
+    return columns - 2
+
+
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    return argparse.HelpFormatter(prog, width=_help_width())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drplane",
+        formatter_class=_formatter,
         description=(
             "Reflect-project dynamics for a hyperplane and a finite point set: "
             "trace runs, cycle reports, floor-form evaluation and verification, "
@@ -239,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
             "sequences."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_formatter),
+    )
 
     def add_problem_opts(sp):
         sp.add_argument("--problem", required=True, help="problem JSON path")

@@ -31,7 +31,6 @@ own.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 
 from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
@@ -39,12 +38,12 @@ from .errors import PreconditionError
 from .geometry import dot, norm_sq, vsub
 from .lattice import OffsetLattice
 from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, floor, format_scalar, surd_floor
+from .slotted import Value
 
 NOT_APPLICABLE = "closed form not applicable; use iterate"
 
 
-@dataclass(frozen=True)
-class Betas:
+class Betas(Value):
     """Offset constants of a doubleton instance.
 
     beta1/beta2 are the signed offsets of the two points; beta is the
@@ -52,9 +51,10 @@ class Betas:
     geometry forces beta < 0 and -2*beta >= beta2 - beta1.
     """
 
-    beta1: Scalar
-    beta2: Scalar
-    beta: Scalar
+    __slots__ = _fields = ("beta1", "beta2", "beta")
+
+    def __init__(self, beta1: Scalar, beta2: Scalar, beta: Scalar):
+        self._set(beta1=beta1, beta2=beta2, beta=beta)
 
     @property
     def span(self):
@@ -364,17 +364,16 @@ def beatty_triple(n: int) -> tuple[int, int, int]:
     return u_n, v_n, w_n
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Value):
     """Outcome of the formula-vs-iteration cross-check."""
 
-    ok: bool
-    checked: int
-    horizon: int
-    first_mismatch: dict | None = None
+    __slots__ = _fields = ("ok", "checked", "horizon", "first_mismatch")
+
+    def __init__(self, ok: bool, checked: int, horizon: int, first_mismatch: dict | None = None):
+        self._set(ok=ok, checked=checked, horizon=horizon, first_mismatch=first_mismatch)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _points_agree(x, y, backend: str) -> bool:

@@ -31,7 +31,6 @@ before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
@@ -40,48 +39,43 @@ from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
 from .lattice import TABLE_BUDGET
 from .problems import Problem
-from .scalars import (
-    F64,
-    F64_REL_TOL,
-    Scalar,
-    as_fraction,
-    encode_scalar,
-    format_scalar,
-    is_rational,
-)
+from .scalars import F64, F64_REL_TOL, as_fraction, encode_scalar, format_scalar, is_rational
+from .slotted import Value
 
 
-@dataclass(frozen=True)
-class DoubletonProblem:
+class DoubletonProblem(Value):
     """Two-point feasibility instance with b1 below the hyperplane, b2 above.
 
-    b1 and b2 are checked by ``hyperplane.check``, and x0 by its orbit."""
+    b1 and b2 are checked by ``hyperplane.check``, and x0 by its orbit.
+    Copies and pickles keep the derived slots, the orbit's lattice and
+    point evaluator included."""
 
-    hyperplane: Hyperplane
-    b1: Vector
-    b2: Vector
-    x0: Vector
-    tie_policy: TiePolicy = TiePolicy.HIGHER_INNER
-    # signed offsets <b1,u>, <b2,u>, the window constant and the orbit of x0,
-    # derived once from the fields above
-    beta1: Scalar = field(init=False, repr=False, compare=False)
-    beta2: Scalar = field(init=False, repr=False, compare=False)
-    beta: Scalar = field(init=False, repr=False, compare=False)
-    orbit: Orbit = field(init=False, repr=False, compare=False)
-    # the closed form's Betas, plan and corollary verdict, derived on first
-    # use in drplane.closedform and kept
-    _betas: object = field(default=None, init=False, repr=False, compare=False)
-    _closed_form: object = field(default=None, init=False, repr=False, compare=False)
-    _corollary: object = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("hyperplane", "b1", "b2", "x0", "tie_policy")
+    __slots__ = (
+        *_fields,
+        # signed offsets <b1,u>, <b2,u>, the window constant and the orbit of
+        # x0, derived once from the fields above
+        "beta1", "beta2", "beta", "orbit",
+        # the closed form's Betas, plan and corollary verdict, derived on
+        # first use in drplane.closedform and kept
+        "_betas", "_closed_form", "_corollary",
+    )
 
-    def __post_init__(self):
-        A = self.hyperplane
-        A.check("b1", self.b1)
-        A.check("b2", self.b2)
-        object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
-        b1_off, b2_off = A.inner(self.b1), A.inner(self.b2)
-        B = FiniteSet((tuple(self.b1), tuple(self.b2)), (b1_off, b2_off), self.tie_policy)
-        orbit = Orbit(A, B, self.x0)
+    def __init__(
+        self,
+        hyperplane: Hyperplane,
+        b1: Vector,
+        b2: Vector,
+        x0: Vector,
+        tie_policy: TiePolicy = TiePolicy.HIGHER_INNER,
+    ):
+        A = hyperplane
+        A.check("b1", b1)
+        A.check("b2", b2)
+        tie_policy = TiePolicy(tie_policy)
+        b1_off, b2_off = A.inner(b1), A.inner(b2)
+        B = FiniteSet((tuple(b1), tuple(b2)), (b1_off, b2_off), tie_policy)
+        orbit = Orbit(A, B, x0)
         # b1 below and b2 above, neither on the hyperplane; so the two
         # points are also ordered and distinct
         cls = orbit.classification
@@ -90,10 +84,11 @@ class DoubletonProblem:
                 "doubleton must straddle the hyperplane strictly: "
                 f"offsets {format_scalar(b1_off)}, {format_scalar(b2_off)}"
             )
-        object.__setattr__(self, "beta1", b1_off)
-        object.__setattr__(self, "beta2", b2_off)
-        object.__setattr__(self, "beta", orbit.window)
-        object.__setattr__(self, "orbit", orbit)
+        self._set(
+            hyperplane=hyperplane, b1=b1, b2=b2, x0=x0, tie_policy=tie_policy,
+            beta1=b1_off, beta2=b2_off, beta=orbit.window, orbit=orbit,
+            _betas=None, _closed_form=None, _corollary=None,
+        )
 
     @property
     def backend(self) -> str:
@@ -112,8 +107,7 @@ class DoubletonProblem:
         return cls(problem.hyperplane, b1, b2, problem.x0, problem.tie_policy)
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Value):
     """Outcome of a bounded cycle search.
 
     status 'cycle': x_{preperiod} onward repeats with the given minimal
@@ -121,12 +115,21 @@ class CycleReport:
     status 'no_cycle': no exact state recurrence within the horizon.
     """
 
-    status: str
-    horizon: int
-    preperiod: int | None = None
-    period: int | None = None
-    states: tuple[Vector, ...] | None = None
-    approximate: bool = False
+    __slots__ = _fields = ("status", "horizon", "preperiod", "period", "states", "approximate")
+
+    def __init__(
+        self,
+        status: str,
+        horizon: int,
+        preperiod: int | None = None,
+        period: int | None = None,
+        states: tuple[Vector, ...] | None = None,
+        approximate: bool = False,
+    ):
+        self._set(
+            status=status, horizon=horizon, preperiod=preperiod, period=period,
+            states=states, approximate=approximate,
+        )
 
     def to_dict(self) -> dict:
         if self.status != "cycle":

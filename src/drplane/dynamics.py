@@ -49,7 +49,6 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import DimensionMismatch, PreconditionError
@@ -67,6 +66,7 @@ from .geometry import (
 )
 from .lattice import TABLE_BUDGET, OffsetLattice, SetLattice, _int_parts, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
+from .slotted import Record, Value
 
 
 def log_path(logger: str, message: str, *args) -> None:
@@ -87,10 +87,14 @@ class ClassificationKind(str, enum.Enum):
     STRADDLING = "straddling"
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: ClassificationKind
-    intersects: bool  # some point lies on the hyperplane
+class Classification(Value):
+    """One-sided or straddling; ``intersects``: some point lies on the
+    hyperplane."""
+
+    __slots__ = _fields = ("kind", "intersects")
+
+    def __init__(self, kind: ClassificationKind, intersects: bool):
+        self._set(kind=kind, intersects=intersects)
 
 
 class Outcome(str, enum.Enum):
@@ -99,16 +103,23 @@ class Outcome(str, enum.Enum):
     DIVERGENCE = "divergence"
 
 
-@dataclass
-class TraceRecord:
-    n: int
-    x: Vector | None           # None in slim traces for n >= 1
-    selector_k: int | None     # 1-based selected point; None at n = 0
-    inner: Scalar              # <x_n, u>
+class TraceRecord(Record):
+    __slots__ = _fields = ("n", "x", "selector_k", "inner")
+
+    def __init__(
+        self,
+        n: int,
+        x: Vector | None,          # None in slim traces for n >= 1
+        selector_k: int | None,    # 1-based selected point; None at n = 0
+        inner: Scalar,             # <x_n, u>
+    ):
+        self.n = n
+        self.x = x
+        self.selector_k = selector_k
+        self.inner = inner
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """A trace plus how it ended.
 
     Per-step selector counts are not stored: the exporters tally them as
@@ -116,11 +127,18 @@ class RunResult:
     P_A x_n derive from x_n and inner (see reconstruct_shadow).
     """
 
-    trace: list[TraceRecord]
-    outcome: Outcome
-    fixed_at: int | None = None
-    shadow_limit: Vector | None = None   # stabilized shadow on divergence
-    final_counts: tuple[int, ...] = ()
+    __slots__ = _fields = ("trace", "outcome", "fixed_at", "shadow_limit", "final_counts")
+
+    def __init__(
+        self,
+        trace: list[TraceRecord],
+        outcome: Outcome,
+        fixed_at: int | None = None,
+        shadow_limit: Vector | None = None,   # stabilized shadow on divergence
+        final_counts: tuple[int, ...] = (),
+    ):
+        self.trace, self.outcome, self.fixed_at = trace, outcome, fixed_at
+        self.shadow_limit, self.final_counts = shadow_limit, final_counts
 
 
 def classify(A: Hyperplane, B: FiniteSet) -> Classification:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from .errors import BackendError, DimensionMismatch, ProblemFormatError
 from .scalars import F64, F64_ABS_TOL, SURD, Scalar, backend_of, finite_float
+from .slotted import Value
 
 Vector = tuple  # tuple of scalars, one backend per problem
 
@@ -98,8 +98,7 @@ class TiePolicy(str, enum.Enum):
 DEFAULT_TIE_POLICY = TiePolicy.HIGHER_INNER
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Value):
     """Hyperplane through the origin, stored with a unit normal.
 
     Float normals are normalized on construction; exact backends must supply
@@ -109,11 +108,11 @@ class Hyperplane:
     normal once, here.
     """
 
-    normal: Vector
-    backend: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("normal", "backend")
+    _fields = ("normal",)
 
-    def __post_init__(self):
-        normal = tuple(self.normal)
+    def __init__(self, normal: Vector):
+        normal = tuple(normal)
         if not normal:
             raise ValueError("hyperplane normal must be non-empty")
         backend = vector_backend(normal)
@@ -135,8 +134,7 @@ class Hyperplane:
                     "exact backends require an exactly unit normal, "
                     f"got <u,u> = {ns}"
                 )
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "backend", backend)
+        self._set(normal=normal, backend=backend)
         if backend == SURD:
             self.check("normal", normal)
 
@@ -173,24 +171,26 @@ class Hyperplane:
         return dot(x, self.normal)
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Value):
     """Finite point set, stored sorted by signed offset along a unit normal.
 
     ``inners[i]`` caches <points[i], u> for the hyperplane the set was built
     against; the whole analysis reads geometry through those offsets.
     """
 
-    points: tuple[Vector, ...]
-    inners: tuple
-    tie_policy: TiePolicy = DEFAULT_TIE_POLICY
+    __slots__ = _fields = ("points", "inners", "tie_policy")
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(
+        self,
+        points: tuple[Vector, ...],
+        inners: tuple,
+        tie_policy: TiePolicy = DEFAULT_TIE_POLICY,
+    ):
+        if not points:
             raise ValueError("finite set needs at least one point")
-        if len(self.points) != len(self.inners):
+        if len(points) != len(inners):
             raise ValueError("points/inners length mismatch")
-        object.__setattr__(self, "tie_policy", TiePolicy(self.tie_policy))
+        self._set(points=points, inners=inners, tie_policy=TiePolicy(tie_policy))
 
     @classmethod
     def ordered(

@@ -24,24 +24,22 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BackendError, ProblemFormatError
 from .geometry import DEFAULT_TIE_POLICY, FiniteSet, Hyperplane, TiePolicy, Vector
 from .scalars import BACKENDS, SURD, Surd, decode_scalar, encode_scalar, finite_float
+from .slotted import Value
 
 
-@dataclass(frozen=True)
-class Problem:
-    hyperplane: Hyperplane
-    points: FiniteSet
-    x0: Vector
+class Problem(Value):
+    __slots__ = _fields = ("hyperplane", "points", "x0")
 
-    def __post_init__(self):
-        self.hyperplane.check("x0", self.x0)
-        for pt in self.points.points:
-            self.hyperplane.check("point", pt)
+    def __init__(self, hyperplane: Hyperplane, points: FiniteSet, x0: Vector):
+        hyperplane.check("x0", x0)
+        for pt in points.points:
+            hyperplane.check("point", pt)
+        self._set(hyperplane=hyperplane, points=points, x0=x0)
 
     @property
     def backend(self) -> str:

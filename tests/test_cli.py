@@ -1,5 +1,6 @@
-"""End-to-end CLI behaviour: formats, exit codes, overrides."""
+"""End-to-end CLI behaviour: formats, exit codes, overrides, help text."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from drplane.altproj import ap_iterate, ap_report
-from drplane.cli import main
+from drplane.cli import COMMANDS, build_parser, main
 from drplane.closedform import closed_form_trace
 from drplane.cycling import DoubletonProblem
 from drplane.dynamics import iterate, run_report
@@ -708,3 +709,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,u,v,w")
+
+
+@pytest.mark.parametrize("columns", [None, "50", "200"])
+def test_help_and_usage_are_argparse_defaults(monkeypatch, columns):
+    # the parsers' formatter takes argparse's default width without its
+    # import of shutil, so the text is plain HelpFormatter's at any COLUMNS
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(COMMANDS)
+    parsers = [parser, *subparsers.choices.values()]
+    ours = [(p.format_help(), p.format_usage()) for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [(p.format_help(), p.format_usage()) for p in parsers] == ours

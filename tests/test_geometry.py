@@ -6,7 +6,7 @@ the tie policy by hand).
 """
 
 import copy
-import dataclasses
+import inspect
 import math
 import pickle
 import random
@@ -123,12 +123,16 @@ class TestHyperplane:
     def test_backend_is_derived_once_and_stays_out_of_identity(self, normal, backend):
         A = Hyperplane(normal)
         assert A.backend == vector_backend(A.normal) == backend
-        assert [f.name for f in dataclasses.fields(A) if f.init] == ["normal"]
+        assert list(inspect.signature(Hyperplane).parameters) == ["normal"]
         assert repr(A) == f"Hyperplane(normal={A.normal!r})"
         assert A == Hyperplane(normal) and hash(A) == hash((A.normal,))
         for again in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
             assert again == A and hash(again) == hash(A)
             assert again.backend == backend and repr(again) == repr(A)
+        for name in ("normal", "backend"):
+            with pytest.raises(AttributeError):
+                setattr(A, name, normal)
+        assert A.backend == backend
 
     def test_check_names_the_vector(self):
         A = Hyperplane((Fraction(0), Fraction(1)))
@@ -207,6 +211,30 @@ class TestFiniteSet:
         A = Hyperplane((Fraction(1),))
         with pytest.raises(ValueError):
             FiniteSet.ordered([], A)
+
+    @pytest.mark.parametrize("normal, points", [
+        ((Fraction(0), Fraction(1)), [(Fraction(1), Fraction(-1)), (Fraction(0), Fraction(2))]),
+        ((Surd(1, 0, 2),), [(Surd(0, -1, 2),), (Surd(1, 1, 2),)]),
+        ((0.0, 1.0), [(1.0, -1.5), (0.25, 2.0)]),
+    ])
+    def test_identity_is_its_three_fields(self, normal, points):
+        A = Hyperplane(normal)
+        B = FiniteSet.ordered(points, A, TiePolicy.LOWER_INNER)
+        assert list(inspect.signature(FiniteSet).parameters) == ["points", "inners", "tie_policy"]
+        assert repr(B) == (
+            f"FiniteSet(points={B.points!r}, inners={B.inners!r}, tie_policy={B.tie_policy!r})"
+        )
+        assert B == FiniteSet(B.points, B.inners, "lower_inner")
+        assert hash(B) == hash((B.points, B.inners, TiePolicy.LOWER_INNER))
+        assert B != FiniteSet(B.points, B.inners) and B != (B.points, B.inners, B.tie_policy)
+        for again in (copy.copy(B), copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+            assert again == B and hash(again) == hash(B) and repr(again) == repr(B)
+            assert again.tie_policy is TiePolicy.LOWER_INNER
+        for name in ("points", "inners", "tie_policy"):
+            with pytest.raises(AttributeError):
+                setattr(B, name, getattr(B, name))
+            with pytest.raises(AttributeError):
+                delattr(B, name)
 
 
 class TestNearestPoint:

@@ -68,7 +68,10 @@ def test_function_local_imports_are_read_in_their_own_function():
 # import loads and how its lazy names and path records behave.
 IMPORT_PROBE = """
 import json, sys
-heavy = ("logging", "typing", "drplane.cycling", "drplane.closedform", "drplane.altproj")
+heavy = (
+    "logging", "typing", "dataclasses", "inspect", "shutil",
+    "drplane.cycling", "drplane.closedform", "drplane.altproj",
+)
 loaded = lambda: [m for m in heavy if m in sys.modules]
 out = {}
 import drplane
@@ -116,12 +119,16 @@ SUBCOMMAND_PROBE = """
 import json, sys
 from drplane.cli import main
 code = main(sys.argv[1:])
-heavy = ("logging", "drplane.cycling", "drplane.closedform", "drplane.altproj")
+heavy = (
+    "logging", "dataclasses", "inspect", "shutil",
+    "drplane.cycling", "drplane.closedform", "drplane.altproj",
+)
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
 # subcommand: (drplane modules it loads, drplane modules it must not load);
-# none of them loads logging
+# none of them loads logging, dataclasses (which loads inspect) or shutil
+# (which argparse's default help width loads)
 SUBCOMMAND_MODULES = {
     "run": ((), ("cycling", "closedform", "altproj")),
     "map": (("altproj",), ("cycling", "closedform")),
@@ -147,4 +154,6 @@ def test_subcommand_loads_only_its_own_modules(tmp_path, command):
     loads, not_loaded = SUBCOMMAND_MODULES[command]
     assert code == 0 and (tmp_path / "out").stat().st_size > 0
     assert {f"drplane.{m}" for m in loads} <= set(loaded)
-    assert not {"logging", *(f"drplane.{m}" for m in not_loaded)} & set(loaded)
+    assert not {
+        "logging", "dataclasses", "inspect", "shutil", *(f"drplane.{m}" for m in not_loaded)
+    } & set(loaded)

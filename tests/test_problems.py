@@ -1,8 +1,10 @@
 """Problem JSON wire format: round-trips, validation, inference."""
 
-import dataclasses
+import copy
+import inspect
 import json
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +39,7 @@ class TestRoundTrip:
     def test_exact_fixture_round_trips(self, name):
         p = load_problem(FIXTURES / name)
         again = problem_from_dict(problem_to_dict(p))
-        assert again == p  # frozen dataclasses compare by value
+        assert again == p  # problems compare by value
 
     def test_save_then_load(self, tmp_path):
         p = make_problem((0, 1), [(0, -1), (1, Surd(0, 1, 2))], (Fraction(1, 3), 0))
@@ -134,12 +136,30 @@ class TestProblem:
 
     def test_fields_and_derived_values(self):
         p = Problem(self.A, self.B, (Fraction(0),))
-        assert [f.name for f in dataclasses.fields(p)] == ["hyperplane", "points", "x0"]
+        assert list(inspect.signature(Problem).parameters) == ["hyperplane", "points", "x0"]
         assert (p.backend, p.surd_d, p.tie_policy) == ("rational", None, TiePolicy.HIGHER_INNER)
         A = Hyperplane((Surd(1, 0, 3),))
         B = FiniteSet.ordered([(Surd(-1, 0, 3),), (Surd(0, 1, 3),)], A)
         p = Problem(A, B, (Surd(0, 0, 3),))
         assert (p.backend, p.surd_d) == ("surd", 3)
+
+    def test_identity_is_its_three_fields(self):
+        p = Problem(self.A, self.B, (Fraction(0),))
+        assert repr(p) == f"Problem(hyperplane={self.A!r}, points={self.B!r}, x0={p.x0!r})"
+        assert p == Problem(Hyperplane((Fraction(1),)), self.B, (Fraction(0),))
+        assert hash(p) == hash((self.A, self.B, (Fraction(0),)))
+        assert p != Problem(self.A, self.B, (Fraction(1),))
+        assert p != (self.A, self.B, (Fraction(0),))
+        for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert again == p and hash(again) == hash(p) and repr(again) == repr(p)
+        for name in ("hyperplane", "points", "x0"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+        for path in sorted(FIXTURES.glob("*.json")):
+            p = load_problem(path)
+            for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert again == p and hash(again) == hash(p)
+                assert problem_to_dict(again) == problem_to_dict(p)
 
     def test_x0_of_wrong_dimension(self):
         with pytest.raises(DimensionMismatch, match="^x0 dimension 2 != hyperplane dimension 1$"):
