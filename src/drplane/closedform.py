@@ -199,7 +199,7 @@ class FloorForm:
         self.lattice = lat = lattice
         d = lat.d
         self.start = (i_a, i_b) = lat.start
-        (b1a, b1b), (b2a, b2b), (wa, wb) = lat.beta1, lat.beta2, lat.beta
+        ((b1a, b1b), (b2a, b2b)), (wa, wb) = lat.steps, lat.beta
         sa, sb = b2a - b1a, b2b - b1b
         norm = sa * sa - sb * sb * d
         sign = 1 if norm > 0 else -1
@@ -217,7 +217,7 @@ class FloorForm:
 
     def coefficients(self, n: int, c: int) -> tuple[int, int]:
         lat = self.lattice
-        (i_a, i_b), (b1a, b1b), (b2a, b2b) = self.start, lat.beta1, lat.beta2
+        (i_a, i_b), ((b1a, b1b), (b2a, b2b)) = self.start, lat.steps
         return i_a + n * b1a + c * (b2a - b1a), i_b + n * b1b + c * (b2b - b1b)
 
     def decode(self, a: int, b: int):

@@ -14,30 +14,24 @@ every backend, the first step, the window constant, the
 evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
 search and the closed form read these and build none of their own.
 
-The detector walks the lattice from the pair of the first iterate's offset.
-The exact backends hash the states (k, a, b) exactly in a table of at most
-:data:`~drplane.lattice.TABLE_BUDGET` (2^13) keys, the one bound on every
-per-orbit state table: every state until it fills, then only the states
-whose index is a multiple of a spacing that doubles each time it fills
-again.  A hit past that point is a state of the cycle; one walk round the
-cycle from it gives the minimal period and its keys, and one walk from the
-start gives the preperiod.  Memory is O(TABLE_BUDGET + period), whatever the
-horizon, and the search stops at index horizon + spacing.  The float
-backend's pairs are (offset, 0), which it hashes quantized into cells with
-one entry per state, and it labels its reports approximate.  Only the states
-of a found cycle are decoded, each by ``point`` from the pair of the offset
-before it.
+The detector walks the lattice from the pair of the first iterate's offset;
+the exact backends find its first revisited state (k, a, b) with
+:class:`~drplane.lattice.Revisit`, whose module states its table policy.
+The float backend's pairs are (offset, 0), which it hashes quantized into
+cells with one entry per state, so its memory grows with the horizon, and it
+labels its reports approximate.  Only the states of a found cycle are
+decoded, each by ``point`` from the pair of the offset before it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from itertools import count
 
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
-from .lattice import TABLE_BUDGET
+from .lattice import Revisit
 from .problems import Problem
 from .scalars import F64, F64_REL_TOL, as_fraction, encode_scalar, format_scalar, is_rational
 from .slotted import Value
@@ -180,12 +174,10 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     The report is 'cycle' exactly when the first repeat index, preperiod +
     period, is at most `horizon`.  Exact backends hash exact states, so a
     hit certifies a genuine cycle and the returned preperiod/period are
-    minimal; their table holds at most TABLE_BUDGET (2^13) states, so memory
-    is O(TABLE_BUDGET + period) at any horizon, and a search that finds
-    nothing walks to index horizon + spacing, the spacing being the table's
-    sampling step (1 until the table first fills).  The float backend
-    quantizes offsets at relative tolerance F64_REL_TOL, keeps one entry per
-    state and labels the report approximate.
+    minimal; their table is :class:`~drplane.lattice.Revisit`'s, of memory
+    O(TABLE_BUDGET + period) at any horizon.  The float backend quantizes
+    offsets at relative tolerance F64_REL_TOL, keeps one entry per state and
+    labels the report approximate.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -199,53 +191,16 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 
 def _detect_exact(p, horizon):
-    """Key table over the lattice states n = 1, 2, ..., dense then sampled.
-
-    The table keeps every state until it holds TABLE_BUDGET of them; each
-    time it fills, the spacing doubles and only the indices it divides stay,
-    so the table holds the multiples of the spacing below n.  While the
-    spacing is 1 the first hit is the first repeat index R = lam + mu.  Later
-    a hit at n only shows some state of the cycle; it comes before R plus
-    the spacing at the hit (doublings are TABLE_BUDGET/2 stored states
-    apart), so the search stops at horizon + spacing, and one walk round the
-    cycle and one from the start give mu and lam exactly.
-    """
-    _, k1, inner1 = p.orbit.first_step
-    lat = p.orbit.lattice
-    start = (k1, *lat.pair(inner1))
-    seen = {start: 1}
-    spacing, stop = 1, horizon + 1
-    for n, key in zip(count(2), lat.walk(*start)):
-        if n == stop:
-            return CycleReport("no_cycle", horizon)
-        first = seen.get(key)
-        if first is not None:
-            break
-        if n % spacing == 0:
-            seen[key] = n
-            if len(seen) == TABLE_BUDGET:
-                spacing *= 2
-                stop = horizon + spacing
-                seen = {k: i for k, i in seen.items() if i % spacing == 0}
-    if spacing == 1:
-        # the dense table lists states 1 .. n-1 in index order
-        return _finalize_cycle(p, horizon, first, [None, *seen][first - 1 :])
-    cycle = [key]
-    for nxt in lat.walk(*key):
-        if nxt == key:
-            break
-        cycle.append(nxt)
-    on_cycle = set(cycle)
-    before, key, lam = None, start, 1
-    walk = lat.walk(*start)
-    while key not in on_cycle:
-        before, key = key, next(walk)
-        lam += 1
-    if lam + len(cycle) > horizon:
-        # the first repeat lies past the horizon
-        return CycleReport("no_cycle", horizon)
-    i = cycle.index(key)
-    return _finalize_cycle(p, horizon, lam, [before, *cycle[i:], *cycle[:i]])
+    orbit = p.orbit
+    _, k1, inner1 = orbit.first_step
+    found = Revisit((k1, *orbit.lattice.pair(inner1)), orbit.lattice.walk, horizon)
+    deque(found, maxlen=0)
+    if found.back is not None:
+        lam, keys = found.cycle()
+        # a sampled hit may come after the first repeat, past the horizon
+        if lam + len(keys) - 1 <= horizon:
+            return _finalize_cycle(orbit, horizon, lam, keys)
+    return CycleReport("no_cycle", horizon)
 
 
 def _detect_float(p, horizon):
@@ -269,7 +224,7 @@ def _detect_float(p, horizon):
                 first = entry[0]
                 break
         if first is not None:
-            return _finalize_cycle(p, horizon, first, hist[first - 1 :], approximate=True)
+            return _finalize_cycle(p.orbit, horizon, first, hist[first - 1 :], approximate=True)
         seen.setdefault((k, cell), (n, off))
         hist.append(key)
     return CycleReport("no_cycle", horizon)
@@ -282,19 +237,19 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
-def _finalize_cycle(p, horizon, lam, keys, approximate=False):
-    """The report for first repeated key state lam, from keys = the states
-    lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so the true
-    preperiod may be exactly one step earlier.  Check it on vectors."""
-    shifts, point = (p.orbit.lattice.beta1, p.orbit.lattice.beta2), p.orbit.point
+def _finalize_cycle(orbit, horizon, lam, keys, approximate=False):
+    """The orbit's report for first repeated key state lam, from keys = the
+    states lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so
+    the true preperiod may be exactly one step earlier.  Check it on vectors."""
+    steps, point = orbit.lattice.steps, orbit.point
 
     def x(key):
         # x_t sits on b_k's line at the previous offset: the offset of state
         # t minus beta_k
         if key is None:
-            return p.x0
+            return orbit.x0
         k, a, b = key
-        sa, sb = shifts[k - 1]
+        sa, sb = steps[k - 1]
         return point(k, a - sa, b - sb)
 
     xs = [x(key) for key in keys]

@@ -31,15 +31,13 @@ it.
 
 Work and formatting are per distinct state.  Straddling orbits are bounded,
 and on rational data eventually periodic, so they revisit few states: the
-lattice walk finds its first revisited integer state (k, a, b) and repeats
-the records one period back from there, the f64 vector loop keys dr_step on
-the iterate's bits, and the exporters format each state's offset and
-iterate once, rendering JSON from those fragments with the bytes of
-``json.dumps(report, indent=2)``.  An orbit adds no new state once it has
-come back, so every such table that reaches
-:data:`~drplane.lattice.TABLE_BUDGET` states has seen no repeat and is
-dropped: an orbit that never repeats pays for the first TABLE_BUDGET
-lookups only, and its memory grows with its trace only.
+lattice walk finds its first revisited integer state (k, a, b), also on
+cycles that close past 2^13 states, and repeats the records one period back
+from there, the f64 vector loop keys dr_step on the iterate's bits, and the
+exporters format each state's offset and iterate once, rendering JSON from
+those fragments with the bytes of ``json.dumps(report, indent=2)``.
+:mod:`drplane.lattice` states the policy of these tables at
+:data:`~drplane.lattice.TABLE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .lattice import TABLE_BUDGET, OffsetLattice, SetLattice, _int_parts, window_constant
+from .lattice import TABLE_BUDGET, OffsetLattice, Revisit, SetLattice, _int_parts, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 from .slotted import Record, Value
 
@@ -259,9 +257,7 @@ def iterate(
     # on the lattice only step 1 runs on vectors; neither stop can happen there
     vector_steps = max_n if refusal else min(max_n, 1)
     # f64 orbits repeat iterates bit for bit, so each distinct x takes one
-    # dr_step, offset and fixed-point test.  An orbit adds no new iterate
-    # once it has come back, so a table that fills has seen none come back
-    # and is dropped
+    # dr_step, offset and fixed-point test, memoised up to TABLE_BUDGET
     steps = {} if backend == F64 else None
     for n in range(1, vector_steps + 1):
         step = None
@@ -327,37 +323,26 @@ def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
     record's iterate is built from the integers of the previous offset by
-    the orbit's point evaluator.  The walk is deterministic, so once it
-    revisits a state every later record repeats the one a period before it,
-    iterate and offset shared; a table from each state to its step finds
-    that first revisit among the first TABLE_BUDGET states, and is dropped
-    when it fills without one.  Records hold no counts or shadows: the
-    exporters tally counts as columns, and a shadow is x_n - inner*u.
+    the orbit's point evaluator.  Record n depends on state n only, so once
+    :class:`~drplane.lattice.Revisit` finds state n to be state j, every
+    later record repeats the one n - j before it, iterate and offset shared.
+    Records hold no counts or shadows: the exporters tally counts as
+    columns, and a shadow is x_n - inner*u.
     """
     first = trace[1]
     lat = orbit.lattice
     decode = lat.decode
     point = None if slim else orbit.point
     pa, pb = lat.pair(first.inner)
-    state = (first.selector_k, pa, pb)
-    seen = {state: 1}
-    for n, state in zip(range(2, max_n + 1), lat.walk(*state)):
-        if seen is not None:
-            j = seen.get(state)
-            if j is not None:
-                break
-            seen[state] = n
-            if len(seen) == TABLE_BUDGET:
-                seen = None
-        k, a, b = state
+    found = Revisit((first.selector_k, pa, pb), lat.walk, max_n)
+    for n, (k, a, b) in zip(range(2, max_n + 1), found):
         counts[k - 1] += 1
         trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
         pa, pb = a, b
-    else:
+    if found.back is None:
         return
-    # state n is state j, so record m repeats record m - (n - j) from m = n
-    period = n - j
-    for m in range(n, max_n + 1):
+    period = found.n - found.back
+    for m in range(found.n, max_n + 1):
         rec = trace[m - period]
         counts[rec.selector_k - 1] += 1
         trace.append(TraceRecord(m, rec.x, rec.selector_k, rec.inner))
@@ -474,9 +459,7 @@ def _tallied(records, m: int, fragment):
     counts are the cumulative selector counts up to the record (one list,
     updated in place).  The fragment is made once per key, and for every
     record keyed None; a record's iterate is built only for its fragment.
-    On an orbit, keys repeat only once it has come back, after which no new
-    key arrives, so a table that fills to TABLE_BUDGET keys has seen no
-    repeat and is dropped.
+    The fragments are memoised up to TABLE_BUDGET keys.
     """
     counts = [0] * m
     made = {}

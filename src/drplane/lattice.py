@@ -40,11 +40,23 @@ A :class:`~drplane.dynamics.Orbit` builds its lattice and point evaluator
 once, for whichever of the iteration driver, the cycle search and the
 closed form reads it.  :func:`~drplane.geometry.line_point` stays the
 formula for offsets that are already decoded.
+
+:class:`Revisit` finds the first revisited state of a walk, for the
+iteration driver's replay and the exact cycle search.  Its table keeps every
+state until it holds :data:`TABLE_BUDGET` (2^13), then only the states whose
+index is a multiple of a spacing that doubles each time it fills again.  A
+hit while the spacing is 1 is the first repeat; a later one is a state of
+the cycle, and a walk round it and one from the start give the exact
+preperiod and period.  Memory is O(TABLE_BUDGET + period) at any horizon.
+The f64 step memo and the exporters' text memo are dropped at TABLE_BUDGET
+instead: an orbit adds no new state once it has come back, so a memo that
+fills has seen no repeat.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from .geometry import (
     DEFAULT_TIE_POLICY,
@@ -58,12 +70,7 @@ from .geometry import (
 )
 from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
 
-# The one bound on every per-orbit state table: the cycle search's keys
-# (about 2 MB on a long surd orbit), which it samples past this many, and
-# the iteration driver's step tables and the exporters' text tables, which
-# are dropped at this many: an orbit adds no new state once it has come
-# back, so a table that fills has seen no repeat.
-TABLE_BUDGET = 2**13
+TABLE_BUDGET = 2**13  # states in any per-orbit table: about 2 MB of surd keys
 
 
 def _int_parts(v) -> tuple[int, int, int]:
@@ -83,9 +90,10 @@ def window_constant(b1: Vector, b2: Vector, beta1: Scalar, beta2: Scalar) -> Sca
 
 class _LineLattice:
     """Offsets ``(a + b*sqrt(d))/scale`` over one integer ``scale`` and
-    radicand ``d`` (0 on rationals), and the points ``offset*u + b_k``."""
+    radicand ``d`` (0 on rationals), the pairs ``steps`` of the point offsets
+    beta_k, and the points ``offset*u + b_k``."""
 
-    __slots__ = ("scale", "d")
+    __slots__ = ("scale", "d", "steps")
 
     def __init__(self, values):
         self.d = next((v.d for v in values if isinstance(v, Surd)), 0)
@@ -114,20 +122,20 @@ class OffsetLattice(_LineLattice):
     """Exact offsets ``(a + b*sqrt(d))/scale`` of one doubleton orbit.
 
     Built from the two point offsets, the window constant and one start
-    offset (ints, Fractions or Surds over one radicand).  ``beta1``,
-    ``beta2``, ``beta``, ``start``, ``t1`` and ``t2`` are their integer pairs
-    ``(a, b)`` over the common ``scale``; ``d`` is 0 on rationals.  Float
-    values give float pairs ``(v, 0)`` over ``scale = 1``, for :meth:`walk`
-    only.
+    offset (ints, Fractions or Surds over one radicand).  ``steps`` (the
+    pairs of beta1 and beta2), ``beta``, ``start``, ``t1`` and ``t2`` are
+    their integer pairs ``(a, b)`` over the common ``scale``; ``d`` is 0 on
+    rationals.  Float values give float pairs ``(v, 0)`` over ``scale = 1``,
+    for :meth:`walk` only.
     """
 
-    __slots__ = ("beta1", "beta2", "beta", "start", "t1", "t2", "tie")
+    __slots__ = ("beta", "start", "t1", "t2", "tie")
 
     def __init__(self, beta1, beta2, beta, start, tie_policy=DEFAULT_TIE_POLICY):
-        values = (beta1, beta2, beta, start)
-        super().__init__(values)
-        self.beta1, self.beta2, self.beta, self.start = map(self.pair, values)
-        (b1a, b1b), (b2a, b2b), (wa, wb) = self.beta1, self.beta2, self.beta
+        super().__init__((beta1, beta2, beta, start))
+        self.steps, self.beta = (self.pair(beta1), self.pair(beta2)), self.pair(beta)
+        self.start = self.pair(start)
+        ((b1a, b1b), (b2a, b2b)), (wa, wb) = self.steps, self.beta
         # t1 = beta - beta1 and t2 = -beta - beta2 are linear, so they apply
         # to each integer part
         self.t1, self.t2 = (wa - b1a, wb - b1b), (-wa - b2a, -wb - b2b)
@@ -137,7 +145,7 @@ class OffsetLattice(_LineLattice):
 
     def walk(self, k: int, a: int, b: int):
         """The states (k, a, b) after state (k, a, b), one per step, without end."""
-        (b1a, b1b), (b2a, b2b) = self.beta1, self.beta2
+        (b1a, b1b), (b2a, b2b) = self.steps
         (t1a, t1b), (t2a, t2b) = self.t1, self.t2
         tie, d = self.tie, self.d
         while True:
@@ -174,7 +182,7 @@ class SetLattice(_LineLattice):
     compared by :func:`~drplane.scalars.surd_sign`.  Exact backends only.
     """
 
-    __slots__ = ("steps", "scores", "slopes", "inners", "tie_policy")
+    __slots__ = ("scores", "slopes", "inners", "tie_policy")
 
     def __init__(self, u: Vector, B: FiniteSet, start):
         inners = B.inners
@@ -220,6 +228,60 @@ class SetLattice(_LineLattice):
             a += da
             b += db
             yield k, a, b
+
+
+class Revisit:
+    """The first revisited state of the walk ``walk(*start)`` from state 1,
+    by the table of the module docstring.  Iterating yields states 2, 3, ...
+    and ends at the first hit, state ``n`` being state ``back``, or else
+    (``back`` None) before index ``horizon + spacing``, having looked at
+    every state up to ``horizon``."""
+
+    __slots__ = ("start", "walk", "horizon", "back", "n", "spacing", "_seen", "_hit")
+
+    def __init__(self, start: tuple, walk, horizon: int):
+        self.start, self.walk, self.horizon = start, walk, horizon
+        self.back = self.n = None
+
+    def __iter__(self):
+        seen = self._seen = {self.start: 1}
+        spacing = self.spacing = 1
+        stop = self.horizon + 1
+        for n, key in zip(count(2), self.walk(*self.start)):
+            if n >= stop:
+                return
+            back = seen.get(key)
+            if back is not None:
+                self.back, self.n, self._hit = back, n, key
+                return
+            if n % spacing == 0:
+                seen[key] = n
+                if len(seen) == TABLE_BUDGET:
+                    # doublings are TABLE_BUDGET/2 stored states apart, so a
+                    # hit comes before the first repeat index plus the spacing
+                    spacing = self.spacing = 2 * spacing
+                    stop = self.horizon + spacing
+                    seen = self._seen = {k: i for k, i in seen.items() if i % spacing == 0}
+            yield key
+
+    def cycle(self) -> tuple[int, list]:
+        """(lam, keys) after a hit: the index lam of the first state on the
+        cycle, and its states lam-1 .. lam+mu-1 (None for state 0) over the
+        minimal period mu."""
+        if self.spacing == 1:
+            # the dense table lists states 1 .. n-1 in index order
+            return self.back, [None, *self._seen][self.back - 1 :]
+        cycle = [self._hit]
+        for key in self.walk(*self._hit):
+            if key == self._hit:
+                break
+            cycle.append(key)
+        on_cycle = set(cycle)
+        before, key, lam, walk = None, self.start, 1, self.walk(*self.start)
+        while key not in on_cycle:
+            before, key, lam = key, next(walk), lam + 1
+        i = cycle.index(key)
+        return lam, [before, *cycle[i:], *cycle[:i]]
 
 
 class LinePoints:

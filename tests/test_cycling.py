@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from drplane.cycling import (
-    TABLE_BUDGET,
     CycleReport,
     DoubletonProblem,
     coefficient_limits,
@@ -28,6 +27,7 @@ from drplane.errors import (
     ProblemFormatError,
 )
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
+from drplane.lattice import TABLE_BUDGET
 from drplane.problems import make_problem, problem_from_dict
 from drplane.scalars import Surd, encode_scalar
 
@@ -89,7 +89,7 @@ def hash_cycle(p, horizon):
         if t == 0:
             return p.x0
         k, a, b = hist[t - 1]
-        sa, sb = (lat.beta1, lat.beta2)[k - 1]
+        sa, sb = lat.steps[k - 1]
         return p.orbit.point(k, a - sa, b - sb)
 
     lam, mu = first, n - first

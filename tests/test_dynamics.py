@@ -714,11 +714,32 @@ class TestLatticeStateTable:
 
     def test_rational_doubleton_past_the_table_budget(self):
         # q1*d_A(b1) = q2*d_A(b2) with q1 + q2 > 2^13: the table fills
-        # before the walk comes back, and the walk goes on without it
+        # before the walk comes back, and goes on sampled
         q1, q2 = 4099, 4999
         A, B = line_problem([Fraction(-q2, 3), Fraction(q1, 3)])
         distinct = self.assert_matches_walk(A, B, (Fraction(1, 5),), 2 * (q1 + q2) + 50)
         assert distinct == q1 + q2 > TABLE_BUDGET
+
+    def test_replay_past_the_table_budget(self):
+        # a cycle that closes past 2^13 states is replayed too: from the
+        # sampled table's hit, just after the first repeat index R, each
+        # record shares its iterate and offset with the one a period back
+        q1, q2 = 4099, 4999
+        period = q1 + q2
+        A, B = line_problem([Fraction(-q2, 3), Fraction(q1, 3)])
+        for slim in (False, True):
+            trace = iterate(A, B, (Fraction(1, 5),), 2 * period + 50, slim=slim).trace
+            index = {}
+            for R, r in enumerate(trace[1:], 1):
+                if index.setdefault((r.selector_k, r.inner), R) != R:
+                    break
+            assert R - index[trace[R].selector_k, trace[R].inner] == period
+            shared = [
+                m for m in range(period + 1, len(trace))
+                if trace[m].x is trace[m - period].x and trace[m].inner is trace[m - period].inner
+            ]
+            assert shared and shared == list(range(shared[0], len(trace)))
+            assert R <= shared[0] <= R + 1
 
     def test_irrational_surd_orbit(self):
         A, B = surd_line_problem([Surd(-1, Fraction(-1, 2), 2), 3])

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from drplane import lattice
 from drplane.cycling import DoubletonProblem
-from drplane.geometry import Hyperplane, line_point
-from drplane.lattice import OffsetLattice
+from drplane.dynamics import Orbit
+from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, line_point
+from drplane.lattice import OffsetLattice, Revisit
 from drplane.scalars import Surd
 
 
@@ -59,7 +62,7 @@ class TestLinePoints:
         lat = lattice_of(p)
         line = lat.line_points(u, points)
         rng = random.Random(name)
-        pairs = [(0, 0), (1, 0), (0, 1), (-1, 1), lat.start, lat.beta1, lat.beta2, lat.t1]
+        pairs = [(0, 0), (1, 0), (0, 1), (-1, 1), lat.start, *lat.steps, lat.t1]
         pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(200)]
         # and the states of the orbit itself
         walk = lat.walk(1, *lat.start)
@@ -85,3 +88,65 @@ class TestLinePoints:
         # both parts nonzero in every coordinate, so both cross terms count
         u = PROBLEMS["surd_mixed_parts"].hyperplane.normal
         assert all(c.p != 0 and c.q != 0 for c in u)
+
+
+def random_rational_orbit(rng, m):
+    """The orbit of a seeded straddling set of m rational points, off a line
+    or plane hyperplane, with small denominators so that it cycles soon."""
+    normal = rng.choice(((1,), (0, 1)))
+    A = Hyperplane(tuple(map(Fraction, normal)))
+    while True:
+        pts = {tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 3)) for _ in normal)
+               for _ in range(m)}
+        inners = sorted(A.inner(p) for p in pts)
+        if len(pts) == m and inners[0] < 0 < inners[-1] and 0 not in inners:
+            break
+    B = FiniteSet.ordered(sorted(pts), A, rng.choice(list(TiePolicy)))
+    x0 = tuple(Fraction(rng.randint(-90, 90), rng.randint(1, 5)) for _ in normal)
+    return Orbit(A, B, x0)
+
+
+def states_to_first_repeat(orbit):
+    """(walk, states, lam, R): the walk from state 1, the first repeat index
+    R, the index lam < R of the state that R repeats, and the states
+    [None, state 1, ...] by index, far enough past R for every search below."""
+    _, k1, inner1 = orbit.first_step
+    walk = orbit.lattice.walk
+    states, index = [None, (k1, *orbit.lattice.pair(inner1))], {}
+    while states[-1] not in index:
+        index[states[-1]] = len(states) - 1
+        states.append(next(walk(*states[-1])))
+    R = len(states) - 1
+    states += islice(walk(*states[-1]), 5 * R + 64)
+    return walk, states, index[states[R]], R
+
+
+def test_revisit_against_a_table_of_every_state(monkeypatch):
+    # a small budget, so that the table thins and the sampled cycle() runs
+    monkeypatch.setattr(lattice, "TABLE_BUDGET", 16)
+    rng = random.Random("revisit finder")
+    dense = sampled = missed = 0
+    for m in [2] * 150 + [3] * 150:
+        walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m))
+        for horizon in {1, max(1, R // 2), R - 1, R, R + 1, 3 * R}:
+            found = Revisit(states[1], walk, horizon)
+            yielded = list(found)
+            last = len(yielded) + 1
+            assert yielded == states[2 : last + 1]
+            if found.back is None:
+                assert R > horizon
+                assert horizon <= last < horizon + found.spacing
+                missed += 1
+                continue
+            n, back = found.n, found.back
+            assert n == last + 1 and back < n and states[back] == states[n]
+            if found.spacing == 1:
+                assert (back, n) == (lam, R)
+                dense += 1
+            else:
+                assert R <= n < R + found.spacing
+                sampled += 1
+            assert n < horizon + found.spacing
+            # the minimal preperiod and period, from any hit
+            assert found.cycle() == (lam, states[lam - 1 : R])
+    assert min(dense, sampled, missed) > 50
