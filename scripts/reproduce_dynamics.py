@@ -15,10 +15,10 @@ import argparse
 from fractions import Fraction
 from pathlib import Path
 
-from drplane.altproj import ap_iterate, ap_rows
+from drplane.altproj import ap_iterate, ap_lines
 from drplane.closedform import beatty_triple, verify_closed_form
 from drplane.cycling import DoubletonProblem, coefficient_limits, detect_cycle
-from drplane.dynamics import iterate, trace_csv_header, trace_rows, write_csv
+from drplane.dynamics import csv_text, iterate, trace_csv_header, trace_lines
 from drplane.geometry import FiniteSet, Hyperplane
 from drplane.scalars import Surd, format_scalar
 
@@ -41,14 +41,14 @@ def plane_problem():
     return DoubletonProblem(A, (z(0), z(-1)), (z(1), Surd(0, 1, 2)), (z(0), z(0)))
 
 
-def dump_csv(path, p, rows):
+def dump_csv(path, p, lines):
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        write_csv(fp, trace_csv_header(2, p.hyperplane.dim), rows)
+        fp.write(csv_text(trace_csv_header(2, p.hyperplane.dim), lines))
 
 
 def dump_run(p, horizon, path):
     run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon)
-    dump_csv(path, p, trace_rows(run, p.hyperplane, p.finite_set()))
+    dump_csv(path, p, trace_lines(run, p.hyperplane, p.finite_set()))
     return run
 
 
@@ -97,7 +97,7 @@ def main():
         == (Surd(beatty_triple(n)[0], 0, 2), Surd(-beatty_triple(n)[1], beatty_triple(n)[2], 2))
         for n in range(args.horizon + 1)
     )
-    dump_csv(outdir / "plane_trace.csv", plane, trace_rows(run, plane.hyperplane, plane.finite_set()))
+    dump_csv(outdir / "plane_trace.csv", plane, trace_lines(run, plane.hyperplane, plane.finite_set()))
     print(
         f"planar sqrt2 instance: closed form verified={ok}, "
         f"integer-staircase identity={staircase}"
@@ -105,7 +105,7 @@ def main():
 
     for name, p in (("rational", rational), ("surd", surd)):
         trace = ap_iterate(p.hyperplane, p.finite_set(), p.x0, 11)
-        dump_csv(outdir / f"map_{name}.csv", p, ap_rows(trace, p.hyperplane, p.finite_set()))
+        dump_csv(outdir / f"map_{name}.csv", p, ap_lines(trace, p.hyperplane, p.finite_set()))
         values = [format_scalar(pt[0]) for pt in trace.points]
         print(f"alternating projections ({name}): {values}")
 

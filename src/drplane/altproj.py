@@ -15,7 +15,7 @@ which the exporters format once each (see :func:`_records`).
 
 from __future__ import annotations
 
-from .dynamics import Outcome, _check_start, export_json, export_report, export_rows
+from .dynamics import Outcome, _check_start, export_json, export_lines, export_report
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -99,9 +99,14 @@ def _records(trace: ApTrace, A: Hyperplane, B: FiniteSet):
         before = k
 
 
+def ap_lines(trace: ApTrace, A: Hyperplane, B: FiniteSet):
+    """CSV lines in the layout of the reflected-iteration export."""
+    return export_lines(_records(trace, A, B), B.m)
+
+
 def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
-    """Rows in the layout of the reflected-iteration export."""
-    return export_rows(_records(trace, A, B), B.m)
+    """The cells of each of ap_lines."""
+    return (line.split(",") for line in ap_lines(trace, A, B))
 
 
 def ap_report(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> dict:

@@ -2,32 +2,33 @@
 
 Loads a problem JSON, runs the requested analysis, and writes the result once
 through ``_write``: CSV, JSON, or an aligned text table, to stdout or --out,
-which gets exactly the bytes stdout would (cycle and verify write JSON).  CSV
-is built in one buffer and written once, since a write per row to stdout costs
-about 5 % more CPU on a 3000-row trace.  Trace rows and trace JSON come from
-the exporters of :mod:`drplane.dynamics`, which format each orbit state once
-and render JSON records from those per-state fragments, byte-identical to
-``json.dumps(report, indent=2)``; other reports go through ``json.dumps``.
-Exit codes: 0 success, 1 a verification mismatch, 2 invalid input (bad file,
-bad flags, or a request whose preconditions fail).
+which gets exactly the bytes stdout would (cycle and verify write JSON).
+Trace CSV lines and trace JSON come from the exporters of
+:mod:`drplane.dynamics`, which format each orbit state once and assemble
+both from those per-state fragments: the CSV text is its lines joined once
+(:func:`~drplane.dynamics.csv_text`), the bytes ``csv.writer`` would write,
+and the JSON is byte-identical to ``json.dumps(report, indent=2)``; a table
+splits the same lines into cells, and other reports go through
+``json.dumps``.  Exit codes: 0 success, 1 a verification mismatch, 2 invalid
+input (bad file, bad flags, or a request whose preconditions fail).
 
 Each child is a fresh interpreter, and on a short run its start-up costs more
 than its work, so a child imports little: argparse, json and the trace path
-(dynamics, geometry, lattice, problems, scalars and slotted, with csv, enum,
+(dynamics, geometry, lattice, problems, scalars and slotted, with enum,
 fractions and functools); the cycle search, the closed form and the
 alternating projections are imported by the commands that run them.  No
-drplane module imports dataclasses: it loads inspect, ast, dis and
-tokenize, and each decorated class execs its generated methods, which
-together cost more CPU than a median ``run`` child's own work, so the
-classes are slotted (:mod:`drplane.slotted`).  The parsers' help formatter
-takes argparse's default width itself (:func:`_help_width`), since argparse
-imports shutil, and with it zlib, bz2 and lzma, only to read it.
+drplane module imports csv, whose rows the line renderer writes itself, or
+dataclasses: it loads inspect, ast, dis and tokenize, and each decorated
+class execs its generated methods, which together cost more CPU than a
+median ``run`` child's own work, so the classes are slotted
+(:mod:`drplane.slotted`).  The parsers' help formatter takes argparse's
+default width itself (:func:`_help_width`), since argparse imports shutil,
+and with it zlib, bz2 and lzma, only to read it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -36,11 +37,11 @@ from functools import partial
 from .dynamics import (
     Outcome,
     RunResult,
+    csv_text,
     iterate,
     run_json,
     trace_csv_header,
-    trace_rows,
-    write_csv,
+    trace_lines,
 )
 from .errors import PreconditionError, ProblemFormatError
 from .geometry import FiniteSet, TiePolicy
@@ -81,38 +82,44 @@ def _load(args: argparse.Namespace) -> Problem:
     return p
 
 
-def _table_text(header: list[str], rows, trailer: str | None = None) -> str:
-    rows = [list(r) for r in rows]
+def _table_text(header: list[str], lines, trailer: str | None = None) -> str:
+    """header and the comma-separated lines as aligned columns.  Each line is
+    kept whole and split into cells once per pass, and then replaced by its
+    table row, so that the rows are never held as cells."""
+    lines = list(lines)
     widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    for line in lines:
+        for i, cell in enumerate(line.split(",")):
+            if len(cell) > widths[i]:
+                widths[i] = len(cell)
     fmt_row = lambda cells: "  ".join(  # noqa: E731
         c.ljust(widths[i]) for i, c in enumerate(cells)
     ).rstrip()
-    lines = [fmt_row(header)] + [fmt_row(r) for r in rows]
+    for i, line in enumerate(lines):
+        lines[i] = fmt_row(line.split(","))
+    lines.insert(0, fmt_row(header))
     if trailer:
         lines.append(trailer)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _write(args: argparse.Namespace, json_text, header=None, rows=None, trailer=None) -> None:
+def _write(args: argparse.Namespace, json_text, header=None, lines=None, trailer=None) -> None:
     """Write one result to --out or stdout: --format csv or table of header
-    and rows(), or the json_text() (cycle and verify have no --format).
-    Only the format's own callable runs, and --out is opened last."""
+    and the comma-separated lines(), or the json_text() (cycle and verify
+    have no --format).  Only the format's own callable runs, and --out is
+    opened last."""
     fmt = getattr(args, "fmt", "json")
     if fmt == "csv":
-        buf = io.StringIO()
-        write_csv(buf, header, rows())
-        text = buf.getvalue()
+        text = csv_text(header, lines())
     elif fmt == "json":
         text = json_text()
     else:
-        text = _table_text(header, rows(), trailer)
+        text = _table_text(header, lines(), trailer)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
@@ -121,7 +128,7 @@ def _write(args: argparse.Namespace, json_text, header=None, rows=None, trailer=
 
 
 def _trace(p: Problem, result: RunResult, method: str):
-    """_write's json_text, header, rows and trailer for a trace."""
+    """_write's json_text, header, lines and trailer for a trace."""
     A, B = p.hyperplane, p.points
     trailer = "outcome: " + OUTCOME_LABELS[result.outcome]
     if result.fixed_at is not None:
@@ -129,7 +136,7 @@ def _trace(p: Problem, result: RunResult, method: str):
     return (
         lambda: run_json(result, A, B, method),
         trace_csv_header(B.m, A.dim),
-        lambda: trace_rows(result, A, B),
+        lambda: trace_lines(result, A, B),
         trailer,
     )
 
@@ -208,13 +215,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .altproj import ap_iterate, ap_json, ap_rows
+    from .altproj import ap_iterate, ap_json, ap_lines
 
     p = _load(args)
     A, B = p.hyperplane, p.points
     trace = ap_iterate(A, B, p.x0, args.horizon)
     header = trace_csv_header(B.m, A.dim)
-    _write(args, lambda: ap_json(trace, A, B), header, lambda: ap_rows(trace, A, B))
+    _write(args, lambda: ap_json(trace, A, B), header, lambda: ap_lines(trace, A, B))
     return 0
 
 
@@ -226,7 +233,7 @@ def cmd_beatty(args: argparse.Namespace) -> int:
         args,
         lambda: _json({"method": "beatty", "records": [dict(zip("nuvw", t)) for t in triples]}),
         list("nuvw"),
-        lambda: ([str(c) for c in t] for t in triples),
+        lambda: ("%d,%d,%d,%d" % t for t in triples),
     )
     return 0
 

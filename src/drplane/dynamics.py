@@ -34,15 +34,15 @@ and on rational data eventually periodic, so they revisit few states: the
 lattice walk finds its first revisited integer state (k, a, b), also on
 cycles that close past 2^13 states, and repeats the records one period back
 from there, the f64 vector loop keys dr_step on the iterate's bits, and the
-exporters format each state's offset and iterate once, rendering JSON from
-those fragments with the bytes of ``json.dumps(report, indent=2)``.
+exporters format each state's offset and iterate once, assembling CSV lines
+and JSON records from those fragments, the JSON with the bytes of
+``json.dumps(report, indent=2)``.
 :mod:`drplane.lattice` states the policy of these tables at
 :data:`~drplane.lattice.TABLE_BUDGET`.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -435,9 +435,10 @@ def transition_gaps(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
 # Both DR traces and alternating-projection traces export through here, as
 # (n, k, inner, x, key) records with k None where no point was selected.
 # ``key`` names the record's orbit state where orbits revisit states: records
-# with equal keys have equal inner and x (in their bits, on f64), so the
-# rows and the JSON text format each key's inner and x once, and only n, k
-# and the counts per record.  A record keyed None is formatted on its own.
+# with equal keys have equal inner and x (in their bits, on f64).  CSV lines
+# and JSON records are assembled the same way, from per-key fragments that
+# format a key's inner and x once, with only n, k and the counts formatted
+# per record.  A record keyed None is formatted on its own.
 
 
 def trace_csv_header(m: int, dim: int) -> list[str]:
@@ -453,19 +454,20 @@ def _built(x) -> Vector:
     return x() if callable(x) else x
 
 
-def _tallied(records, m: int, fragment):
+def _tallied(records, m: int, fragment, sep: str):
     """(n, k, counts, fragment(inner, x)) for each record.
 
-    counts are the cumulative selector counts up to the record (one list,
-    updated in place).  The fragment is made once per key, and for every
-    record keyed None; a record's iterate is built only for its fragment.
-    The fragments are memoised up to TABLE_BUDGET keys.
+    counts is the text of the cumulative selector counts up to the record,
+    joined by sep.  The fragment is made once per key, and for every record
+    keyed None; a record's iterate is built only for its fragment.  The
+    fragments are memoised up to TABLE_BUDGET keys.
     """
-    counts = [0] * m
+    counts, count_texts = [0] * m, ["0"] * m  # one count moves per record
     made = {}
     for n, k, inner, x, key in records:
         if k is not None:
             counts[k - 1] += 1
+            count_texts[k - 1] = str(counts[k - 1])
         frag = None if made is None else made.get(key)
         if frag is None:
             frag = fragment(inner, _built(x))
@@ -473,22 +475,26 @@ def _tallied(records, m: int, fragment):
                 made[key] = frag
                 if len(made) == TABLE_BUDGET:
                     made = None
-        yield n, k, counts, frag
+        yield n, k, sep.join(count_texts), frag
 
 
-def _row_texts(inner, x):
-    return format_scalar(inner), [format_scalar(c) for c in x]
+def _line_texts(inner, x):
+    """A CSV line's text after its k and before, then after, its counts."""
+    return format_scalar(inner) + ",", "," + ",".join([format_scalar(c) for c in x])
 
 
-def export_rows(records, m: int):
-    """CSV/table rows, in the trace_csv_header layout."""
-    count_texts = ["0"] * m  # one count moves per record
-    for n, k, counts, (inner, x) in _tallied(records, m, _row_texts):
-        if k is None:
-            yield [str(n), "", inner, *count_texts, *x]
-        else:
-            count_texts[k - 1] = str(counts[k - 1])
-            yield [str(n), str(k), inner, *count_texts, *x]
+def export_lines(records, m: int):
+    """Each record's CSV line, without its line end, in the trace_csv_header
+    layout.  The cells are joined unquoted: no scalar text holds a comma, a
+    quote, CR or LF, so :func:`csv_text` writes the bytes of ``csv.writer``."""
+    for n, k, counts, (head, tail) in _tallied(records, m, _line_texts, ","):
+        yield f"{n},{'' if k is None else k},{head}{counts}{tail}"
+
+
+def csv_text(header: list[str], lines) -> str:
+    """The CSV text of a header and its lines, CRLF-terminated as
+    ``csv.writer`` ends each row."""
+    return "\r\n".join([",".join(header), *lines, ""])
 
 
 def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> dict:
@@ -556,22 +562,14 @@ def export_json(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, reco
         if name != "records":
             out.append(_nested(value, "  "))
             continue
-        sep, count_texts = "[\n", ["0"] * B.m
-        for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts):
-            if k is not None:
-                count_texts[k - 1] = str(counts[k - 1])
+        sep = "[\n"
+        for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts, ",\n        "):
             out += (sep, '    {\n      "n": ', str(n), ',\n      "k": ',
-                    "null" if k is None else str(k), head, ",\n        ".join(count_texts), tail)
+                    "null" if k is None else str(k), head, counts, tail)
             sep = ",\n"
         out.append("[]" if sep == "[\n" else "\n  ]")
     out.append("\n}\n")
     return "".join(out)
-
-
-def write_csv(fp, header: list[str], rows) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _records(result: RunResult, A: Hyperplane, B: FiniteSet):
@@ -610,9 +608,14 @@ def _run_extra(result: RunResult) -> dict:
     return extra
 
 
+def trace_lines(result: RunResult, A: Hyperplane, B: FiniteSet):
+    """CSV lines; slim traces export the same lines as full ones."""
+    return export_lines(_records(result, A, B), B.m)
+
+
 def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
-    """CSV/table rows; slim traces export the same rows as full ones."""
-    return export_rows(_records(result, A, B), B.m)
+    """The cells of each of trace_lines."""
+    return (line.split(",") for line in trace_lines(result, A, B))
 
 
 def run_report(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:

@@ -1,14 +1,13 @@
 """Alternating-projections lane: traces, membership invariants, exports."""
 
-import io
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from drplane.altproj import ap_iterate, ap_report, ap_rows
-from drplane.dynamics import trace_csv_header, write_csv
+from drplane.altproj import ap_iterate, ap_lines, ap_report, ap_rows
+from drplane.dynamics import csv_text, trace_csv_header
 from drplane.errors import DimensionMismatch
 from drplane.geometry import (
     FiniteSet,
@@ -167,14 +166,15 @@ class TestMembership:
 class TestExports:
     def test_csv_matches_dynamics_schema(self):
         A, B, x0 = frac_line([-1, 2])
-        buf = io.StringIO()
-        write_csv(buf, trace_csv_header(B.m, A.dim), ap_rows(ap_iterate(A, B, x0, 5), A, B))
-        lines = buf.getvalue().strip().splitlines()
+        trace = ap_iterate(A, B, x0, 5)
+        text = csv_text(trace_csv_header(B.m, A.dim), ap_lines(trace, A, B))
+        lines = text.strip().splitlines()
         assert lines[0] == "n,k,inner,count_1,count_2,x_1"
         assert lines[1] == "0,,0,0,0,0"
         assert lines[2] == "1,,0,0,0,0"
         assert lines[3] == "2,1,-1,1,0,-1"
         assert len(lines) == 7
+        assert list(ap_rows(trace, A, B)) == [line.split(",") for line in lines[1:]]
 
     def test_json_report(self):
         A, B, x0 = frac_line([-1, 2])

@@ -17,10 +17,11 @@ from drplane.altproj import ap_iterate, ap_report
 from drplane.cli import COMMANDS, build_parser, main
 from drplane.closedform import closed_form_trace
 from drplane.cycling import DoubletonProblem
-from drplane.dynamics import iterate, run_report
+from drplane.dynamics import iterate, reconstruct_x, run_report, trace_csv_header
 from drplane.errors import PreconditionError
 from drplane.geometry import TiePolicy
 from drplane.problems import load_problem
+from drplane.scalars import format_scalar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "problems"
 
@@ -657,6 +658,17 @@ def seeded_m_point_wires(seed, count):
     return wires
 
 
+def reference_run(command, p, horizon):
+    """(method, RunResult) of a run, or of a closed-form --fallback-iterate
+    invocation, from the library."""
+    if command == "closed-form":
+        try:
+            return "closed_form", closed_form_trace(DoubletonProblem.from_problem(p), horizon)
+        except PreconditionError:
+            pass
+    return "dr", iterate(p.hyperplane, p.points, p.x0, horizon)
+
+
 def reference_json(command, path, horizon):
     """json.dumps(..., indent=2) of the library's report dict for a CLI
     json invocation: a reference that renders every record on its own."""
@@ -665,15 +677,35 @@ def reference_json(command, path, horizon):
     if command == "map":
         report = ap_report(ap_iterate(A, B, p.x0, horizon), A, B)
     else:
-        try:
-            if command != "closed-form":
-                raise PreconditionError("run")
-            dp = DoubletonProblem.from_problem(p)
-            report = run_report(closed_form_trace(dp, horizon), A, B)
-            report["method"] = "closed_form"
-        except PreconditionError:
-            report = run_report(iterate(A, B, p.x0, horizon), A, B)
+        method, result = reference_run(command, p, horizon)
+        report = run_report(result, A, B)
+        report["method"] = method
     return json.dumps(report, indent=2) + "\n"
+
+
+def reference_csv(command, path, horizon):
+    """csv.writer's text of a CLI csv invocation's cells, each record's cells
+    formatted on their own from the library's trace: the writer that the
+    CLI's line renderer must match byte for byte."""
+    p = load_problem(path)
+    A, B = p.hyperplane, p.points
+    if command == "map":
+        trace = ap_iterate(A, B, p.x0, horizon)
+        records = [(n, k, A.inner(x), x) for n, (x, k) in enumerate(zip(trace.points, trace.selectors))]
+    else:
+        _, result = reference_run(command, p, horizon)
+        records = [(r.n, r.selector_k, r.inner, reconstruct_x(result, A, B, n))
+                   for n, r in enumerate(result.trace)]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(trace_csv_header(B.m, A.dim))
+    counts = [0] * B.m
+    for n, k, inner, x in records:
+        if k is not None:
+            counts[k - 1] += 1
+        # csv.writer writes k = None (row 0, plane entries of map) as ""
+        writer.writerow([n, k, format_scalar(inner), *counts, *map(format_scalar, x)])
+    return buf.getvalue()
 
 
 def test_json_text_is_json_dumps_of_the_report(capsys, tmp_path):
@@ -699,6 +731,39 @@ def test_json_text_is_json_dumps_of_the_report(capsys, tmp_path):
             assert out == reference_json(command, path, horizon), (command, path)
             seen.update(k for k in ("fixed_at", "shadow_limit") if k in json.loads(out))
     assert seen == {"fixed_at", "shadow_limit"}
+
+
+def test_csv_text_is_csv_writer_of_the_cells(tmp_path):
+    # the CLI joins each CSV line's cells unquoted; its bytes must be those
+    # of csv.writer over cells formatted record by record, on the canonical
+    # problems, the m-point sets above under every tie policy, seeded
+    # rational and f64 m-point sets, and an f64 set whose coordinates print
+    # as -0.0, 1e-05 and 1e+16
+    problems = [FIXTURES / f"{name}.json" for name in CANONICAL]
+    for name, data in M_POINT_PROBLEMS.items():
+        for policy in TiePolicy:
+            wire = dict(data, tie_policy=policy.value)
+            problems.append(write_problem(tmp_path, f"{name}_{policy.value}.json", wire))
+    for i, data in enumerate(seeded_m_point_wires("csv renderer", 12)):
+        problems.append(write_problem(tmp_path, f"seeded_{i}.json", data))
+    problems.append(write_problem(tmp_path, "f64_texts.json", {
+        "normal": [0.0, 0.0, 1.0], "points": [[1e16, 1e-05, -1.0], [1e16, -0.0, 2.0]],
+        "x0": [-0.0, 0.5, 0.25], "backend": "f64",
+    }))
+    out_path, cells = tmp_path / "out.csv", set()
+    for path in map(str, problems):
+        horizon = 1100 if "halfspace_divergent" in path else 150
+        for command in ("run", "map", "closed-form"):
+            argv = [command, "--problem", path, "--horizon", str(horizon), "--format", "csv",
+                    "--out", str(out_path)]
+            if command == "closed-form":
+                argv.append("--fallback-iterate")
+            assert main(argv) == 0
+            text = out_path.read_bytes().decode()
+            assert text == reference_csv(command, path, horizon), (command, path)
+            assert text.split("\r\n")[1].startswith("0,,")
+            cells.update(c for line in text.split("\r\n") for c in line.split(","))
+    assert {"-0.0", "1e-05", "1e+16"} <= cells
 
 
 def test_module_entry_point():

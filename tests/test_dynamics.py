@@ -1,7 +1,6 @@
 """Iteration driver: traces, classification, stopping rules, exports."""
 
 import copy
-import io
 import logging
 import math
 import pickle
@@ -22,6 +21,7 @@ from drplane.dynamics import (
     RunResult,
     check_step_gap,
     classify,
+    csv_text,
     detect_finite_convergence,
     iterate,
     reconstruct_shadow,
@@ -29,9 +29,9 @@ from drplane.dynamics import (
     run_json,
     run_report,
     trace_csv_header,
+    trace_lines,
     trace_rows,
     transition_gaps,
-    write_csv,
 )
 from drplane.errors import BackendError, DimensionMismatch, PreconditionError, ProblemFormatError
 from drplane.geometry import (
@@ -330,9 +330,8 @@ class TestExport:
     def test_csv_shape_and_values(self):
         A, B = line_problem([-1, 2])
         result = iterate(A, B, (Fraction(0),), 6)
-        buf = io.StringIO()
-        write_csv(buf, trace_csv_header(B.m, A.dim), trace_rows(result, A, B))
-        lines = buf.getvalue().strip().splitlines()
+        text = csv_text(trace_csv_header(B.m, A.dim), trace_lines(result, A, B))
+        lines = text.strip().splitlines()
         assert lines[0] == "n,k,inner,count_1,count_2,x_1"
         assert len(lines) == 8  # header + horizon + 1
         assert lines[1] == "0,,0,0,0,0"
@@ -343,11 +342,8 @@ class TestExport:
         A, B = line_problem([-1, 2])
         full = iterate(A, B, (Fraction(0),), 9)
         slim = iterate(A, B, (Fraction(0),), 9, slim=True)
-        buf_full, buf_slim = io.StringIO(), io.StringIO()
         header = trace_csv_header(B.m, A.dim)
-        write_csv(buf_full, header, trace_rows(full, A, B))
-        write_csv(buf_slim, header, trace_rows(slim, A, B))
-        assert buf_full.getvalue() == buf_slim.getvalue()
+        assert csv_text(header, trace_lines(full, A, B)) == csv_text(header, trace_lines(slim, A, B))
 
     @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
     def test_slim_trace_exports_as_full(self, path):
@@ -357,6 +353,7 @@ class TestExport:
         A, B = p.hyperplane, p.points
         full = iterate(A, B, p.x0, 1100)
         slim = iterate(A, B, p.x0, 1100, slim=True)
+        assert list(trace_lines(slim, A, B)) == list(trace_lines(full, A, B))
         assert list(trace_rows(slim, A, B)) == list(trace_rows(full, A, B))
         assert run_json(slim, A, B) == run_json(full, A, B)
         assert run_report(slim, A, B) == run_report(full, A, B)

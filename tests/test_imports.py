@@ -69,7 +69,7 @@ def test_function_local_imports_are_read_in_their_own_function():
 IMPORT_PROBE = """
 import json, sys
 heavy = (
-    "logging", "typing", "dataclasses", "inspect", "shutil",
+    "logging", "typing", "dataclasses", "inspect", "shutil", "csv",
     "drplane.cycling", "drplane.closedform", "drplane.altproj",
 )
 loaded = lambda: [m for m in heavy if m in sys.modules]
@@ -120,15 +120,16 @@ import json, sys
 from drplane.cli import main
 code = main(sys.argv[1:])
 heavy = (
-    "logging", "dataclasses", "inspect", "shutil",
+    "logging", "dataclasses", "inspect", "shutil", "csv",
     "drplane.cycling", "drplane.closedform", "drplane.altproj",
 )
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
 # subcommand: (drplane modules it loads, drplane modules it must not load);
-# none of them loads logging, dataclasses (which loads inspect) or shutil
-# (which argparse's default help width loads)
+# none of them loads logging, dataclasses (which loads inspect), shutil
+# (which argparse's default help width loads) or csv (the CSV text is joined
+# from lines)
 SUBCOMMAND_MODULES = {
     "run": ((), ("cycling", "closedform", "altproj")),
     "map": (("altproj",), ("cycling", "closedform")),
@@ -155,5 +156,6 @@ def test_subcommand_loads_only_its_own_modules(tmp_path, command):
     assert code == 0 and (tmp_path / "out").stat().st_size > 0
     assert {f"drplane.{m}" for m in loads} <= set(loaded)
     assert not {
-        "logging", "dataclasses", "inspect", "shutil", *(f"drplane.{m}" for m in not_loaded)
+        "logging", "dataclasses", "inspect", "shutil", "csv",
+        *(f"drplane.{m}" for m in not_loaded),
     } & set(loaded)

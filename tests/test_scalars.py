@@ -405,6 +405,15 @@ class TestCodecs:
         assert format_scalar(Surd(2, 0, 2)) == "2"
         assert format_scalar(0.25) == "0.25"
 
+    @given(st.one_of(
+        st.integers(), st.fractions(), st.floats(),
+        st.builds(Surd, st.fractions(), st.fractions(), radicand_st),
+    ))
+    def test_format_needs_no_csv_quoting(self, s):
+        # the CSV exporters join cells unquoted, which is csv.writer's text
+        # only while no cell holds a delimiter, a quote or a line end
+        assert not set(format_scalar(s)) & set(',"\r\n')
+
     def test_parse_rational(self):
         assert parse_rational("3/2") == Fraction(3, 2)
         assert parse_rational("-7") == Fraction(-7)
