@@ -13,26 +13,25 @@ splits the same lines into cells, and other reports go through
 input (bad file, bad flags, or a request whose preconditions fail).
 
 Each child is a fresh interpreter, and on a short run its start-up costs more
-than its work, so a child imports little: argparse, json and the trace path
-(dynamics, geometry, lattice, problems, scalars and slotted, with enum,
-fractions and functools); the cycle search, the closed form and the
-alternating projections are imported by the commands that run them.  No
-drplane module imports csv, whose rows the line renderer writes itself, or
-dataclasses: it loads inspect, ast, dis and tokenize, and each decorated
-class execs its generated methods, which together cost more CPU than a
-median ``run`` child's own work, so the classes are slotted
-(:mod:`drplane.slotted`).  The parsers' help formatter takes argparse's
-default width itself (:func:`_help_width`), since argparse imports shutil,
-and with it zlib, bz2 and lzma, only to read it.
+than its work, so a child imports little: json and the trace path (dynamics,
+geometry, lattice, problems, scalars and slotted, with enum, fractions and
+functools); the cycle search, the closed form and the alternating
+projections are imported by the commands that run them.  No drplane module
+imports csv, whose rows the line renderer writes itself, or dataclasses: it
+loads inspect, ast, dis and tokenize, and each decorated class execs its
+generated methods, which together cost more CPU than a median ``run``
+child's own work, so the classes are slotted (:mod:`drplane.slotted`).  Nor
+does a well-formed command line load argparse, gettext and locale: a
+subcommand and its exact long options, each ``--option value`` with a value
+not starting with "-", are read by :func:`parse_direct`; help, errors,
+abbreviations, ``--option=value`` and all else go to :func:`build_parser`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import sys
-from functools import partial
+from types import SimpleNamespace
 
 from .dynamics import (
     Outcome,
@@ -72,7 +71,7 @@ def _convert_backend(p: Problem, target: str) -> Problem:
     )
 
 
-def _load(args: argparse.Namespace) -> Problem:
+def _load(args) -> Problem:
     p = load_problem(args.problem)
     if args.tie_policy is not None:
         B = p.points
@@ -108,7 +107,7 @@ def _json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _write(args: argparse.Namespace, json_text, header=None, lines=None, trailer=None) -> None:
+def _write(args, json_text, header=None, lines=None, trailer=None) -> None:
     """Write one result to --out or stdout: --format csv or table of header
     and the comma-separated lines(), or the json_text() (cycle and verify
     have no --format).  Only the format's own callable runs, and --out is
@@ -141,7 +140,7 @@ def _trace(p: Problem, result: RunResult, method: str):
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args) -> int:
     p = _load(args)
     _write(args, *_trace(p, iterate(p.hyperplane, p.points, p.x0, args.horizon), "dr"))
     return 0
@@ -157,7 +156,7 @@ def _heuristic_rationality(dp):
     return False, None
 
 
-def cmd_cycle(args: argparse.Namespace) -> int:
+def cmd_cycle(args) -> int:
     from .cycling import DoubletonProblem, cycle_relation, detect_cycle, rationality_predicate
 
     p = _load(args)
@@ -177,7 +176,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_closed_form(args: argparse.Namespace) -> int:
+def cmd_closed_form(args) -> int:
     from .closedform import closed_form_trace
     from .cycling import DoubletonProblem
 
@@ -193,7 +192,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args) -> int:
     from .closedform import verify_closed_form
     from .cycling import DoubletonProblem
 
@@ -214,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report["ok"] is False else 0
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args) -> int:
     from .altproj import ap_iterate, ap_json, ap_lines
 
     p = _load(args)
@@ -225,7 +224,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_beatty(args: argparse.Namespace) -> int:
+def cmd_beatty(args) -> int:
     from .closedform import beatty_triple
 
     triples = [(n, *beatty_triple(n)) for n in range(args.horizon + 1)]
@@ -248,31 +247,56 @@ COMMANDS = {
 }
 
 
-def _help_width() -> int:
-    """The width argparse's HelpFormatter takes by default, without its
-    import of shutil: shutil.get_terminal_size().columns - 2, that is
-    COLUMNS, else the columns of sys.__stdout__'s terminal, else 80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-        columns = columns or 80
-    return columns - 2
+# The options of each subcommand, the one source of both parsers: (flag,
+# dest, kind, default, help) with kind int, str, a tuple of choices, or bool
+# for a store_true flag; a default of _REQUIRED means the flag must be given.
+_REQUIRED = object()
+_PROBLEM = (
+    ("--problem", "problem", str, _REQUIRED, "problem JSON path"),
+    ("--tie-policy", "tie_policy", tuple(t.value for t in TiePolicy), None,
+     "override the problem's projection tie policy"),
+    ("--backend", "backend", tuple(BACKENDS), None,
+     "override the problem backend (only downgrades to f64)"),
+)
+_OUT = ("--out", "out", str, None, "write output here instead of stdout")
+_OUTPUT = (("--format", "fmt", FORMATS, "table", None), _OUT)
+_horizon = lambda default: ("--horizon", "horizon", int, default, None)  # noqa: E731
+
+SUBCOMMANDS = {
+    "run": ("iterate and dump the trace", (*_PROBLEM, _horizon(100), *_OUTPUT)),
+    "cycle": ("detect eventual periodicity (doubletons)", (
+        *_PROBLEM, _horizon(10**6),
+        ("--heuristic-rationality", "heuristic_rationality", bool, False,
+         "on the f64 backend, guess the offset-ratio rationality by "
+         "continued fractions instead of reporting it unavailable"),
+        _OUT,
+    )),
+    "closed-form": ("evaluate the floor-form trace", (
+        *_PROBLEM, _horizon(100),
+        ("--fallback-iterate", "fallback_iterate", bool, False,
+         "if the formula preconditions fail, emit the direct iteration "
+         "instead of exiting with status 2"),
+        *_OUTPUT,
+    )),
+    "verify": ("check the floor form against iteration", (
+        *_PROBLEM, _horizon(1000),
+        ("--fallback-iterate", "fallback_iterate", bool, False,
+         "if the formula preconditions fail, run the iteration and "
+         "report that nothing was checked instead of exiting with status 2"),
+        _OUT,
+    )),
+    "map": ("alternating-projections baseline trace", (*_PROBLEM, _horizon(100), *_OUTPUT)),
+    "beatty": ("emit the staircase integer sequences", (_horizon(20), *_OUTPUT)),
+}
 
 
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=_help_width())
+def build_parser():
+    """The argparse parser of SUBCOMMANDS, which writes all help, usage and
+    error text; argparse is imported only here (see parse_direct)."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drplane",
-        formatter_class=_formatter,
         description=(
             "Reflect-project dynamics for a hyperplane and a finite point set: "
             "trace runs, cycle reports, floor-form evaluation and verification, "
@@ -280,81 +304,57 @@ def build_parser() -> argparse.ArgumentParser:
             "sequences."
         ),
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        parser_class=partial(argparse.ArgumentParser, formatter_class=_formatter),
-    )
-
-    def add_problem_opts(sp):
-        sp.add_argument("--problem", required=True, help="problem JSON path")
-        sp.add_argument(
-            "--tie-policy",
-            choices=[t.value for t in TiePolicy],
-            help="override the problem's projection tie policy",
-        )
-        sp.add_argument(
-            "--backend",
-            choices=list(BACKENDS),
-            help="override the problem backend (only downgrades to f64)",
-        )
-
-    def add_output_opts(sp, default_fmt="table"):
-        sp.add_argument("--format", dest="fmt", choices=FORMATS, default=default_fmt)
-        sp.add_argument("--out", help="write output here instead of stdout")
-
-    sp = sub.add_parser("run", help="iterate and dump the trace")
-    add_problem_opts(sp)
-    sp.add_argument("--horizon", type=int, default=100)
-    add_output_opts(sp)
-
-    sp = sub.add_parser("cycle", help="detect eventual periodicity (doubletons)")
-    add_problem_opts(sp)
-    sp.add_argument("--horizon", type=int, default=10**6)
-    sp.add_argument(
-        "--heuristic-rationality",
-        action="store_true",
-        help="on the f64 backend, guess the offset-ratio rationality by "
-        "continued fractions instead of reporting it unavailable",
-    )
-    sp.add_argument("--out", help="write output here instead of stdout")
-
-    sp = sub.add_parser("closed-form", help="evaluate the floor-form trace")
-    add_problem_opts(sp)
-    sp.add_argument("--horizon", type=int, default=100)
-    sp.add_argument(
-        "--fallback-iterate",
-        action="store_true",
-        help="if the formula preconditions fail, emit the direct iteration "
-        "instead of exiting with status 2",
-    )
-    add_output_opts(sp)
-
-    sp = sub.add_parser("verify", help="check the floor form against iteration")
-    add_problem_opts(sp)
-    sp.add_argument("--horizon", type=int, default=1000)
-    sp.add_argument(
-        "--fallback-iterate",
-        action="store_true",
-        help="if the formula preconditions fail, run the iteration and "
-        "report that nothing was checked instead of exiting with status 2",
-    )
-    sp.add_argument("--out", help="write output here instead of stdout")
-
-    sp = sub.add_parser("map", help="alternating-projections baseline trace")
-    add_problem_opts(sp)
-    sp.add_argument("--horizon", type=int, default=100)
-    add_output_opts(sp)
-
-    sp = sub.add_parser("beatty", help="emit the staircase integer sequences")
-    sp.add_argument("--horizon", type=int, default=20)
-    add_output_opts(sp)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, dest, kind, default, opt_help in options:
+            if kind is bool:
+                sp.add_argument(flag, dest=dest, action="store_true", help=opt_help)
+            else:
+                sp.add_argument(
+                    flag, dest=dest, help=opt_help,
+                    type=int if kind is int else None,
+                    choices=kind if isinstance(kind, tuple) else None,
+                    required=default is _REQUIRED,
+                    default=None if default is _REQUIRED else default,
+                )
     return parser
 
 
+def parse_direct(argv=None) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, when argv is a
+    subcommand followed by its exact long options, each value as the next
+    token and not starting with "-"; None for every other command line,
+    which argparse then parses or rejects with its own message."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    options = {opt[0]: opt for opt in SUBCOMMANDS[argv[0]][1]}
+    args = {"command": argv[0]}
+    args.update((dest, default) for _, dest, _, default, _ in options.values())
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            _, dest, kind, _, _ = options[token]
+            if kind is bool:
+                args[dest] = True
+                continue
+            value = next(tokens)
+            if value.startswith("-") or (isinstance(kind, tuple) and value not in kind):
+                return None
+            args[dest] = int(value) if kind is int else value
+    except (KeyError, StopIteration, ValueError):  # unknown token, no value, bad int
+        return None
+    if any(value is _REQUIRED for value in args.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_direct(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.horizon < 1:
         print("error: horizon must be >= 1", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, exit codes, overrides, help text."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,9 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drplane.altproj import ap_iterate, ap_report
-from drplane.cli import COMMANDS, build_parser, main
+from drplane.cli import COMMANDS, SUBCOMMANDS, build_parser, main, parse_direct
 from drplane.closedform import closed_form_trace
 from drplane.cycling import DoubletonProblem
 from drplane.dynamics import iterate, reconstruct_x, run_report, trace_csv_header
@@ -778,8 +780,8 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("columns", [None, "50", "200"])
 def test_help_and_usage_are_argparse_defaults(monkeypatch, columns):
-    # the parsers' formatter takes argparse's default width without its
-    # import of shutil, so the text is plain HelpFormatter's at any COLUMNS
+    # the parsers use argparse's default formatter, so the text is plain
+    # HelpFormatter's at any COLUMNS
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
@@ -792,3 +794,91 @@ def test_help_and_usage_are_argparse_defaults(monkeypatch, columns):
     for p in parsers:
         p.formatter_class = argparse.HelpFormatter
     assert [(p.format_help(), p.format_usage()) for p in parsers] == ours
+
+
+def argparse_vars(parser, argv):
+    """vars() of parser.parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+FLAGS = sorted({opt[0] for _, options in SUBCOMMANDS.values() for opt in options})
+CHOICES = sorted({c for _, options in SUBCOMMANDS.values() for opt in options
+                  if isinstance(opt[2], tuple) for c in opt[2]})
+ARG_VALUES = ["5", "0", "-5", "+7", "1_000", "x", "", "\u0665", *CHOICES, "xml",
+              "-problem.json", str(FIXTURES / "rational_cycle.json")]
+OPTION_TOKENS = [*FLAGS, "--hor", "--p", "--f"]
+PARSER = build_parser()
+
+
+@st.composite
+def command_lines(draw):
+    # half the lines use only the subcommand's own options, each with a
+    # value unless it is a flag, so that many of them parse; the rest mix
+    # in abbreviations, --opt=value, help, "--" and stray values
+    command = draw(st.sampled_from([*SUBCOMMANDS, "bogus"]))
+    own = SUBCOMMANDS.get(command, SUBCOMMANDS["run"])[1]
+    value = st.sampled_from(ARG_VALUES)
+    option = st.sampled_from(OPTION_TOKENS)
+    piece = st.sampled_from(own).flatmap(
+        lambda opt: st.just((opt[0],)) if opt[2] is bool else st.tuples(st.just(opt[0]), value)
+    )
+    if not draw(st.booleans()):
+        piece |= st.one_of(
+            st.tuples(option, value),
+            st.tuples(option),
+            st.builds(lambda o, v: (f"{o}={v}",), option, value),
+            st.tuples(st.sampled_from(["-h", "--help", "--"])),
+            st.tuples(value),
+        )
+    pieces = draw(st.lists(piece, max_size=6))
+    if draw(st.booleans()):
+        pieces.insert(0, ("--problem", str(FIXTURES / "rational_cycle.json")))
+    return [command, *(token for p in pieces for token in p)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_direct_parse_is_argparse_or_defers(argv):
+    # the direct parser returns argparse's namespace or None, and None
+    # wherever argparse exits
+    direct = parse_direct(argv)
+    assert direct is None or vars(direct) == argparse_vars(PARSER, argv)
+
+
+def readme_command_lines():
+    """The argv of each drplane line in README's CLI example block."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("drplane ")]
+
+
+def test_documented_and_golden_lines_skip_argparse():
+    lines = readme_command_lines()
+    assert len(lines) >= 8
+    lines += [argv for key in GOLDEN for argv in golden_invocations(*key)]
+    for argv in lines:
+        direct = parse_direct(argv)
+        assert direct is not None, argv
+        assert vars(direct) == argparse_vars(PARSER, argv)
+
+
+def test_direct_parse_reads_sys_argv(monkeypatch):
+    argv = ["beatty", "--horizon", "3", "--format", "csv"]
+    monkeypatch.setattr(sys, "argv", ["drplane", *argv])
+    assert parse_direct() == parse_direct(argv)
+    assert vars(parse_direct(argv)) == {"command": "beatty", "horizon": 3, "fmt": "csv", "out": None}
+
+
+def test_abbreviated_and_equals_forms_print_the_same_bytes(capsys):
+    problem = str(FIXTURES / "rational_cycle.json")
+    outputs = {
+        run_cli(capsys, "run", horizon, *value, "--problem", problem, "--format", "csv")
+        for horizon, *value in (["--horizon", "5"], ["--hor", "5"], ["--horizon=5"])
+    }
+    assert len(outputs) == 1
+    ((code, out, _),) = outputs
+    assert code == 0 and len(out.splitlines()) == 7

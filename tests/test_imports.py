@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from drplane.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("check_imports", ROOT / "scripts" / "check_imports.py")
 check_imports = importlib.util.module_from_spec(_spec)
@@ -70,6 +72,7 @@ IMPORT_PROBE = """
 import json, sys
 heavy = (
     "logging", "typing", "dataclasses", "inspect", "shutil", "csv",
+    "argparse", "gettext", "locale",
     "drplane.cycling", "drplane.closedform", "drplane.altproj",
 )
 loaded = lambda: [m for m in heavy if m in sys.modules]
@@ -121,15 +124,16 @@ from drplane.cli import main
 code = main(sys.argv[1:])
 heavy = (
     "logging", "dataclasses", "inspect", "shutil", "csv",
+    "argparse", "gettext", "locale",
     "drplane.cycling", "drplane.closedform", "drplane.altproj",
 )
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
 # subcommand: (drplane modules it loads, drplane modules it must not load);
-# none of them loads logging, dataclasses (which loads inspect), shutil
-# (which argparse's default help width loads) or csv (the CSV text is joined
-# from lines)
+# none of them loads logging, dataclasses (which loads inspect), shutil, csv
+# (the CSV text is joined from lines) or, since its command line is
+# well-formed, argparse with gettext and locale
 SUBCOMMAND_MODULES = {
     "run": ((), ("cycling", "closedform", "altproj")),
     "map": (("altproj",), ("cycling", "closedform")),
@@ -157,5 +161,27 @@ def test_subcommand_loads_only_its_own_modules(tmp_path, command):
     assert {f"drplane.{m}" for m in loads} <= set(loaded)
     assert not {
         "logging", "dataclasses", "inspect", "shutil", "csv",
+        "argparse", "gettext", "locale",
         *(f"drplane.{m}" for m in not_loaded),
     } & set(loaded)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["run", "--horizon", "x", "--problem", "problems/rational_cycle.json"], 2),
+])
+def test_help_and_errors_still_come_from_argparse(monkeypatch, capsys, argv, code):
+    # the child's bytes and exit code are those of the argparse parser, run
+    # here in process at the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == code
+    expected = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "drplane", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    assert ("usage: drplane" in proc.stdout) if code == 0 else ("invalid int value: 'x'" in proc.stderr)
