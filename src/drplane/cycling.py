@@ -20,13 +20,18 @@ the exact backends find its first revisited state (k, a, b) with
 The float backend's pairs are (offset, 0), which it hashes quantized into
 cells with one entry per state, so its memory grows with the horizon, and it
 labels its reports approximate.  Only the states of a found cycle are
-decoded, each by ``point`` from the pair of the offset before it.
+decoded: on the exact backends in one batch by the orbit's
+:meth:`~drplane.lattice.LinePoints.iterates`, from each state's own
+integers, and on f64 each by ``point`` from the pair of the offset before
+it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
@@ -241,22 +246,20 @@ def _finalize_cycle(orbit, horizon, lam, keys, approximate=False):
     """The orbit's report for first repeated key state lam, from keys = the
     states lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so
     the true preperiod may be exactly one step earlier.  Check it on vectors."""
+    mu = len(keys) - 1
+    decode = partial(_float_iterates, orbit) if approximate else orbit.line_points.iterates
+    head = orbit.x0 if keys[0] is None else decode(keys, 0, 1)[0]
+    states = decode(keys, 1, mu + 1)
+    if _vectors_match(head, states[-1], approximate):
+        lam, states = lam - 1, (head, *islice(states, mu - 1))
+    return CycleReport("cycle", horizon, lam, mu, states, approximate)
+
+
+def _float_iterates(orbit, keys, start, stop):
+    """The iterates of the float states keys[start:stop], each by ``point``
+    at the offset before it: the state's offset minus beta_k."""
     steps, point = orbit.lattice.steps, orbit.point
-
-    def x(key):
-        # x_t sits on b_k's line at the previous offset: the offset of state
-        # t minus beta_k
-        if key is None:
-            return orbit.x0
-        k, a, b = key
-        sa, sb = steps[k - 1]
-        return point(k, a - sa, b - sb)
-
-    xs = [x(key) for key in keys]
-    mu = len(xs) - 1
-    if _vectors_match(xs[0], xs[-1], approximate):
-        return CycleReport("cycle", horizon, lam - 1, mu, tuple(xs[:-1]), approximate)
-    return CycleReport("cycle", horizon, lam, mu, tuple(xs[1:]), approximate)
+    return tuple(point(k, a - steps[k - 1][0], b) for k, a, b in islice(keys, start, stop))
 
 
 def coefficient_limits(p: DoubletonProblem, trace: RunResult):

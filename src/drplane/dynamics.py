@@ -167,8 +167,9 @@ class Orbit:
     integer lattice, or is None.  On first use: ``first_step`` is
     (x1, k1, <x1,u>) on vectors, ``window`` a doubleton's window constant,
     ``lattice`` the :mod:`drplane.lattice` walk started at <x0,u> (float
-    pairs on f64), and ``point(k, a, b)`` the iterate on b_k's line at the
-    offset of lattice pair (a, b).
+    pairs on f64), ``point(k, a, b)`` the iterate on b_k's line at the
+    offset of lattice pair (a, b), and on exact backends ``line_points``,
+    the :class:`~drplane.lattice.LinePoints` whose ``point`` that is.
     """
 
     def __init__(self, A: Hyperplane, B: FiniteSet, x0: Vector):
@@ -204,13 +205,17 @@ class Orbit:
         return SetLattice(self.A.normal, B, self.inner0)
 
     @cached_property
-    def point(self):
+    def line_points(self):
         # built apart from the lattice, so a walk that decodes no point never
-        # builds it; on f64 a partial, so that an orbit still pickles
-        u, points = self.A.normal, self.B.points
+        # builds it; exact backends only
+        return self.lattice.line_points(self.A.normal, self.B.points)
+
+    @cached_property
+    def point(self):
+        # on f64 a partial, so that an orbit still pickles
         if self.A.backend == F64:
-            return partial(_f64_point, u, points)
-        return self.lattice.line_points(u, points).point
+            return partial(_f64_point, self.A.normal, self.B.points)
+        return self.line_points.point
 
 
 def _f64_point(u: Vector, points: tuple[Vector, ...], k: int, a: float, b: int) -> Vector:

@@ -34,7 +34,11 @@ Points are built from the same integers: ``line_points`` fixes
 per-coordinate integer constants for one normal and point set, after which
 an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
 :func:`~drplane.scalars.fraction_from_ints` or one
-:func:`~drplane.scalars.surd_from_ints` per coordinate.
+:func:`~drplane.scalars.surd_from_ints` per coordinate.  The cycle search
+decodes its states in one batch instead: ``LinePoints.iterates`` folds step
+k's pair into those constants once per selector, so that the iterate of a
+state (k, a, b), at the offset before it, is one affine map of its own
+integers per coordinate, and builds each Fraction or Surd inline.
 
 A :class:`~drplane.dynamics.Orbit` builds its lattice and point evaluator
 once, for whichever of the iteration driver, the cycle search and the
@@ -43,8 +47,9 @@ formula for offsets that are already decoded.
 
 :class:`Revisit` finds the first revisited state of a walk, for the
 iteration driver's replay and the exact cycle search.  Its table keeps every
-state until it holds :data:`TABLE_BUDGET` (2^13), then only the states whose
-index is a multiple of a spacing that doubles each time it fills again.  A
+state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
+state, then only the states whose index is a multiple of a spacing that
+doubles each time it fills again, each the next one due.  A
 hit while the spacing is 1 is the first repeat; a later one is a state of
 the cycle, and a walk round it and one from the start give the exact
 preperiod and period.  Memory is O(TABLE_BUDGET + period) at any horizon.
@@ -56,7 +61,9 @@ fills has seen no repeat.
 from __future__ import annotations
 
 import math
-from itertools import count
+from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .geometry import (
     DEFAULT_TIE_POLICY,
@@ -69,6 +76,7 @@ from .geometry import (
     vsub,
 )
 from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
+from .scalars import _new_object, _set_d, _set_n, _set_p, _set_q  # the inline builders
 
 TABLE_BUDGET = 2**13  # states in any per-orbit table: about 2 MB of surd keys
 
@@ -244,25 +252,36 @@ class Revisit:
         self.back = self.n = None
 
     def __iter__(self):
+        walk, horizon = self.walk(*self.start), self.horizon
         seen = self._seen = {self.start: 1}
-        spacing = self.spacing = 1
-        stop = self.horizon + 1
-        for n, key in zip(count(2), self.walk(*self.start)):
-            if n >= stop:
-                return
-            back = seen.get(key)
-            if back is not None:
+        self.spacing = n = 1
+        # dense phase: every state is stored, so with no hit the table
+        # fills at state TABLE_BUDGET
+        for n, key in zip(range(2, min(horizon, TABLE_BUDGET) + 1), walk):
+            back = seen.setdefault(key, n)
+            if back != n:
                 self.back, self.n, self._hit = back, n, key
                 return
-            if n % spacing == 0:
-                seen[key] = n
-                if len(seen) == TABLE_BUDGET:
-                    # doublings are TABLE_BUDGET/2 stored states apart, so a
-                    # hit comes before the first repeat index plus the spacing
-                    spacing = self.spacing = 2 * spacing
-                    stop = self.horizon + spacing
-                    seen = self._seen = {k: i for k, i in seen.items() if i % spacing == 0}
             yield key
+        while len(seen) == TABLE_BUDGET:
+            # doublings are TABLE_BUDGET/2 stored states apart, so a hit
+            # comes before the first repeat index plus the spacing
+            spacing = self.spacing = 2 * self.spacing
+            seen = self._seen = {k: i for k, i in seen.items() if i % spacing == 0}
+            # the table held the multiples of the old spacing up to n, so n
+            # is a multiple of the new one
+            due = n + spacing
+            for n, key in zip(range(n + 1, horizon + spacing), walk):
+                back = seen.get(key)
+                if back is not None:
+                    self.back, self.n, self._hit = back, n, key
+                    return
+                yield key
+                if n == due:
+                    seen[key] = n
+                    if len(seen) == TABLE_BUDGET:
+                        break
+                    due += spacing
 
     def cycle(self) -> tuple[int, list]:
         """(lam, keys) after a hit: the index lam of the first state on the
@@ -291,15 +310,20 @@ class LinePoints:
     ``b_k[i] = (bp + bq*sqrt(d))/bn`` is ``(P + Q*sqrt(d))/D`` over
     ``D = lcm(scale*un, bn)``, where ``P = m*(a*up + b*uq*d) + bp*(D//bn)``,
     ``Q = m*(a*uq + b*up) + bq*(D//bn)`` and ``m = D//(scale*un)``.  The
-    integer constants are fixed once per (k, i); a coordinate with
-    ``u_i == 0`` holds its value ``b_k[i]``.  Equal in value and scalar type
-    to :func:`~drplane.geometry.line_point` of the decoded offset.
+    integer constants ``rows`` are fixed once per (k, i); a coordinate with
+    ``u_i == 0`` holds its value ``b_k[i]``.  :meth:`point` is equal in value
+    and scalar type to :func:`~drplane.geometry.line_point` of the decoded
+    offset.  :meth:`iterates` decodes many states at once: it folds step
+    k's pair into the constants of ``rows[k-1]`` once, so that the iterate
+    of each state ``(k, a, b)``, at the offset before it, is one affine map
+    of its own ``(a, b)`` per coordinate.
     """
 
-    __slots__ = ("d", "rows")
+    __slots__ = ("d", "rows", "steps")
 
     def __init__(self, lat: _LineLattice, u: Vector, points: tuple[Vector, ...]):
         self.d = d = lat.d
+        self.steps = lat.steps
         zero = lat.decode(0, 0)
         self.rows = tuple(
             tuple(_coordinate(lat.scale, d, zero, ui, bi) for ui, bi in zip(u, b))
@@ -319,6 +343,60 @@ class LinePoints:
             else:
                 x.append(fraction_from_ints(c[0] * a + c[3], c[5]))
         return tuple(x)
+
+    def iterates(self, keys: list, start: int, stop: int) -> tuple[Vector, ...]:
+        """The iterates of the states ``keys[start:stop]``: state (k, a, b)
+        is the point on b_k's line at the offset before it, that of
+        (a, b) minus step k's pair, equal to ``point(k, a - sa, b - sb)``.
+        One pass over the keys: a generator per coordinate builds its
+        Fractions or Surds inline, and zip joins them into vectors."""
+        d, columns = self.d, []
+        for column in zip(*self.rows):
+            # index 0 is a placeholder, so that selector k reads entry k
+            if type(column[0]) is not tuple:
+                selectors = map(itemgetter(0), islice(keys, start, stop))
+                columns.append(map((None, *column).__getitem__, selectors))
+                continue
+            folded = [None]
+            for (ua, ub, ud, pa, pb, den), (sa, sb) in zip(column, self.steps):
+                folded.append((ua, ub, ud, pa - ua * sa - ud * sb, pb - ub * sa - ua * sb, den))
+            keyed = islice(keys, start, stop)
+            columns.append(_surds(folded, d, keyed) if d else _fractions(folded, keyed))
+        return tuple(zip(*columns))
+
+
+def _fractions(folded, keys):
+    """The Fraction ``(ua*a + pa)/den`` of each state (k, a, b) over the
+    folded constants of selector k, built as fraction_from_ints does."""
+    gcd, new = math.gcd, _new_object
+    for k, a, _ in keys:
+        ua, _, _, pa, _, den = folded[k]
+        p = ua * a + pa
+        g = gcd(p, den)
+        if g != 1:
+            p, den = p // g, den // g
+        f = new(Fraction)
+        f._numerator, f._denominator = p, den
+        yield f
+
+
+def _surds(folded, d, keys):
+    """The Surd ``(P + Q*sqrt(d))/den`` of each state (k, a, b) over the
+    folded constants of selector k, built as surd_from_ints does for a
+    positive denominator."""
+    gcd, new, set_p, set_q, set_n, set_d = math.gcd, _new_object, _set_p, _set_q, _set_n, _set_d
+    for k, a, b in keys:
+        ua, ub, ud, pa, pb, den = folded[k]
+        p, q = ua * a + ud * b + pa, ub * a + ua * b + pb
+        g = gcd(p, q, den)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+        s = new(Surd)
+        set_p(s, p)
+        set_q(s, q)
+        set_n(s, den)
+        set_d(s, d)
+        yield s
 
 
 def _coordinate(scale: int, d: int, zero, ui, bi):

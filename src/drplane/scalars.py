@@ -356,22 +356,19 @@ def surd_from_ints(p: int, q: int, n: int, d: int) -> Surd:
     return s
 
 
-_set_numerator, _set_denominator = (getattr(Fraction, name).__set__ for name in Fraction.__slots__)
-
-
 def fraction_from_ints(p: int, n: int) -> Fraction:
     """The Fraction p/n for ints p and n > 0, in lowest terms by one gcd.
 
     Equal in value, type, hash, repr and pickle to ``Fraction(p, n)``,
-    without its argument dispatch; ``n > 0`` is not checked.
+    without its argument dispatch; ``n > 0`` is not checked.  Fraction,
+    unlike Surd, lets its two slots be stored as plain attributes.
     """
     g = math.gcd(p, n)
     if g != 1:
         p //= g
         n //= g
     f = _new_object(Fraction)
-    _set_numerator(f, p)
-    _set_denominator(f, n)
+    f._numerator, f._denominator = p, n
     return f
 
 
@@ -457,6 +454,8 @@ def as_fraction(s: Scalar) -> Fraction:
 
 def format_scalar(s: Scalar) -> str:
     """Compact text form: '3/2', '-4+3*sqrt(2)', '0.25'."""
+    if type(s) is float:  # f64 export formats one per cell
+        return repr(s)
     if isinstance(s, Surd):
         p, q, n = s.p, s.q, s.n
         if q == 0:
@@ -473,7 +472,7 @@ def format_scalar(s: Scalar) -> str:
         return _ratio_text(p, n) + ("" if q < 0 else "+") + root
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return _ratio_text(s.numerator, s.denominator)
-    if isinstance(s, float):
+    if isinstance(s, float):  # a float subclass
         return repr(s)
     raise BackendError(f"not a scalar: {s!r}")
 

@@ -333,7 +333,7 @@ def random_plane_doubleton(rng):
     return DoubletonProblem(A, b1, b2, x0)
 
 
-def random_surd_plane_doubleton(rng):
+def random_surd_plane_doubleton(rng, tie_policy=TiePolicy.HIGHER_INNER):
     # offsets are rational multiples of one irrational surd, so their ratio
     # is rational while every coordinate carries a sqrt(2) part
     A = Hyperplane((Surd(Fraction(3, 5), 0, 2), Surd(Fraction(4, 5), 0, 2)))
@@ -344,7 +344,7 @@ def random_surd_plane_doubleton(rng):
     b1 = (4 * w1 - Fraction(3, 5) * t1 * s, -3 * w1 - Fraction(4, 5) * t1 * s)
     b2 = (4 * w2 + Fraction(3, 5) * t2 * s, -3 * w2 + Fraction(4, 5) * t2 * s)
     x0 = (Surd(random_rational(rng, -2, 2, 3), 0, 2), Surd(0, random_rational(rng, -2, 2, 3), 2))
-    return DoubletonProblem(A, b1, b2, x0)
+    return DoubletonProblem(A, b1, b2, x0, tie_policy)
 
 
 class TestAgainstBruteForce:
@@ -572,6 +572,47 @@ class TestCycleValidity:
             ks = [r.selector_k for r in run.trace[report.preperiod + 1 :]]
             total = sum(p.beta1 if k == 1 else p.beta2 for k in ks)
             assert total == 0
+
+
+class TestCycleReplay:
+    """Every state of a cycle report, replayed under plain dr_step from x0:
+    nothing here reads the lattice, its point decoder or iterate."""
+
+    def assert_replays(self, p, report):
+        A, B = p.hyperplane, p.finite_set()
+        states = report.states
+        assert report.status == "cycle" and len(states) == report.period
+        assert len(set(states)) == report.period  # distinct, so mu is minimal
+        x, before = p.x0, None
+        for _ in range(report.preperiod):
+            before, (x, _) = x, dr_step(A, B, x)
+        assert x == states[0]
+        assert [type(c) for c in x] == [type(c) for c in states[0]]
+        # one step fewer does not close the cycle, so lam is minimal
+        assert before is None or before != states[-1]
+        for i, x in enumerate(states):
+            assert dr_step(A, B, x)[0] == states[(i + 1) % report.period], i
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_seeded_doubletons_each_policy(self, policy):
+        rng = random.Random(f"replay {policy.name}")
+        instances = [line_doubleton(-1, 2, 0, policy), line_doubleton(-1, 2, 100, policy)]
+        for planar in (False, True):
+            for _ in range(8):
+                q1, q2 = coprime_pair(rng, 3, 60)
+                x0 = Fraction(rng.randint(-90, 90), 3)
+                instances.append(relation_doubleton(rng, q1, q2, x0, planar, policy))
+        instances += [random_surd_plane_doubleton(rng, policy) for _ in range(4)]
+        for p in instances:
+            self.assert_replays(p, detect_cycle(p, 100_000))
+
+    def test_period_past_table_budget(self):
+        rng = random.Random("replay past budget")
+        q1, q2 = coprime_pair(rng, TABLE_BUDGET + 1, TABLE_BUDGET + 2000)
+        p = relation_doubleton(rng, q1, q2, Fraction(1, 3), False, TiePolicy.HIGHER_INNER)
+        report = detect_cycle(p, 10**6)
+        assert report.period > TABLE_BUDGET
+        self.assert_replays(p, report)
 
 
 class TestCoefficientLimits:

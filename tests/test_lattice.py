@@ -39,6 +39,9 @@ PROBLEMS = {
         [Fraction(3, 5), 0, Fraction(4, 5)], [-1, 2, 0], [1, Fraction(5, 3), 1],
         [0, 1, Fraction(1, 4)],
     ),
+    "rational_two_zero_coordinates": rational_problem(
+        [0, 1, 0], [Fraction(1, 2), -2, 3], [-1, Fraction(5, 3), Fraction(2, 7)], [4, 0, -1],
+    ),
     "surd_line": surd_problem(
         [1], [-1], [Surd(1, 1, 2)], [Surd(Fraction(1, 3), Fraction(-1, 5), 2)]
     ),
@@ -75,6 +78,22 @@ class TestLinePoints:
                 got = line.point(k, a, b)
                 assert got == want, (name, k, a, b)
                 assert [type(c) for c in got] == [type(c) for c in want]
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_iterates_are_points_at_the_offset_before(self, name):
+        p = PROBLEMS[name]
+        lat = lattice_of(p)
+        line = lat.line_points(p.hyperplane.normal, (p.b1, p.b2))
+        rng = random.Random(name)
+        keys = list(islice(lat.walk(1, *lat.start), 100))
+        big = lambda: rng.randint(-10**6, 10**6)  # noqa: E731
+        keys += [(rng.choice((1, 2)), big(), big() if lat.d else 0) for _ in range(100)]
+        want = [line.point(k, a - lat.steps[k - 1][0], b - lat.steps[k - 1][1]) for k, a, b in keys]
+        for start, stop in ((0, len(keys)), (1, 2), (7, 150), (200, 200)):
+            got = line.iterates(keys, start, stop)
+            assert type(got) is tuple and list(got) == want[start:stop]
+            for x, y in zip(got, want[start:stop]):
+                assert [type(c) for c in x] == [type(c) for c in y]
 
     def test_zero_normal_coordinates_keep_the_point(self):
         for name in ("rational_zero_coordinate", "surd_zero_coordinate"):
