@@ -10,12 +10,16 @@ Every backend and every set takes one path: the projectors run on vectors,
 and from the first set point on, each point's two projections are computed
 on its first visit and reused (see :func:`ap_iterate`).  The entries from 2
 on are therefore fixed by (selector, selector before), a handful of states,
-which the exporters format once each (see :func:`_records`).
+which the exporters format once each (see :func:`_records`) with the
+encoders of :mod:`drplane.dynamics`; ``ap_report`` and ``ap_rows`` parse
+their text.
 """
 
 from __future__ import annotations
 
-from .dynamics import Outcome, _check_start, export_json, export_lines, export_report
+import json
+
+from .dynamics import Outcome, _check_start, export_json, export_lines
 from .geometry import (
     FiniteSet,
     Hyperplane,
@@ -104,15 +108,16 @@ def ap_lines(trace: ApTrace, A: Hyperplane, B: FiniteSet):
     return export_lines(_records(trace, A, B), B.m)
 
 
+def ap_json(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> str:
+    """The JSON report of the trace, rendered by :func:`~drplane.dynamics.export_json`."""
+    return export_json("map", Outcome.HORIZON, A, B, _records(trace, A, B))
+
+
 def ap_rows(trace: ApTrace, A: Hyperplane, B: FiniteSet):
     """The cells of each of ap_lines."""
     return (line.split(",") for line in ap_lines(trace, A, B))
 
 
 def ap_report(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> dict:
-    return export_report("map", Outcome.HORIZON, A, B, _records(trace, A, B))
-
-
-def ap_json(trace: ApTrace, A: Hyperplane, B: FiniteSet) -> str:
-    """The JSON text of ap_report, rendered by :func:`~drplane.dynamics.export_json`."""
-    return export_json("map", Outcome.HORIZON, A, B, _records(trace, A, B))
+    """The report of ap_json, parsed."""
+    return json.loads(ap_json(trace, A, B))

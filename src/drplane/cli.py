@@ -5,12 +5,13 @@ through ``_write``: CSV, JSON, or an aligned text table, to stdout or --out,
 which gets exactly the bytes stdout would (cycle and verify write JSON).
 Trace CSV lines and trace JSON come from the exporters of
 :mod:`drplane.dynamics`, which format each orbit state once and assemble
-both from those per-state fragments: the CSV text is its lines joined once
-(:func:`~drplane.dynamics.csv_text`), the bytes ``csv.writer`` would write,
-and the JSON is byte-identical to ``json.dumps(report, indent=2)``; a table
-splits the same lines into cells, and other reports go through
-``json.dumps``.  Exit codes: 0 success, 1 a verification mismatch, 2 invalid
-input (bad file, bad flags, or a request whose preconditions fail).
+both from those per-state fragments, one encoder per format: the CSV text
+is its lines joined once (:func:`~drplane.dynamics.csv_text`), the bytes
+``csv.writer`` would write, and the JSON text is byte-identical to
+``json.dumps`` of its own parse at ``indent=2``; a table splits the same
+lines into cells, and other reports go through ``json.dumps``.  Exit codes:
+0 success, 1 a verification mismatch, 2 invalid input (bad file, bad flags,
+or a request whose preconditions fail).
 
 Each child is a fresh interpreter, and on a short run its start-up costs more
 than its work, so a child imports little: json and the trace path (dynamics,

@@ -152,8 +152,9 @@ def rationality_predicate(p: DoubletonProblem) -> bool:
     """
     if p.backend == F64:
         raise BackendError(
-            "rationality is undecidable on floats; use an exact backend "
-            "or the CLI heuristic flag"
+            "every ratio of floats is rational; whether the real data they "
+            "approximate have a rational distance ratio cannot be decided from "
+            "them: use an exact backend or the CLI heuristic flag"
         )
     return is_rational((-p.beta1) / p.beta2)
 

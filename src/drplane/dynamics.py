@@ -35,8 +35,9 @@ lattice walk finds its first revisited integer state (k, a, b), also on
 cycles that close past 2^13 states, and repeats the records one period back
 from there, the f64 vector loop keys dr_step on the iterate's bits, and the
 exporters format each state's offset and iterate once, assembling CSV lines
-and JSON records from those fragments, the JSON with the bytes of
-``json.dumps(report, indent=2)``.
+and JSON records from those fragments, the JSON with the bytes that
+``json.dumps(..., indent=2)`` writes of its parse.  Each format has this one
+encoder: ``run_report`` and ``trace_rows`` parse its text.
 :mod:`drplane.lattice` states the policy of these tables at
 :data:`~drplane.lattice.TABLE_BUDGET`.
 """
@@ -194,7 +195,10 @@ class Orbit:
     @cached_property
     def window(self) -> Scalar:
         (b1, b2), (beta1, beta2) = self.B.points, self.B.inners
-        return window_constant(b1, b2, beta1, beta2)
+        beta = window_constant(b1, b2, beta1, beta2)
+        if self.A.backend == F64 and not math.isfinite(beta):
+            raise PreconditionError(f"f64 doubleton window constant is non-finite ({beta!r})")
+        return beta
 
     @cached_property
     def lattice(self):
@@ -454,11 +458,6 @@ def trace_csv_header(m: int, dim: int) -> list[str]:
     )
 
 
-def _built(x) -> Vector:
-    """A record's iterate: x itself, or x() for a record that builds it on use."""
-    return x() if callable(x) else x
-
-
 def _tallied(records, m: int, fragment, sep: str):
     """(n, k, counts, fragment(inner, x)) for each record.
 
@@ -475,7 +474,7 @@ def _tallied(records, m: int, fragment, sep: str):
             count_texts[k - 1] = str(counts[k - 1])
         frag = None if made is None else made.get(key)
         if frag is None:
-            frag = fragment(inner, _built(x))
+            frag = fragment(inner, x() if callable(x) else x)
             if made is not None and key is not None:
                 made[key] = frag
                 if len(made) == TABLE_BUDGET:
@@ -502,31 +501,6 @@ def csv_text(header: list[str], lines) -> str:
     return "\r\n".join([",".join(header), *lines, ""])
 
 
-def export_report(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> dict:
-    """JSON-ready report of a run and its records, then the items of extra.
-
-    Every record is encoded on its own, keys unused: this is the plain form
-    that :func:`export_json` renders the same bytes as.
-    """
-    cls = classify(A, B)
-    counts = [0] * B.m
-    encoded = []
-    for n, k, inner, x, _ in records:
-        if k is not None:
-            counts[k - 1] += 1
-        encoded.append({"n": n, "k": k, "inner": encode_scalar(inner), "counts": list(counts),
-                        "x": [encode_scalar(c) for c in _built(x)]})
-    report = {
-        "method": method,
-        "outcome": outcome.value,
-        "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
-        "records": encoded,
-    }
-    if extra:
-        report.update(extra)
-    return report
-
-
 # one JSON value's text, as json.dumps writes it at any indent
 _json_leaf = json.JSONEncoder().encode
 
@@ -544,11 +518,8 @@ def _nested(value, indent: str) -> str:
 
 
 def _json_texts(inner, x):
-    """A JSON record's text after its "k" and before, then after, its counts.
-
-    The keys and their order must be those of export_report's records, as
-    export_json writes them: n, k, inner, counts, x.
-    """
+    """A JSON record's text after its "k" and before, then after, its counts:
+    a record's keys are n, k, inner, counts and x, in that order."""
     return (
         ',\n      "inner": ' + _nested(encode_scalar(inner), "      ") + ',\n      "counts": [\n        ',
         '\n      ],\n      "x": ' + _nested([encode_scalar(c) for c in x], "      ") + "\n    }",
@@ -556,23 +527,25 @@ def _json_texts(inner, x):
 
 
 def export_json(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, records, extra=None) -> str:
-    """``json.dumps(export_report(...), indent=2) + "\\n"``, byte for byte.
+    """The JSON report of a run: its method, outcome, classification and
+    records, then the items of extra, as ``json.dumps(report, indent=2) +
+    "\\n"`` writes them.
 
     Each record is assembled from its key's fragments (:func:`_json_texts`)
     and its own n, k and counts, and the text is joined once.
     """
-    out = []
-    for name, value in export_report(method, outcome, A, B, (), extra).items():
-        out.append(("{\n  " if not out else ",\n  ") + _json_leaf(name) + ": ")
-        if name != "records":
-            out.append(_nested(value, "  "))
-            continue
-        sep = "[\n"
-        for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts, ",\n        "):
-            out += (sep, '    {\n      "n": ', str(n), ',\n      "k": ',
-                    "null" if k is None else str(k), head, counts, tail)
-            sep = ",\n"
-        out.append("[]" if sep == "[\n" else "\n  ]")
+    cls = classify(A, B)
+    classification = {"kind": cls.kind.value, "intersects": cls.intersects}
+    out = ['{\n  "method": ', _json_leaf(method), ',\n  "outcome": ', _json_leaf(outcome.value),
+           ',\n  "classification": ', _nested(classification, "  "), ',\n  "records": ']
+    sep = "[\n"
+    for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts, ",\n        "):
+        out += (sep, '    {\n      "n": ', str(n), ',\n      "k": ',
+                "null" if k is None else str(k), head, counts, tail)
+        sep = ",\n"
+    out.append("[]" if sep == "[\n" else "\n  ]")
+    for name, value in (extra or {}).items():
+        out += (",\n  ", _json_leaf(name), ": ", _nested(value, "  "))
     out.append("\n}\n")
     return "".join(out)
 
@@ -618,16 +591,21 @@ def trace_lines(result: RunResult, A: Hyperplane, B: FiniteSet):
     return export_lines(_records(result, A, B), B.m)
 
 
+def run_json(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> str:
+    """The JSON report of a RunResult, rendered by :func:`export_json`."""
+    return export_json(method, result.outcome, A, B, _records(result, A, B), _run_extra(result))
+
+
+# trace_rows and run_report, and altproj's ap_rows and ap_report, parse the
+# rendered text.  Outside the tests only perfbench's tracer (tracing.WRAPPED,
+# probes.layer_probe_jobs) calls them; they can go when it stops timing them.
+
+
 def trace_rows(result: RunResult, A: Hyperplane, B: FiniteSet):
     """The cells of each of trace_lines."""
     return (line.split(",") for line in trace_lines(result, A, B))
 
 
 def run_report(result: RunResult, A: Hyperplane, B: FiniteSet) -> dict:
-    """JSON-ready mirror of a RunResult."""
-    return export_report("dr", result.outcome, A, B, _records(result, A, B), _run_extra(result))
-
-
-def run_json(result: RunResult, A: Hyperplane, B: FiniteSet, method: str = "dr") -> str:
-    """The JSON text of run_report, rendered by :func:`export_json`."""
-    return export_json(method, result.outcome, A, B, _records(result, A, B), _run_extra(result))
+    """The report of run_json, parsed."""
+    return json.loads(run_json(result, A, B))

@@ -253,7 +253,8 @@ def project_finite_set(B: FiniteSet, x: Vector) -> tuple[Vector, int]:
     Squared distances are compared (exactly, on exact backends); ties go to
     the policy, with equal-offset ties falling back to the lowest index.
     Each distance is ``norm_sq(vsub(x, b))``, its float operations in the
-    same order, without a dimension check per point.
+    same order, without a dimension check per point.  A non-finite f64
+    minimum raises BackendError: no nearest point can be told among infinities.
     """
     points = B.points
     _check_dims(x, points[0])
@@ -266,6 +267,8 @@ def project_finite_set(B: FiniteSet, x: Vector) -> tuple[Vector, int]:
             total = total + v * v
         dists.append(total)
     dmin = min(dists)  # the first minimum, as a scan with < keeps it
+    if type(dmin) is float and not math.isfinite(dmin):
+        raise BackendError(f"f64 squared distance to the set is non-finite ({dmin!r})")
     winners = [i for i, dv in enumerate(dists) if dv == dmin]
     best = _pick_winner(winners, B.inners, B.tie_policy)
     return points[best], best + 1

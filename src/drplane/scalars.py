@@ -415,16 +415,17 @@ def floor(s: Scalar) -> int:
 def is_rational(s: Scalar) -> bool:
     """Whether s is a rational number.
 
-    Decidable only on the exact backends; the float backend raises
-    BackendError (every float is trivially rational, which is never the
-    question being asked).
+    Decidable only on the exact backends; a float raises BackendError: every
+    float is rational, and the question is whether the real number it
+    approximates is, which the float cannot tell.
     """
     if isinstance(s, Surd):
         return s.is_rational()
     if isinstance(s, float):
         raise BackendError(
-            "rationality is undecidable on the float backend; "
-            "use an exact backend or an explicit heuristic"
+            "every float is rational; whether the real number it approximates "
+            "is rational cannot be decided from it: use an exact backend or an "
+            "explicit heuristic"
         )
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return True

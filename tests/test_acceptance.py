@@ -7,6 +7,7 @@ property tests after criterion 5 read its seeded orbits.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from drplane.dynamics import (
     check_step_gap,
     detect_finite_convergence,
     iterate,
-    run_report,
+    run_json,
 )
 from drplane.geometry import (
     FiniteSet,
@@ -337,13 +338,13 @@ def test_criterion_06_selector_frequency_limits():
     n_max = HORIZON_FORMULA
     p = _line(-1, 2)
     run = iterate(p.hyperplane, p.finite_set(), p.x0, n_max)
-    records = run_report(run, p.hyperplane, p.finite_set())["records"]
+    records = json.loads(run_json(run, p.hyperplane, p.finite_set()))["records"]
     for n in range(1, n_max + 1):
         c1 = records[n]["counts"][0]
         assert abs(Fraction(c1, n) - Fraction(2, 3)) <= Fraction(2, n)
     p2 = _surd_line(-1, SQRT2)
     run2 = iterate(p2.hyperplane, p2.finite_set(), p2.x0, n_max)
-    c1 = run_report(run2, p2.hyperplane, p2.finite_set())["records"][n_max]["counts"][0]
+    c1 = json.loads(run_json(run2, p2.hyperplane, p2.finite_set()))["records"][n_max]["counts"][0]
     # limit sqrt2/(1+sqrt2) = 2 - sqrt2; the bound 10/n, all exactly
     deviation = abs(Surd(Fraction(c1, n_max) - 2, 1, 2))
     assert deviation <= Surd(Fraction(10, n_max), 0, 2)

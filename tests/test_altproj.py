@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from drplane.altproj import ap_iterate, ap_lines, ap_report, ap_rows
+from drplane.altproj import ap_iterate, ap_json, ap_lines
 from drplane.dynamics import csv_text, trace_csv_header
 from drplane.errors import DimensionMismatch
 from drplane.geometry import (
@@ -174,11 +174,11 @@ class TestExports:
         assert lines[2] == "1,,0,0,0,0"
         assert lines[3] == "2,1,-1,1,0,-1"
         assert len(lines) == 7
-        assert list(ap_rows(trace, A, B)) == [line.split(",") for line in lines[1:]]
+        assert list(ap_lines(trace, A, B)) == lines[1:]
 
     def test_json_report(self):
         A, B, x0 = frac_line([-1, 2])
-        report = ap_report(ap_iterate(A, B, x0, 4), A, B)
+        report = json.loads(ap_json(ap_iterate(A, B, x0, 4), A, B))
         assert report["method"] == "map"
         assert report["outcome"] == "horizon"
         assert report["classification"]["kind"] == "straddling"

@@ -14,15 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drplane.altproj import ap_iterate, ap_report
+from drplane.altproj import ap_iterate
 from drplane.cli import COMMANDS, SUBCOMMANDS, build_parser, main, parse_direct
 from drplane.closedform import closed_form_trace
 from drplane.cycling import DoubletonProblem
-from drplane.dynamics import iterate, reconstruct_x, run_report, trace_csv_header
+from drplane.dynamics import Outcome, classify, iterate, reconstruct_x, trace_csv_header
 from drplane.errors import PreconditionError
 from drplane.geometry import TiePolicy
 from drplane.problems import load_problem
-from drplane.scalars import format_scalar
+from drplane.scalars import encode_scalar, format_scalar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "problems"
 
@@ -442,6 +442,38 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert f"error: 1{'0' * 400} is not a finite f64 value" in err
 
+    # every squared distance of the first step overflows to inf, and the
+    # window constant |b1 - b2|^2 / (2*(beta1 - beta2)) is inf/-inf, NaN
+    OVERFLOW = {"normal": [1.0], "points": [[-1e308], [1.5e308]], "x0": [1.7e308]}
+    # the distance to b1 overflows, never the nearest one; only the window does
+    FAR_B1 = {"normal": [1.0], "points": [[-1e308], [1e-11]], "x0": [0.0]}
+
+    @pytest.mark.parametrize("data, argv", [
+        (OVERFLOW, ("run", "--horizon", "1", "--format", "csv")),
+        (OVERFLOW, ("run", "--horizon", "1", "--format", "json")),
+        (OVERFLOW, ("run", "--horizon", "2")),
+        (OVERFLOW, ("map", "--horizon", "2")),
+        (OVERFLOW, ("cycle",)),
+        (FAR_B1, ("cycle",)),
+        (FAR_B1, ("closed-form",)),
+        (FAR_B1, ("verify",)),
+    ])
+    def test_f64_overflow_exits_2(self, capsys, tmp_path, data, argv):
+        path = write_problem(tmp_path, "overflow.json", {**data, "backend": "f64"})
+        code, out, err = run_cli(capsys, argv[0], "--problem", path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("argv", [("run",), ("closed-form", "--fallback-iterate")])
+    def test_f64_far_point_iterates(self, capsys, tmp_path, argv):
+        # a distance that overflows is no error while the nearest is finite,
+        # and a window constant that overflows is a failed precondition
+        path = write_problem(tmp_path, "far.json", {**self.FAR_B1, "backend": "f64"})
+        code, out, _ = run_cli(capsys, *argv, "--problem", path, "--horizon", "3",
+                               "--format", "csv")
+        assert code == 0
+        assert csv_column(out, "x_1") == ["0.0", "1e-11", "2e-11", "3e-11"]
+
     def test_bad_horizon(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", str(FIXTURES / "rational_cycle.json"),
@@ -670,17 +702,47 @@ def reference_run(command, p, horizon):
     return "dr", iterate(p.hyperplane, p.points, p.x0, horizon)
 
 
-def reference_json(command, path, horizon):
-    """json.dumps(..., indent=2) of the library's report dict for a CLI
-    json invocation: a reference that renders every record on its own."""
-    p = load_problem(path)
+def reference_trace(command, p, horizon):
+    """(method, outcome, extra items, records) of a CLI trace invocation from
+    the library, each record (n, k, inner, x) with its iterate rebuilt."""
     A, B = p.hyperplane, p.points
     if command == "map":
-        report = ap_report(ap_iterate(A, B, p.x0, horizon), A, B)
-    else:
-        method, result = reference_run(command, p, horizon)
-        report = run_report(result, A, B)
-        report["method"] = method
+        trace = ap_iterate(A, B, p.x0, horizon)
+        records = [(n, k, A.inner(x), x) for n, (x, k) in enumerate(zip(trace.points, trace.selectors))]
+        return "map", Outcome.HORIZON, {}, records
+    method, result = reference_run(command, p, horizon)
+    records = [(r.n, r.selector_k, r.inner, reconstruct_x(result, A, B, n))
+               for n, r in enumerate(result.trace)]
+    extra = {}
+    if result.fixed_at is not None:
+        extra["fixed_at"] = result.fixed_at
+    if result.shadow_limit is not None:
+        extra["shadow_limit"] = [encode_scalar(c) for c in result.shadow_limit]
+    return method, result.outcome, extra, records
+
+
+def reference_json(command, path, horizon):
+    """json.dumps(..., indent=2) of a CLI json invocation's report, built
+    record by record from the library's trace: a reference that shares no
+    code with the CLI's per-state JSON fragments."""
+    p = load_problem(path)
+    A, B = p.hyperplane, p.points
+    method, outcome, extra, records = reference_trace(command, p, horizon)
+    cls = classify(A, B)
+    counts = [0] * B.m
+    encoded = []
+    for n, k, inner, x in records:
+        if k is not None:
+            counts[k - 1] += 1
+        encoded.append({"n": n, "k": k, "inner": encode_scalar(inner), "counts": list(counts),
+                        "x": [encode_scalar(c) for c in x]})
+    report = {
+        "method": method,
+        "outcome": outcome.value,
+        "classification": {"kind": cls.kind.value, "intersects": cls.intersects},
+        "records": encoded,
+        **extra,
+    }
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -690,18 +752,11 @@ def reference_csv(command, path, horizon):
     CLI's line renderer must match byte for byte."""
     p = load_problem(path)
     A, B = p.hyperplane, p.points
-    if command == "map":
-        trace = ap_iterate(A, B, p.x0, horizon)
-        records = [(n, k, A.inner(x), x) for n, (x, k) in enumerate(zip(trace.points, trace.selectors))]
-    else:
-        _, result = reference_run(command, p, horizon)
-        records = [(r.n, r.selector_k, r.inner, reconstruct_x(result, A, B, n))
-                   for n, r in enumerate(result.trace)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(trace_csv_header(B.m, A.dim))
     counts = [0] * B.m
-    for n, k, inner, x in records:
+    for n, k, inner, x in reference_trace(command, p, horizon)[3]:
         if k is not None:
             counts[k - 1] += 1
         # csv.writer writes k = None (row 0, plane entries of map) as ""
@@ -709,18 +764,26 @@ def reference_csv(command, path, horizon):
     return buf.getvalue()
 
 
+# an f64 set whose coordinates print as -0.0, 1e-05 and 1e+16
+F64_TEXTS = {
+    "normal": [0.0, 0.0, 1.0], "points": [[1e16, 1e-05, -1.0], [1e16, -0.0, 2.0]],
+    "x0": [-0.0, 0.5, 0.25], "backend": "f64",
+}
+
+
 def test_json_text_is_json_dumps_of_the_report(capsys, tmp_path):
     # the CLI renders JSON records from per-state fragments; its bytes must
     # be those of json.dumps over the report dict, on the canonical problems
     # (fixed_at on halfspace_fixed, shadow_limit on halfspace_divergent,
-    # {"a", "b"} offsets on the surd ones), the m-point sets above and seeded
-    # rational and f64 m-point sets, which revisit states
+    # {"a", "b"} offsets on the surd ones), the m-point sets above, seeded
+    # rational and f64 m-point sets, which revisit states, and F64_TEXTS
     problems = [FIXTURES / f"{name}.json" for name in CANONICAL]
     for name, data in M_POINT_PROBLEMS.items():
         problems.append(write_problem(tmp_path, f"{name}.json", data))
     for i, data in enumerate(seeded_m_point_wires("json renderer", 12)):
         problems.append(write_problem(tmp_path, f"seeded_{i}.json", data))
-    seen = set()
+    problems.append(write_problem(tmp_path, "f64_texts.json", F64_TEXTS))
+    seen, values = set(), set()
     for path in map(str, problems):
         horizon = 1100 if "halfspace_divergent" in path else 150
         for command in ("run", "map", "closed-form"):
@@ -731,15 +794,16 @@ def test_json_text_is_json_dumps_of_the_report(capsys, tmp_path):
             assert (code, err) == (0, "")
             assert out == reference_json(command, path, horizon), (command, path)
             seen.update(k for k in ("fixed_at", "shadow_limit") if k in json.loads(out))
+            values.update(line.strip().rstrip(",") for line in out.splitlines())
     assert seen == {"fixed_at", "shadow_limit"}
+    assert {"-0.0", "1e-05", "1e+16"} <= values
 
 
 def test_csv_text_is_csv_writer_of_the_cells(tmp_path):
     # the CLI joins each CSV line's cells unquoted; its bytes must be those
     # of csv.writer over cells formatted record by record, on the canonical
     # problems, the m-point sets above under every tie policy, seeded
-    # rational and f64 m-point sets, and an f64 set whose coordinates print
-    # as -0.0, 1e-05 and 1e+16
+    # rational and f64 m-point sets, and F64_TEXTS
     problems = [FIXTURES / f"{name}.json" for name in CANONICAL]
     for name, data in M_POINT_PROBLEMS.items():
         for policy in TiePolicy:
@@ -747,10 +811,7 @@ def test_csv_text_is_csv_writer_of_the_cells(tmp_path):
             problems.append(write_problem(tmp_path, f"{name}_{policy.value}.json", wire))
     for i, data in enumerate(seeded_m_point_wires("csv renderer", 12)):
         problems.append(write_problem(tmp_path, f"seeded_{i}.json", data))
-    problems.append(write_problem(tmp_path, "f64_texts.json", {
-        "normal": [0.0, 0.0, 1.0], "points": [[1e16, 1e-05, -1.0], [1e16, -0.0, 2.0]],
-        "x0": [-0.0, 0.5, 0.25], "backend": "f64",
-    }))
+    problems.append(write_problem(tmp_path, "f64_texts.json", F64_TEXTS))
     out_path, cells = tmp_path / "out.csv", set()
     for path in map(str, problems):
         horizon = 1100 if "halfspace_divergent" in path else 150

@@ -1,6 +1,7 @@
 """Floor-formula evaluators: window constants, successor rule, closed forms."""
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from drplane.closedform import (
     verify_closed_form,
 )
 from drplane.cycling import DoubletonProblem, detect_cycle
-from drplane.dynamics import iterate, run_report
+from drplane.dynamics import iterate, run_json
 from drplane.errors import PreconditionError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step, norm_sq, vsub
 from drplane.lattice import LinePoints, OffsetLattice, SetLattice
@@ -241,7 +242,7 @@ class TestClosedFormInner:
         b = compute_betas(EX_RATIONAL)
         A, B = EX_RATIONAL.hyperplane, EX_RATIONAL.finite_set()
         run = iterate(A, B, EX_RATIONAL.x0, 200)
-        records = run_report(run, A, B)["records"]
+        records = json.loads(run_json(run, A, B))["records"]
         for n in range(1, 201):
             c1, c2 = selector_counts(b, Fraction(0), n)
             assert c1 + c2 == n

@@ -19,7 +19,7 @@ from drplane.cycling import (
     detect_cycle,
     rationality_predicate,
 )
-from drplane.dynamics import iterate, run_report
+from drplane.dynamics import iterate, run_json
 from drplane.errors import (
     BackendError,
     DimensionMismatch,
@@ -626,7 +626,7 @@ class TestCoefficientLimits:
     def test_deviation_bound_along_prefix(self):
         p = line_doubleton(-1, 2, 0)
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 300)
-        for rec in run_report(run, p.hyperplane, p.finite_set())["records"][1:]:
+        for rec in json.loads(run_json(run, p.hyperplane, p.finite_set()))["records"][1:]:
             n = rec["n"]
             assert abs(Fraction(rec["counts"][0], n) - Fraction(2, 3)) <= Fraction(2, n)
 
@@ -649,7 +649,7 @@ class TestCoefficientLimits:
     def test_counts_sum_to_n(self):
         p = line_doubleton(-1, 2, 0)
         run = iterate(p.hyperplane, p.finite_set(), p.x0, 500)
-        for rec in run_report(run, p.hyperplane, p.finite_set())["records"][1:]:
+        for rec in json.loads(run_json(run, p.hyperplane, p.finite_set()))["records"][1:]:
             assert sum(rec["counts"]) == rec["n"]
 
     def test_needs_a_step(self):

@@ -1,6 +1,7 @@
 """Iteration driver: traces, classification, stopping rules, exports."""
 
 import copy
+import json
 import logging
 import math
 import pickle
@@ -27,10 +28,8 @@ from drplane.dynamics import (
     reconstruct_shadow,
     reconstruct_x,
     run_json,
-    run_report,
     trace_csv_header,
     trace_lines,
-    trace_rows,
     transition_gaps,
 )
 from drplane.errors import BackendError, DimensionMismatch, PreconditionError, ProblemFormatError
@@ -108,7 +107,7 @@ class TestIterate:
         assert result.outcome == Outcome.HORIZON
         ks = [rec.selector_k for rec in result.trace]
         assert ks == [None, 1, 2, 1, 1, 2, 1]
-        assert run_report(result, A, B)["records"][-1]["counts"] == [4, 2]
+        assert json.loads(run_json(result, A, B))["records"][-1]["counts"] == [4, 2]
         assert result.final_counts == (4, 2)
 
     def test_surd_line_run_first_terms(self):
@@ -173,7 +172,7 @@ class TestIterate:
     def test_counts_and_inner_invariants(self):
         A, B = line_problem([-2, 3])
         result = iterate(A, B, (Fraction(1, 3),), 200)
-        exported = run_report(result, A, B)["records"]
+        exported = json.loads(run_json(result, A, B))["records"]
         u = A.normal
         for n, rec in enumerate(result.trace):
             assert rec.n == n
@@ -323,7 +322,7 @@ def test_surd_run_result_copies_and_pickles():
     run = iterate(A, B, (Surd(Fraction(1, 3), 0, 2),), 30)
     for clone in (copy.copy(run), copy.deepcopy(run), pickle.loads(pickle.dumps(run))):
         assert clone == run
-        assert run_report(clone, A, B) == run_report(run, A, B)
+        assert json.loads(run_json(clone, A, B)) == json.loads(run_json(run, A, B))
 
 
 class TestExport:
@@ -354,9 +353,11 @@ class TestExport:
         full = iterate(A, B, p.x0, 1100)
         slim = iterate(A, B, p.x0, 1100, slim=True)
         assert list(trace_lines(slim, A, B)) == list(trace_lines(full, A, B))
-        assert list(trace_rows(slim, A, B)) == list(trace_rows(full, A, B))
+        assert [ln.split(",") for ln in trace_lines(slim, A, B)] == [
+            ln.split(",") for ln in trace_lines(full, A, B)
+        ]
         assert run_json(slim, A, B) == run_json(full, A, B)
-        assert run_report(slim, A, B) == run_report(full, A, B)
+        assert json.loads(run_json(slim, A, B)) == json.loads(run_json(full, A, B))
 
     def test_header_matches_dimensions(self):
         assert trace_csv_header(3, 2) == [
@@ -366,7 +367,7 @@ class TestExport:
     def test_run_report(self):
         A, B = plane_problem([(0, 0), (0, 2)])
         result = iterate(A, B, F(1, 1), 10)
-        report = run_report(result, A, B)
+        report = json.loads(run_json(result, A, B))
         assert report["method"] == "dr"
         assert report["outcome"] == "fixed_point"
         assert report["fixed_at"] == 1
@@ -401,7 +402,7 @@ def typed(values):
 
 
 def exported_counts(result, A, B):
-    return [tuple(r["counts"]) for r in run_report(result, A, B)["records"]]
+    return [tuple(r["counts"]) for r in json.loads(run_json(result, A, B))["records"]]
 
 
 def assert_matches_reference(A, B, x0, max_n, **kwargs):
@@ -821,7 +822,8 @@ class TestF64StepTable:
         m = B.m
         texts = [[repr(float.fromhex(c)) for c in (inner, *x)] for _, x, _, inner in expected]
         for run in (full, slim):
-            assert [[row[2], *row[3 + m:]] for row in trace_rows(run, A, B)] == texts
+            rows = [line.split(",") for line in trace_lines(run, A, B)]
+            assert [[row[2], *row[3 + m:]] for row in rows] == texts
         return expected
 
     def test_orbits_through_signed_zeros(self):
@@ -850,8 +852,8 @@ def streamed_rows_peak(run, A, B) -> int:
     """Peak traced bytes while the CSV rows of run stream past unkept."""
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    for _ in trace_rows(run, A, B):
-        pass
+    for line in trace_lines(run, A, B):
+        line.split(",")
     return tracemalloc.get_traced_memory()[1] - base
 
 
