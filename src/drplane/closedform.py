@@ -10,9 +10,10 @@ planar instance generates; verify_closed_form cross-checks everything against
 the step-by-step driver.
 
 The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
-fixed once.  On the exact backends that floor is an integer square-root
-floor and the offsets are integer pairs on the problem's orbit lattice (see
-:class:`FloorForm`); f64 keeps the float quotient, with pairs (offset, 0).
+fixed once, and offsets as pairs on the problem's orbit lattice, on every
+backend through :class:`FloorForm`.  On the exact backends the pairs are
+integers and that floor is an integer square-root floor; f64 pairs are
+(offset, 0), and f64 keeps the float quotient for the floor.
 Each point is the orbit's ``point`` evaluator at the pair of the previous
 offset.  iterate reaches the same offsets by stepping, on an orbit of its
 own, so verify_closed_form still compares two derivations.
@@ -180,7 +181,7 @@ def closed_form_inner_alt(betas: Betas, inner0, n: int):
 
 
 class FloorForm:
-    """The closed form's evaluators on an exact orbit lattice, from its start
+    """The closed form's evaluators on an orbit lattice, from its start
     offset inner0.
 
     count2(n) is the number of selector-2 choices among steps 1..n,
@@ -224,30 +225,27 @@ class FloorForm:
         return self.lattice.decode(a, b)
 
     def offset(self, n: int, c: int):
-        return self.lattice.decode(*self.coefficients(n, c))
+        return self.decode(*self.coefficients(n, c))
 
 
-class _FloatFloorForm:
-    """FloorForm's interface on f64: the float quotient for count2, and the
-    f64 lattice's pairs (offset, 0) for coefficients."""
+class _FloatFloorForm(FloorForm):
+    """FloorForm on an f64 orbit lattice, whose pairs are float offsets
+    (v, 0) over scale 1: count2 is the float quotient of :func:`_count2` on
+    the offsets of the pairs, and a pair decodes to its offset."""
 
-    __slots__ = ("betas", "inner0", "start")
+    __slots__ = ("betas",)
 
-    def __init__(self, betas: Betas, inner0):
-        self.betas, self.inner0, self.start = betas, inner0, (inner0, 0)
+    def __init__(self, lattice: OffsetLattice):
+        super().__init__(lattice)
+        (beta1, _), (beta2, _) = lattice.steps
+        self.betas = Betas(beta1, beta2, lattice.beta[0])
 
     def count2(self, n: int) -> int:
-        return _count2(self.betas, self.inner0, n)
-
-    def coefficients(self, n: int, c: int) -> tuple:
-        return self.offset(n, c), 0
+        return _count2(self.betas, self.start[0], n)
 
     @staticmethod
     def decode(a, b):
         return a
-
-    def offset(self, n: int, c: int):
-        return self.inner0 + n * self.betas.beta1 + c * self.betas.span
 
 
 def _point(form, point, n: int):
@@ -273,11 +271,9 @@ def _plan(p: DoubletonProblem, betas: Betas):
             _, k1, inner1 = orbit.first_step
             if region_of(betas, inner1, k1) is RegionLabel.OUTSIDE:
                 refusal = f"{NOT_APPLICABLE} (first iterate misses the window)"
-            elif p.backend == F64:
-                form = _FloatFloorForm(betas, orbit.inner0)
             else:
                 # the orbit's lattice starts at inner0
-                form = FloorForm(orbit.lattice)
+                form = (_FloatFloorForm if p.backend == F64 else FloorForm)(orbit.lattice)
         plan = (refusal, form)
         object.__setattr__(p, "_closed_form", plan)
     refusal, form = plan
@@ -346,7 +342,9 @@ def _corollary_form(p: DoubletonProblem):
         )
     # the hypotheses imply the general closed form's, so the exact backends
     # take p's plan; f64 drops the start offset's slack
-    return _FloatFloorForm(betas, 0) if p.backend == F64 else _plan(p, betas)
+    if p.backend == F64:
+        return _FloatFloorForm(OffsetLattice(betas.beta1, betas.beta2, betas.beta, 0))
+    return _plan(p, betas)
 
 
 def beatty_triple(n: int) -> tuple[int, int, int]:

@@ -30,12 +30,12 @@ the path taken and, for the vector loop, why; records are emitted only when
 it.
 
 Work and formatting are per distinct state.  Straddling orbits are bounded,
-and on rational data eventually periodic, so they revisit few states: the
-lattice walk finds its first revisited integer state (k, a, b), also on
-cycles that close past 2^13 states, and repeats the records one period back
-from there, the f64 vector loop keys dr_step on the iterate's bits, and the
-exporters format each state's offset and iterate once, assembling CSV lines
-and JSON records from those fragments, the JSON with the bytes that
+so on rational data and in floats eventually periodic: the lattice walk
+finds its first revisited integer state (k, a, b), also on cycles that
+close past 2^13 states, the f64 vector loop its first iterate revisited bit
+for bit, and both repeat the records one period back.  The exporters format
+each state's offset and iterate once, assembling CSV lines and JSON records
+from those fragments, the JSON with the bytes that
 ``json.dumps(..., indent=2)`` writes of its parse.  Each format has this one
 encoder: ``run_report`` and ``trace_rows`` parse its text.
 :mod:`drplane.lattice` states the policy of these tables at
@@ -265,26 +265,23 @@ def iterate(
 
     # on the lattice only step 1 runs on vectors; neither stop can happen there
     vector_steps = max_n if refusal else min(max_n, 1)
-    # f64 orbits repeat iterates bit for bit, so each distinct x takes one
-    # dr_step, offset and fixed-point test, memoised up to TABLE_BUDGET
-    steps = {} if backend == F64 else None
+    # record n depends on x_{n-1} only, and f64 orbits revisit iterates bit for
+    # bit: replay from the first revisit, unless divergence checks every step
+    seen = {} if backend == F64 and not may_diverge else None
     for n in range(1, vector_steps + 1):
-        step = None
-        if steps is not None:
-            key = _bits_key(x)
-            step = steps.get(key)
-        if step is None:
-            nxt, k = dr_step(A, B, x)
-            step = nxt, k, A.inner(nxt), vec_equal(nxt, x, backend)
-            if steps is not None:
-                steps[key] = step
-                if len(steps) == TABLE_BUDGET:
-                    steps = None
-        nxt, k, inner, fixed = step
-        if fixed:
+        if seen is not None:
+            back = seen.setdefault(_bits_key(x), n - 1)
+            if back != n - 1:
+                _replay(trace, counts, n, n - 1 - back, max_n)
+                break
+            if len(seen) == TABLE_BUDGET:
+                seen = None
+        nxt, k = dr_step(A, B, x)
+        if vec_equal(nxt, x, backend):
             outcome = Outcome.FIXED_POINT
             fixed_at = n - 1
             break
+        inner = A.inner(nxt)
         counts[k - 1] += 1
         trace.append(TraceRecord(n, None if slim else nxt, k, inner))
         x = nxt
@@ -348,10 +345,13 @@ def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
         counts[k - 1] += 1
         trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
         pa, pb = a, b
-    if found.back is None:
-        return
-    period = found.n - found.back
-    for m in range(found.n, max_n + 1):
+    if found.back is not None:
+        _replay(trace, counts, found.n, found.n - found.back, max_n)
+
+
+def _replay(trace, counts, start: int, period: int, max_n: int) -> None:
+    """Append records start..max_n, each repeating the one period back, and count them."""
+    for m in range(start, max_n + 1):
         rec = trace[m - period]
         counts[rec.selector_k - 1] += 1
         trace.append(TraceRecord(m, rec.x, rec.selector_k, rec.inner))

@@ -14,7 +14,7 @@ advances on integer triples ``(k, a, b)`` and compares by
   ``t2 = -beta - beta2``, with ``beta`` the window constant.  The cycle
   search and the closed form walk it too, and on f64 its pairs are float
   offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
-  difference ``a - t``; a float lattice is only walked, never decoded.
+  difference ``a - t``; ``decode`` is never called on a float lattice.
 * :class:`SetLattice`, for m >= 3 points: the next selector minimises the
   score ``Q_kj + 2*c_n*beta_j`` over j, from a table of
   ``Q_kj = |P_A b_k - b_j|^2``, and the tie policy resolves equal scores as
@@ -53,9 +53,9 @@ doubles each time it fills again, each the next one due.  A
 hit while the spacing is 1 is the first repeat; a later one is a state of
 the cycle, and a walk round it and one from the start give the exact
 preperiod and period.  Memory is O(TABLE_BUDGET + period) at any horizon.
-The f64 step memo and the exporters' text memo are dropped at TABLE_BUDGET
-instead: an orbit adds no new state once it has come back, so a memo that
-fills has seen no repeat.
+The f64 vector loop's table of iterates and the exporters' text memo are
+dropped at TABLE_BUDGET instead: an orbit adds no new state once it has
+come back, so a table that fills has seen no repeat.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class OffsetLattice(_LineLattice):
     pairs of beta1 and beta2), ``beta``, ``start``, ``t1`` and ``t2`` are
     their integer pairs ``(a, b)`` over the common ``scale``; ``d`` is 0 on
     rationals.  Float values give float pairs ``(v, 0)`` over ``scale = 1``,
-    for :meth:`walk` only.
+    for :meth:`walk` and the f64 floor form.
     """
 
     __slots__ = ("beta", "start", "t1", "t2", "tie")

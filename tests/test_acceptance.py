@@ -37,6 +37,7 @@ from drplane.dynamics import (
 from drplane.geometry import (
     FiniteSet,
     Hyperplane,
+    TiePolicy,
     norm_sq,
     project_finite_set,
     project_hyperplane,
@@ -271,6 +272,55 @@ def test_rational_period_and_balance():
             assert _periodic_balanced(_cycle_word(p, report))
             checked += 1
     assert checked == 176  # 165 on the line, 11 planar
+
+
+def _run_length_period(p, horizon):
+    """The minimal period of p's orbit from a walk over its runs of one
+    selector, or None when no run start repeats within horizon steps.
+
+    Independent of the lattice and the cycle search: after a step with
+    selector k to offset c, R_A x is P_A b_k - c*u, so b1 wins when
+    2*c*(beta1 - beta2) < |P_A b_k - b2|^2 - |P_A b_k - b1|^2, that is when
+    c passes the threshold t_k (ties going to b2 under higher_inner only).
+    A run of 1s lowers c by -beta1 a step while c > t_1, a run of 2s raises
+    it by beta2 while c < t_2, so each run takes one floor division.  The
+    starts (k, c) of the runs are hashed, and the first repeat is one
+    period apart in steps."""
+    A, B = p.hyperplane, p.finite_set()
+    (b1, b2), (beta1, beta2) = B.points, B.inners
+    thresholds = []
+    for b, beta in zip(B.points, B.inners):
+        shadow = vsub(b, vscale(beta, A.normal))
+        gap = norm_sq(vsub(shadow, b2)) - norm_sq(vsub(shadow, b1))
+        thresholds.append(gap / (2 * (beta1 - beta2)))
+    ties_to_2 = p.tie_policy is TiePolicy.HIGHER_INNER
+    x1, k = dr_step(A, B, p.x0)
+    c, n, starts = A.inner(x1), 1, {}
+    while n <= horizon:
+        back = starts.setdefault((k, c), n)
+        if back != n:
+            return n - back
+        # d > 0 continues the run; at d == 0 the tie policy decides
+        if k == 1:
+            d, step, ties_continue = c - thresholds[0], -beta1, not ties_to_2
+        else:
+            d, step, ties_continue = thresholds[1] - c, beta2, ties_to_2
+        if ties_continue:
+            run = max(0, d // step + 1)
+        else:
+            run = max(0, -(-d // step))
+        c += run * (beta1 if k == 1 else beta2)
+        k = 3 - k
+        c += beta1 if k == 1 else beta2
+        n += run + 1
+    return None
+
+
+def test_run_length_walk_periods():
+    """An independent period oracle: the run-length walk finds detect_cycle's
+    period on every rational doubleton of criterion 5."""
+    for p, report in _crit5_rational():
+        assert _run_length_period(p, HORIZON_CYCLING) == report.period
 
 
 def test_planar_shifted_window_exceptions_observed():

@@ -587,7 +587,7 @@ class TestIntegerFloorForm:
     def test_float_backend_keeps_quotient(self):
         A = Hyperplane((1.0,))
         b = compute_betas(DoubletonProblem(A, (-1.0,), (3.7,), (0.0,)))
-        form = _FloatFloorForm(b, 0.25)
+        form = _FloatFloorForm(OffsetLattice(b.beta1, b.beta2, b.beta, 0.25))
         count2, offset = form.count2, form.offset
         for n in range(200):
             assert count2(n) == quotient_count2(b, 0.25, n)

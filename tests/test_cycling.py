@@ -606,6 +606,30 @@ class TestCycleReplay:
         for p in instances:
             self.assert_replays(p, detect_cycle(p, 100_000))
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_dyadic_f64_doubletons_each_policy(self, policy):
+        # offsets -q2*s and q1*s with s a power of two, and quarter-integer
+        # starts: every float operation of these orbits is exact, so the
+        # approximate report must replay bit for bit
+        rng = random.Random(f"f64 replay {policy.name}")
+        for planar in (False, True):
+            for _ in range(34):
+                q1, q2 = coprime_pair(rng, 3, 60)
+                s = 2.0 ** rng.randint(-3, 3)
+                x0 = rng.randint(-240, 240) / 4
+                if planar:
+                    lead = [rng.randint(-12, 12) / 4 for _ in range(3)]
+                    A = Hyperplane((0.0, 1.0))
+                    p = DoubletonProblem(
+                        A, (lead[0], -q2 * s), (lead[1], q1 * s), (lead[2], x0), policy
+                    )
+                else:
+                    A = Hyperplane((1.0,))
+                    p = DoubletonProblem(A, (-q2 * s,), (q1 * s,), (x0,), policy)
+                report = detect_cycle(p, 100_000)
+                assert report.approximate
+                self.assert_replays(p, report)
+
     def test_period_past_table_budget(self):
         rng = random.Random("replay past budget")
         q1, q2 = coprime_pair(rng, TABLE_BUDGET + 1, TABLE_BUDGET + 2000)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from drplane import dynamics
 from drplane.altproj import ap_iterate
 from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import (
@@ -805,9 +806,21 @@ def zero_sign_collisions(A, B, x0, max_n):
     return found
 
 
+def first_revisit(expected):
+    """(R, period) of the first iterate x_R of a plain_f64_run that repeats
+    an earlier one bit for bit, or None."""
+    index = {}
+    for n, x, _, _ in expected:
+        back = index.setdefault(x, n)
+        if back != n:
+            return n, n - back
+    return None
+
+
 class TestF64StepTable:
-    """iterate looks a revisited f64 iterate up in its table; its traces
-    must be a plain dr_step loop's, bit for bit."""
+    """iterate indexes f64 iterates by their bits and, from the first
+    revisited one, replays the records one period back; its traces must be
+    a plain dr_step loop's, bit for bit."""
 
     def assert_matches_plain(self, A, B, x0, max_n):
         expected = plain_f64_run(A, B, x0, max_n)
@@ -836,6 +849,31 @@ class TestF64StepTable:
         # that only a table ignoring the sign of zero would confuse
         assert zeros == {"0x0.0p+0", "-0x0.0p+0"}
         assert collisions > 0
+
+    def test_replay_shares_the_records_a_period_back(self):
+        for A, B, x0 in signed_zero_sets(60):
+            # every seeded orbit comes back within 300 steps
+            R, period = first_revisit(plain_f64_run(A, B, x0, 300))
+            trace = iterate(A, B, x0, 300).trace
+            for m in range(R + 1, len(trace)):
+                assert trace[m].x is trace[m - period].x, m
+                assert trace[m].inner is trace[m - period].inner, m
+
+    def test_revisiting_run_steps_only_up_to_its_first_revisit(self, monkeypatch):
+        calls = 0
+
+        def counting_dr_step(*args):
+            nonlocal calls
+            calls += 1
+            return dr_step(*args)
+
+        monkeypatch.setattr(dynamics, "dr_step", counting_dr_step)
+        for A, B, x0 in signed_zero_sets(60):
+            R, _ = first_revisit(plain_f64_run(A, B, x0, 300))
+            for slim in (False, True):
+                calls = 0
+                iterate(A, B, x0, 300, slim=slim)
+                assert calls <= R
 
     def test_more_distinct_states_than_the_table_holds(self):
         # dyadic offsets with q1*d_A(b1) = q2*d_A(b2) and q1 + q2 > 2^13 are
