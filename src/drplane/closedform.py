@@ -231,12 +231,13 @@ class FloorForm:
 class _FloatFloorForm(FloorForm):
     """FloorForm on an f64 orbit lattice, whose pairs are float offsets
     (v, 0) over scale 1: count2 is the float quotient of :func:`_count2` on
-    the offsets of the pairs, and a pair decodes to its offset."""
+    the offsets of the pairs, and a pair decodes to its offset.  The integer
+    constants of X and Y stay unset."""
 
     __slots__ = ("betas",)
 
     def __init__(self, lattice: OffsetLattice):
-        super().__init__(lattice)
+        self.lattice, self.start = lattice, lattice.start
         (beta1, _), (beta2, _) = lattice.steps
         self.betas = Betas(beta1, beta2, lattice.beta[0])
 

@@ -22,8 +22,9 @@ cells with one entry per state, so its memory grows with the horizon, and it
 labels its reports approximate.  Only the states of a found cycle are
 decoded: on the exact backends in one batch by the orbit's
 :meth:`~drplane.lattice.LinePoints.iterates`, from each state's own
-integers, and on f64 each by ``point`` from the pair of the offset before
-it.
+integers as ``Revisit`` walks round the cycle, so that a found cycle costs
+its report plus O(TABLE_BUDGET + spacing), and on f64 each by ``point``
+from the pair of the offset before it.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     period, is at most `horizon`.  Exact backends hash exact states, so a
     hit certifies a genuine cycle and the returned preperiod/period are
     minimal; their table is :class:`~drplane.lattice.Revisit`'s, of memory
-    O(TABLE_BUDGET + period) at any horizon.  The float backend quantizes
+    O(TABLE_BUDGET) at any horizon, and a found cycle costs its report plus
+    O(TABLE_BUDGET + spacing).  The float backend quantizes
     offsets at relative tolerance F64_REL_TOL, keeps one entry per state and
     labels the report approximate.
     """
@@ -202,10 +204,13 @@ def _detect_exact(p, horizon):
     found = Revisit((k1, *orbit.lattice.pair(inner1)), orbit.lattice.walk, horizon)
     deque(found, maxlen=0)
     if found.back is not None:
-        lam, keys = found.cycle()
+        if found.spacing > 1:
+            log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
+        decode = orbit.line_points.iterates
+        lam, before, states = found.cycle(decode)
         # a sampled hit may come after the first repeat, past the horizon
-        if lam + len(keys) - 1 <= horizon:
-            return _finalize_cycle(orbit, horizon, lam, keys)
+        if lam + len(states) <= horizon:
+            return _finalize_cycle(orbit, horizon, lam, before, states, decode)
     return CycleReport("no_cycle", horizon)
 
 
@@ -230,7 +235,9 @@ def _detect_float(p, horizon):
                 first = entry[0]
                 break
         if first is not None:
-            return _finalize_cycle(p.orbit, horizon, first, hist[first - 1 :], approximate=True)
+            decode = partial(_float_iterates, p.orbit)
+            states = decode(islice(hist, first, None))
+            return _finalize_cycle(p.orbit, horizon, first, hist[first - 1], states, decode, True)
         seen.setdefault((k, cell), (n, off))
         hist.append(key)
     return CycleReport("no_cycle", horizon)
@@ -243,24 +250,24 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
-def _finalize_cycle(orbit, horizon, lam, keys, approximate=False):
-    """The orbit's report for first repeated key state lam, from keys = the
-    states lam-1 .. lam+mu-1 (None for x0).  Keys exist only from n=1, so
-    the true preperiod may be exactly one step earlier.  Check it on vectors."""
-    mu = len(keys) - 1
-    decode = partial(_float_iterates, orbit) if approximate else orbit.line_points.iterates
-    head = orbit.x0 if keys[0] is None else decode(keys, 0, 1)[0]
-    states = decode(keys, 1, mu + 1)
+def _finalize_cycle(orbit, horizon, lam, before, states, decode, approximate=False):
+    """The orbit's report for first repeated key state lam, from the state
+    ``before`` it (None for x0) and the iterates ``states`` of states lam ..
+    lam+mu-1, ``decode`` turning states into iterates.  Keys exist only from
+    n=1, so the true preperiod may be exactly one step earlier.  Check it on
+    vectors."""
+    mu = len(states)
+    head = orbit.x0 if before is None else decode([before])[0]
     if _vectors_match(head, states[-1], approximate):
         lam, states = lam - 1, (head, *islice(states, mu - 1))
     return CycleReport("cycle", horizon, lam, mu, states, approximate)
 
 
-def _float_iterates(orbit, keys, start, stop):
-    """The iterates of the float states keys[start:stop], each by ``point``
-    at the offset before it: the state's offset minus beta_k."""
+def _float_iterates(orbit, keys):
+    """The iterates of the float states keys, each by ``point`` at the
+    offset before it: the state's offset minus beta_k."""
     steps, point = orbit.lattice.steps, orbit.point
-    return tuple(point(k, a - steps[k - 1][0], b) for k, a, b in islice(keys, start, stop))
+    return tuple(point(k, a - steps[k - 1][0], b) for k, a, b in keys)
 
 
 def coefficient_limits(p: DoubletonProblem, trace: RunResult):

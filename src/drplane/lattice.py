@@ -50,9 +50,15 @@ iteration driver's replay and the exact cycle search.  Its table keeps every
 state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
 state, then only the states whose index is a multiple of a spacing that
 doubles each time it fills again, each the next one due.  A
-hit while the spacing is 1 is the first repeat; a later one is a state of
-the cycle, and a walk round it and one from the start give the exact
-preperiod and period.  Memory is O(TABLE_BUDGET + period) at any horizon.
+hit while the spacing is 1 is the first repeat, and the table lists the
+cycle.  A later hit is one period after the least table state on the cycle,
+which lies within one spacing after the first state on it.  One walk round
+the cycle, streamed into the caller's decoder, keeps the twin of the table
+state one spacing before the hit's, whole periods on from it, and two walks
+of at most one spacing each, from that table state and from its twin, meet
+at the first state on the cycle.  The search holds O(TABLE_BUDGET) states
+at any horizon, and a found cycle costs its report plus
+O(TABLE_BUDGET + spacing).
 The f64 vector loop's table of iterates and the exporters' text memo are
 dropped at TABLE_BUDGET instead: an orbit adds no new state once it has
 come back, so a table that fills has seen no repeat.
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, tee
 from operator import itemgetter
 
 from .geometry import (
@@ -283,24 +289,50 @@ class Revisit:
                         break
                     due += spacing
 
-    def cycle(self) -> tuple[int, list]:
-        """(lam, keys) after a hit: the index lam of the first state on the
-        cycle, and its states lam-1 .. lam+mu-1 (None for state 0) over the
-        minimal period mu."""
+    def cycle(self, decode) -> tuple[int, tuple | None, tuple]:
+        """(lam, before, states) after a hit: the index lam of the first
+        state on the cycle, the state lam-1 before it (None for state 0),
+        and ``decode`` of the states lam .. lam+mu-1 over the minimal period
+        mu.  ``decode`` maps a list or a stream of states, read once, to a
+        tuple of the same length."""
         if self.spacing == 1:
             # the dense table lists states 1 .. n-1 in index order
-            return self.back, [None, *self._seen][self.back - 1 :]
-        cycle = [self._hit]
-        for key in self.walk(*self._hit):
-            if key == self._hit:
-                break
-            cycle.append(key)
-        on_cycle = set(cycle)
-        before, key, lam, walk = None, self.start, 1, self.walk(*self.start)
-        while key not in on_cycle:
-            before, key, lam = key, next(walk), lam + 1
-        i = cycle.index(key)
-        return lam, [before, *cycle[i:], *cycle[:i]]
+            keys, lam = [*self._seen], self.back
+            return lam, keys[lam - 2] if lam > 1 else None, decode(keys[lam - 1 :])
+        # each entry of the table has been in it since its own index, so
+        # the least entry on the cycle, j, is hit by state j + mu, and any
+        # other hit comes later: back is j, mu is n - back, and as the table
+        # holds every multiple of the spacing up to back, lam lies in
+        # (back - spacing, back].  One walk round the cycle from the hit,
+        # streamed into decode, passes the twin of state back - spacing, a
+        # whole number of periods on from it.
+        back, spacing, hit, walk = self.back, self.spacing, self._hit, self.walk
+        mu = self.n - back
+        at, twin = -spacing % mu, hit
+
+        def lap():
+            nonlocal twin
+            for p, key in enumerate(chain((hit,), islice(walk(*hit), mu - 1))):
+                if p == at:
+                    twin = key
+                yield key
+
+        states = decode(lap())
+        if back == spacing:
+            # thinning dropped state 1 from the table: walk from it, and from
+            # the twin one step on
+            lam, before, state, ahead = 1, None, self.start, walk(*self.start)
+        else:
+            lam = back - spacing + 1
+            before = next(k for k, i in self._seen.items() if i == back - spacing)
+            ahead = walk(*before)
+            state = next(ahead)
+        twins = walk(*twin)
+        other = next(twins)
+        while state != other:
+            before, state, other, lam = state, next(ahead), next(twins), lam + 1
+        i = (lam - back) % mu
+        return lam, before, states[i:] + states[:i]
 
 
 class LinePoints:
@@ -344,25 +376,29 @@ class LinePoints:
                 x.append(fraction_from_ints(c[0] * a + c[3], c[5]))
         return tuple(x)
 
-    def iterates(self, keys: list, start: int, stop: int) -> tuple[Vector, ...]:
-        """The iterates of the states ``keys[start:stop]``: state (k, a, b)
-        is the point on b_k's line at the offset before it, that of
-        (a, b) minus step k's pair, equal to ``point(k, a - sa, b - sb)``.
-        One pass over the keys: a generator per coordinate builds its
-        Fractions or Surds inline, and zip joins them into vectors."""
-        d, columns = self.d, []
-        for column in zip(*self.rows):
+    def iterates(self, keys) -> tuple[Vector, ...]:
+        """The iterates of the states ``keys``: state (k, a, b) is the point
+        on b_k's line at the offset before it, that of (a, b) minus step
+        k's pair, equal to ``point(k, a - sa, b - sb)``.  One pass over the
+        keys: a generator per coordinate builds its Fractions or Surds
+        inline, and zip joins them into vectors.  Each coordinate reads a
+        list itself, and any other iterable through its own ``tee``, which
+        zip drains in lockstep, so a stream is read once."""
+        d, columns, out = self.d, tuple(zip(*self.rows)), []
+        if isinstance(keys, list) or len(columns) == 1:
+            streams = (keys,) * len(columns)
+        else:
+            streams = tee(keys, len(columns))
+        for column, keyed in zip(columns, streams):
             # index 0 is a placeholder, so that selector k reads entry k
             if type(column[0]) is not tuple:
-                selectors = map(itemgetter(0), islice(keys, start, stop))
-                columns.append(map((None, *column).__getitem__, selectors))
+                out.append(map((None, *column).__getitem__, map(itemgetter(0), keyed)))
                 continue
             folded = [None]
             for (ua, ub, ud, pa, pb, den), (sa, sb) in zip(column, self.steps):
                 folded.append((ua, ub, ud, pa - ua * sa - ud * sb, pb - ub * sa - ua * sb, den))
-            keyed = islice(keys, start, stop)
-            columns.append(_surds(folded, d, keyed) if d else _fractions(folded, keyed))
-        return tuple(zip(*columns))
+            out.append(_surds(folded, d, keyed) if d else _fractions(folded, keyed))
+        return tuple(zip(*out))
 
 
 def _fractions(folded, keys):

@@ -588,6 +588,8 @@ class TestIntegerFloorForm:
         A = Hyperplane((1.0,))
         b = compute_betas(DoubletonProblem(A, (-1.0,), (3.7,), (0.0,)))
         form = _FloatFloorForm(OffsetLattice(b.beta1, b.beta2, b.beta, 0.25))
+        # the integer constants of X and Y are an exact lattice's only
+        assert not any(hasattr(form, name) for name in ("xa", "xb", "ya", "yb", "denom"))
         count2, offset = form.count2, form.offset
         for n in range(200):
             assert count2(n) == quotient_count2(b, 0.25, n)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 import math
 import pickle
 import random
@@ -486,6 +487,36 @@ def test_cycle_search_memory_is_bounded():
         tracemalloc.stop()
     assert report.status == "no_cycle"
     assert peak < 8 * 2**20
+
+
+def test_found_cycle_costs_its_report():
+    # a period of more than three tables, so that the search samples: past
+    # the report, the search may hold its table and O(spacing) more states
+    q1, q2 = 10003, 20008
+    assert q1 + q2 >= 3 * TABLE_BUDGET and math.gcd(q1, q2) == 1
+    p = line_doubleton(-q2 * Fraction(2, 7), q1 * Fraction(2, 7), Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = detect_cycle(p, 10**6)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.period == q1 + q2
+    kept, peak = kept - base, peak - base
+    assert peak - kept < 0.6 * kept
+
+
+def test_sampled_hit_is_logged(caplog):
+    # period 9098 > 2^13, from a start 10002 steps above the cycle
+    caplog.set_level(logging.DEBUG, logger="drplane")
+    p = line_doubleton(Fraction(-4999, 3), Fraction(4099, 3), Fraction(50000000, 3))
+    report = detect_cycle(p, 10**5)
+    assert (report.preperiod, report.period) == (10002, 9098)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("drplane.cycling", logging.DEBUG, "detect_cycle: integer lattice"),
+        ("drplane.cycling", logging.DEBUG, "detect_cycle: sampled table hit at spacing 4"),
+    ]
 
 
 def random_dyadic(rng, lo, hi):

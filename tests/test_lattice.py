@@ -1,6 +1,7 @@
 """The integer lattice of doubleton orbit states and its point evaluator."""
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 
@@ -90,8 +91,10 @@ class TestLinePoints:
         keys += [(rng.choice((1, 2)), big(), big() if lat.d else 0) for _ in range(100)]
         want = [line.point(k, a - lat.steps[k - 1][0], b - lat.steps[k - 1][1]) for k, a, b in keys]
         for start, stop in ((0, len(keys)), (1, 2), (7, 150), (200, 200)):
-            got = line.iterates(keys, start, stop)
+            got = line.iterates(keys[start:stop])
             assert type(got) is tuple and list(got) == want[start:stop]
+            # a stream of keys, read once by every coordinate
+            assert line.iterates(iter(keys[start:stop])) == got
             for x, y in zip(got, want[start:stop]):
                 assert [type(c) for c in x] == [type(c) for c in y]
 
@@ -109,9 +112,10 @@ class TestLinePoints:
         assert all(c.p != 0 and c.q != 0 for c in u)
 
 
-def random_rational_orbit(rng, m):
+def random_rational_orbit(rng, m, reach=90):
     """The orbit of a seeded straddling set of m rational points, off a line
-    or plane hyperplane, with small denominators so that it cycles soon."""
+    or plane hyperplane, with small denominators so that it cycles soon; the
+    start's coordinates lie within reach of 0."""
     normal = rng.choice(((1,), (0, 1)))
     A = Hyperplane(tuple(map(Fraction, normal)))
     while True:
@@ -121,7 +125,7 @@ def random_rational_orbit(rng, m):
         if len(pts) == m and inners[0] < 0 < inners[-1] and 0 not in inners:
             break
     B = FiniteSet.ordered(sorted(pts), A, rng.choice(list(TiePolicy)))
-    x0 = tuple(Fraction(rng.randint(-90, 90), rng.randint(1, 5)) for _ in normal)
+    x0 = tuple(Fraction(rng.randint(-reach, reach), rng.randint(1, 5)) for _ in normal)
     return Orbit(A, B, x0)
 
 
@@ -167,5 +171,45 @@ def test_revisit_against_a_table_of_every_state(monkeypatch):
                 sampled += 1
             assert n < horizon + found.spacing
             # the minimal preperiod and period, from any hit
-            assert found.cycle() == (lam, states[lam - 1 : R])
+            assert found.cycle(tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
     assert min(dense, sampled, missed) > 50
+
+
+def counted(walk, steps):
+    """walk, adding to steps[0] one for each state that any of its walks yields."""
+    def counting(*state):
+        for key in walk(*state):
+            steps[0] += 1
+            yield key
+    return counting
+
+
+def test_sampled_cycle_in_every_branch(monkeypatch):
+    # far starts put lam several spacings past the first thinning, near
+    # ones within the first spacing, where the table no longer holds state
+    # 1; a cycle shorter than the spacing wraps more than once between the
+    # twin of state back - spacing and the hit, a longer one less
+    monkeypatch.setattr(lattice, "TABLE_BUDGET", 16)
+    rng = random.Random("sampled cycle branches")
+    names = ("far", "from state 1", "short", "long")
+    cases = {(m, name): 0 for m in (2, 3) for name in names}
+    for m in [2] * 150 + [3] * 150:
+        reach = rng.choice((30, 3000))
+        walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m, reach))
+        steps = [0]
+        found = Revisit(states[1], counted(walk, steps), 3 * R)
+        deque(found, maxlen=0)
+        if found.spacing == 1:
+            continue
+        mu, spacing = R - lam, found.spacing
+        # the hit is the least table state on the cycle, one period on
+        assert found.back == -(-lam // spacing) * spacing and found.n - found.back == mu
+        steps[0] = 0
+        assert found.cycle(tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
+        # once round the cycle, and at most spacing steps for each of the
+        # two walks that meet at lam
+        assert steps[0] <= mu + 2 * spacing + 1
+        cases[m, "far"] += lam > 16 + 3 * spacing
+        cases[m, "from state 1"] += found.back == spacing
+        cases[m, "short" if mu < spacing else "long"] += 1
+    assert min(cases.values()) >= 10
