@@ -14,14 +14,14 @@ fixed once, and offsets as pairs on the problem's orbit lattice, on every
 backend through :class:`FloorForm`.  On the exact backends the pairs are
 integers and that floor is an integer square-root floor; f64 pairs are
 (offset, 0), and f64 keeps the float quotient for the floor.
-Each point is the orbit's ``point`` evaluator at the pair of the previous
-offset.  iterate reaches the same offsets by stepping, on an orbit of its
-own, so verify_closed_form still compares two derivations.
+Each point is the orbit's ``line_points.point`` at the pair of the
+previous offset.  iterate reaches the same offsets by stepping, on an orbit
+of its own, so verify_closed_form still compares two derivations.
 
 Everything that depends only on the problem is derived once per
 :class:`~drplane.cycling.DoubletonProblem` and kept on it: its
 :class:`~drplane.dynamics.Orbit` (start offset, first iterate, lattice and
-point evaluator, shared with the cycle search), the :class:`Betas` that
+``line_points``, shared with the cycle search), the :class:`Betas` that
 :func:`compute_betas` returns, and the plan of closed_form_point and
 closed_form_trace, which is either the refusal message of the first failed
 hypothesis or the floor form, and likewise the verdict of corollary_point.
@@ -291,7 +291,7 @@ def closed_form_point(p: DoubletonProblem, betas: Betas, n: int):
     """
     if n < 1:
         raise ValueError(f"closed form is stated for n >= 1, got {n}")
-    return _point(_plan(p, betas), p.orbit.point, n)
+    return _point(_plan(p, betas), p.orbit.line_points.point, n)
 
 
 def corollary_point(p: DoubletonProblem, n: int):
@@ -313,7 +313,7 @@ def corollary_point(p: DoubletonProblem, n: int):
         object.__setattr__(p, "_corollary", form)
     if isinstance(form, str):
         raise PreconditionError(form)
-    return _point(form, p.orbit.point, n)
+    return _point(form, p.orbit.line_points.point, n)
 
 
 def _corollary_form(p: DoubletonProblem):
@@ -390,7 +390,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     Refuses the way closed_form_point does, with p's plan.  Row n's offset
     is row n+1's line coefficient, so each row costs one floor.
     """
-    form, point = _plan(p, compute_betas(p)), p.orbit.point
+    form, point = _plan(p, compute_betas(p)), p.orbit.line_points.point
     trace = [TraceRecord(0, p.x0, None, p.orbit.inner0)]
     prev = form.start
     before = form.count2(0)

@@ -10,29 +10,27 @@ After the first step the whole state is the pair (selector k, offset c),
 and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem holds
 the :class:`~drplane.dynamics.Orbit` of x0, which derives on first use, on
 every backend, the first step, the window constant, the
-:class:`~drplane.lattice.OffsetLattice` started at <x0,u> and the point
-evaluator ``point(k, a, b)`` on the lattice's integer pairs.  The cycle
-search and the closed form read these and build none of their own.
+:class:`~drplane.lattice.OffsetLattice` started at <x0,u> and its point
+evaluator ``line_points``.  The cycle search and the closed form read these
+and build none of their own.
 
 The detector walks the lattice from the pair of the first iterate's offset;
 the exact backends find its first revisited state (k, a, b) with
 :class:`~drplane.lattice.Revisit`, whose module states its table policy.
 The float backend's pairs are (offset, 0), which it hashes quantized into
-cells with one entry per state, so its memory grows with the horizon, and it
-labels its reports approximate.  Only the states of a found cycle are
-decoded: on the exact backends in one batch by the orbit's
-:meth:`~drplane.lattice.LinePoints.iterates`, from each state's own
-integers as ``Revisit`` walks round the cycle, so that a found cycle costs
-its report plus O(TABLE_BUDGET + spacing), and on f64 each by ``point``
-from the pair of the offset before it.
+cells, a table that grows with the horizon, and it labels its reports
+approximate.  Only the states of a found cycle are decoded, in one batch by
+the orbit's ``line_points.iterates``: on the exact backends from each
+state's own integers as ``Revisit`` walks round the cycle, so that a found
+cycle costs its report plus O(TABLE_BUDGET + spacing), and on f64 as a
+second walk from state 1 passes them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
@@ -48,7 +46,7 @@ class DoubletonProblem(Value):
 
     b1 and b2 are checked by ``hyperplane.check``, and x0 by its orbit.
     Copies and pickles keep the derived slots, the orbit's lattice and
-    point evaluator included."""
+    ``line_points`` included."""
 
     _fields = ("hyperplane", "b1", "b2", "x0", "tie_policy")
     __slots__ = (
@@ -184,8 +182,8 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     minimal; their table is :class:`~drplane.lattice.Revisit`'s, of memory
     O(TABLE_BUDGET) at any horizon, and a found cycle costs its report plus
     O(TABLE_BUDGET + spacing).  The float backend quantizes
-    offsets at relative tolerance F64_REL_TOL, keeps one entry per state and
-    labels the report approximate.
+    offsets at relative tolerance F64_REL_TOL into a table of cells that
+    grows with the horizon, and labels the report approximate.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -206,27 +204,26 @@ def _detect_exact(p, horizon):
     if found.back is not None:
         if found.spacing > 1:
             log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
-        decode = orbit.line_points.iterates
-        lam, before, states = found.cycle(decode)
+        lam, before, states = found.cycle(orbit.line_points.iterates)
         # a sampled hit may come after the first repeat, past the horizon
         if lam + len(states) <= horizon:
-            return _finalize_cycle(orbit, horizon, lam, before, states, decode)
+            return _finalize_cycle(orbit, horizon, lam, before, states)
     return CycleReport("no_cycle", horizon)
 
 
 def _detect_float(p, horizon):
-    """Quantized offset table with one entry per state: an approximate match
-    probes the neighbouring cells, so this table is not sampled."""
-    _, k1, inner1 = p.orbit.first_step
-    lat = p.orbit.lattice
+    """Quantized offset table, the search's only one: an approximate match
+    probes the neighbouring cells, so it is not sampled.  A hit is decoded
+    by walking again from state 1."""
+    orbit = p.orbit
+    _, k1, inner1 = orbit.first_step
+    lat = orbit.lattice
     qstep = F64_REL_TOL * max(
         1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
     )
-    key = (k1, *lat.pair(inner1))
+    start = (k1, *lat.pair(inner1))
     seen = {(k1, round(inner1 / qstep)): (1, inner1)}
-    hist = [None, key]
-    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
-        k, off, _ = key
+    for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(*start)):
         cell = round(off / qstep)
         first = None
         for probe in (cell - 1, cell, cell + 1):
@@ -235,11 +232,12 @@ def _detect_float(p, horizon):
                 first = entry[0]
                 break
         if first is not None:
-            decode = partial(_float_iterates, p.orbit)
-            states = decode(islice(hist, first, None))
-            return _finalize_cycle(p.orbit, horizon, first, hist[first - 1], states, decode, True)
+            # states 1, 2, ...: state first - 1, then states first .. n-1
+            again = chain((start,), lat.walk(*start))
+            before = next(islice(again, first - 2, None)) if first > 1 else None
+            states = orbit.line_points.iterates(islice(again, n - first))
+            return _finalize_cycle(orbit, horizon, first, before, states)
         seen.setdefault((k, cell), (n, off))
-        hist.append(key)
     return CycleReport("no_cycle", horizon)
 
 
@@ -250,24 +248,16 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
-def _finalize_cycle(orbit, horizon, lam, before, states, decode, approximate=False):
+def _finalize_cycle(orbit, horizon, lam, before, states):
     """The orbit's report for first repeated key state lam, from the state
     ``before`` it (None for x0) and the iterates ``states`` of states lam ..
-    lam+mu-1, ``decode`` turning states into iterates.  Keys exist only from
-    n=1, so the true preperiod may be exactly one step earlier.  Check it on
-    vectors."""
-    mu = len(states)
-    head = orbit.x0 if before is None else decode([before])[0]
+    lam+mu-1; approximate on f64.  Keys exist only from n=1, so the true
+    preperiod may be exactly one step earlier.  Check it on vectors."""
+    mu, approximate = len(states), orbit.A.backend == F64
+    head = orbit.x0 if before is None else orbit.line_points.iterates([before])[0]
     if _vectors_match(head, states[-1], approximate):
         lam, states = lam - 1, (head, *islice(states, mu - 1))
     return CycleReport("cycle", horizon, lam, mu, states, approximate)
-
-
-def _float_iterates(orbit, keys):
-    """The iterates of the float states keys, each by ``point`` at the
-    offset before it: the state's offset minus beta_k."""
-    steps, point = orbit.lattice.steps, orbit.point
-    return tuple(point(k, a - steps[k - 1][0], b) for k, a, b in keys)
 
 
 def coefficient_limits(p: DoubletonProblem, trace: RunResult):

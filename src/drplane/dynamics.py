@@ -63,7 +63,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .lattice import TABLE_BUDGET, OffsetLattice, Revisit, SetLattice, _int_parts, window_constant
+from .lattice import TABLE_BUDGET, FloatLinePoints, LinePoints, OffsetLattice, Revisit
+from .lattice import SetLattice, _int_parts, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 from .slotted import Record, Value
 
@@ -168,9 +169,10 @@ class Orbit:
     integer lattice, or is None.  On first use: ``first_step`` is
     (x1, k1, <x1,u>) on vectors, ``window`` a doubleton's window constant,
     ``lattice`` the :mod:`drplane.lattice` walk started at <x0,u> (float
-    pairs on f64), ``point(k, a, b)`` the iterate on b_k's line at the
-    offset of lattice pair (a, b), and on exact backends ``line_points``,
-    the :class:`~drplane.lattice.LinePoints` whose ``point`` that is.
+    pairs on f64), and ``line_points`` its point evaluator, a
+    :class:`~drplane.lattice.LinePoints` or on f64 a ``FloatLinePoints``:
+    ``point(k, a, b)`` is the iterate on b_k's line at the offset of lattice
+    pair (a, b).
     """
 
     def __init__(self, A: Hyperplane, B: FiniteSet, x0: Vector):
@@ -210,21 +212,9 @@ class Orbit:
 
     @cached_property
     def line_points(self):
-        # built apart from the lattice, so a walk that decodes no point never
-        # builds it; exact backends only
-        return self.lattice.line_points(self.A.normal, self.B.points)
-
-    @cached_property
-    def point(self):
-        # on f64 a partial, so that an orbit still pickles
-        if self.A.backend == F64:
-            return partial(_f64_point, self.A.normal, self.B.points)
-        return self.line_points.point
-
-
-def _f64_point(u: Vector, points: tuple[Vector, ...], k: int, a: float, b: int) -> Vector:
-    # a float lattice pair is (offset, 0)
-    return line_point(a, u, points[k - 1])
+        # apart from the lattice, so that a walk that decodes no point never builds it
+        kind = FloatLinePoints if self.A.backend == F64 else LinePoints
+        return kind(self.lattice, self.A.normal, self.B.points)
 
 
 def iterate(
@@ -329,7 +319,7 @@ def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
     record's iterate is built from the integers of the previous offset by
-    the orbit's point evaluator.  Record n depends on state n only, so once
+    the orbit's ``line_points``.  Record n depends on state n only, so once
     :class:`~drplane.lattice.Revisit` finds state n to be state j, every
     later record repeats the one n - j before it, iterate and offset shared.
     Records hold no counts or shadows: the exporters tally counts as
@@ -338,7 +328,7 @@ def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     first = trace[1]
     lat = orbit.lattice
     decode = lat.decode
-    point = None if slim else orbit.point
+    point = None if slim else orbit.line_points.point
     pa, pb = lat.pair(first.inner)
     found = Revisit((first.selector_k, pa, pb), lat.walk, max_n)
     for n, (k, a, b) in zip(range(2, max_n + 1), found):

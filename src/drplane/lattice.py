@@ -14,7 +14,7 @@ advances on integer triples ``(k, a, b)`` and compares by
   ``t2 = -beta - beta2``, with ``beta`` the window constant.  The cycle
   search and the closed form walk it too, and on f64 its pairs are float
   offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
-  difference ``a - t``; ``decode`` is never called on a float lattice.
+  difference ``a - t``; :class:`FloatLinePoints`, not ``decode``, reads them.
 * :class:`SetLattice`, for m >= 3 points: the next selector minimises the
   score ``Q_kj + 2*c_n*beta_j`` over j, from a table of
   ``Q_kj = |P_A b_k - b_j|^2``, and the tie policy resolves equal scores as
@@ -30,7 +30,7 @@ through ``pair`` and decode pairs through
 on surd orbits; rational pairs decode through
 :func:`~drplane.scalars.fraction_from_ints`.
 
-Points are built from the same integers: ``line_points`` fixes
+Points are built from the same integers: :class:`LinePoints` fixes
 per-coordinate integer constants for one normal and point set, after which
 an iterate ``x = ((a + b*sqrt(d))/scale)*u + b_k`` costs one
 :func:`~drplane.scalars.fraction_from_ints` or one
@@ -41,9 +41,10 @@ state (k, a, b), at the offset before it, is one affine map of its own
 integers per coordinate, and builds each Fraction or Surd inline.
 
 A :class:`~drplane.dynamics.Orbit` builds its lattice and point evaluator
-once, for whichever of the iteration driver, the cycle search and the
-closed form reads it.  :func:`~drplane.geometry.line_point` stays the
-formula for offsets that are already decoded.
+(:class:`LinePoints`, or :class:`FloatLinePoints` on f64) once, for whichever
+of the iteration driver, the cycle search and the closed form reads them.
+:func:`~drplane.geometry.line_point` stays the formula for offsets that are
+already decoded.
 
 :class:`Revisit` finds the first revisited state of a walk, for the
 iteration driver's replay and the exact cycle search.  Its table keeps every
@@ -126,10 +127,6 @@ class _LineLattice:
         if self.d:
             return surd_from_ints(a, b, self.scale, self.d)
         return fraction_from_ints(a, self.scale)
-
-    def line_points(self, u: Vector, points: tuple[Vector, ...]) -> "LinePoints":
-        """The point evaluator of this lattice for normal u and the points b_k."""
-        return LinePoints(self, u, points)
 
 
 class OffsetLattice(_LineLattice):
@@ -399,6 +396,26 @@ class LinePoints:
                 folded.append((ua, ub, ud, pa - ua * sa - ud * sb, pb - ub * sa - ua * sb, den))
             out.append(_surds(folded, d, keyed) if d else _fractions(folded, keyed))
         return tuple(zip(*out))
+
+
+class FloatLinePoints:
+    """:class:`LinePoints` of a float lattice, whose pairs are ``(v, 0)``:
+    :func:`~drplane.geometry.line_point` of each offset, as the vector loop
+    computes it, so a zero u_i and a -0.0 b_i[i] give +0.0."""
+
+    __slots__ = ("u", "points", "steps")
+
+    def __init__(self, lat: _LineLattice, u: Vector, points: tuple[Vector, ...]):
+        self.u, self.points, self.steps = u, points, lat.steps
+
+    def point(self, k: int, a: float, b: int) -> Vector:
+        """The point on the line of b_k at offset a."""
+        return line_point(a, self.u, self.points[k - 1])
+
+    def iterates(self, keys) -> tuple[Vector, ...]:
+        """The iterate of each state (k, a, 0), at the offset a - beta_k before it."""
+        u, points, steps = self.u, self.points, self.steps
+        return tuple(line_point(a - steps[k - 1][0], u, points[k - 1]) for k, a, _ in keys)
 
 
 def _fractions(folded, keys):

@@ -34,7 +34,7 @@ from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import iterate, run_json
 from drplane.errors import PreconditionError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step, norm_sq, vsub
-from drplane.lattice import LinePoints, OffsetLattice, SetLattice
+from drplane.lattice import FloatLinePoints, LinePoints, OffsetLattice, SetLattice
 from drplane.problems import load_problem
 from drplane.scalars import Surd, floor
 
@@ -363,7 +363,7 @@ class TestCorollary:
             run = iterate(p.hyperplane, p.finite_set(), p.x0, 100)
             for n in (1, 2, 5, 17, 100):
                 expected = (run.trace[n].x, run.trace[n].selector_k)
-                assert corollary_point(p, n) == _point(plan, p.orbit.point, n) == expected
+                assert corollary_point(p, n) == _point(plan, p.orbit.line_points.point, n) == expected
         assert met == 624
 
     def test_degenerate_ratio_refused(self):
@@ -737,7 +737,7 @@ class TestDerivedState:
                 )
 
     def count_builds(self, monkeypatch):
-        built = {OffsetLattice: 0, SetLattice: 0, LinePoints: 0}
+        built = {OffsetLattice: 0, SetLattice: 0, LinePoints: 0, FloatLinePoints: 0}
         for cls in built:
             def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
                 built[_cls] += 1
@@ -756,13 +756,16 @@ class TestDerivedState:
             for n in (1, 2, 7):
                 closed_form_point(p, compute_betas(p), n)
                 corollary_point(p, n)
-            assert built == {OffsetLattice: 1, SetLattice: 0, LinePoints: 1}
+            assert built == {OffsetLattice: 1, SetLattice: 0, LinePoints: 1, FloatLinePoints: 0}
             assert p.finite_set() is p.finite_set()
         f64 = DoubletonProblem(Hyperplane((1.0,)), (-1.0,), (2.0,), (0.0,))
         built = self.count_builds(monkeypatch)
         assert detect_cycle(f64, 100).status == "cycle"
         closed_form_trace(f64, 20)
+        for n in (1, 2, 7):
+            closed_form_point(f64, compute_betas(f64), n)
         assert built[OffsetLattice] <= 1 and built[SetLattice] == built[LinePoints] == 0
+        assert built[FloatLinePoints] == 1
 
     def test_one_lattice_and_one_point_evaluator_per_iterate(self, monkeypatch):
         A = Hyperplane((Fraction(1),))
@@ -772,7 +775,10 @@ class TestDerivedState:
             for slim, points in ((False, 1), (True, 0)):
                 built = self.count_builds(monkeypatch)
                 iterate(A, B, (Fraction(1, 3),), 50, slim=slim)
-                assert built == {OffsetLattice: 0, SetLattice: 0, lattice: 1, LinePoints: points}
+                assert built == {
+                    OffsetLattice: 0, SetLattice: 0, lattice: 1, LinePoints: points,
+                    FloatLinePoints: 0,
+                }
         Af = Hyperplane((1.0,))
         vector_runs = [
             (Af, FiniteSet.ordered([(-1.0,), (2.0,)], Af), (0.5,)),  # f64
@@ -782,7 +788,7 @@ class TestDerivedState:
         for plane, B, x0 in vector_runs:
             built = self.count_builds(monkeypatch)
             iterate(plane, B, x0, 50)
-            assert built == {OffsetLattice: 0, SetLattice: 0, LinePoints: 0}
+            assert built == {OffsetLattice: 0, SetLattice: 0, LinePoints: 0, FloatLinePoints: 0}
 
     def test_verify_builds_one_orbit_per_side(self, monkeypatch):
         # the closed form reads p's orbit and iterate derives its own, so the
@@ -790,7 +796,7 @@ class TestDerivedState:
         for p in (line_doubleton(-1, 2), surd_line_doubleton(-1, Surd(0, 1, 2))):
             built = self.count_builds(monkeypatch)
             assert verify_closed_form(p, 30).ok
-            assert built == {OffsetLattice: 2, SetLattice: 0, LinePoints: 2}
+            assert built == {OffsetLattice: 2, SetLattice: 0, LinePoints: 2, FloatLinePoints: 0}
 
     def test_other_betas_are_not_served_the_instance_plan(self):
         # Betas of another value are refused although p's own plan (already

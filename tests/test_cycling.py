@@ -1,6 +1,7 @@
 """Cycle detection and the rationality dichotomy for doubletons."""
 
 import copy
+import hashlib
 import json
 import logging
 import math
@@ -91,7 +92,7 @@ def hash_cycle(p, horizon):
             return p.x0
         k, a, b = hist[t - 1]
         sa, sb = lat.steps[k - 1]
-        return p.orbit.point(k, a - sa, b - sb)
+        return p.orbit.line_points.point(k, a - sa, b - sb)
 
     lam, mu = first, n - first
     if x(lam - 1) == x(lam - 1 + mu):
@@ -141,12 +142,12 @@ class TestDoubletonProblem:
             report = detect_cycle(p, 300)
             _, k1, inner1 = p.orbit.first_step
             pair = p.orbit.lattice.pair(inner1)
-            x = p.orbit.point(k1, *pair)
+            x = p.orbit.line_points.point(k1, *pair)
             for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
                 assert clone == p
                 assert (clone.beta1, clone.beta2, clone.beta) == (p.beta1, p.beta2, p.beta)
-                assert {"lattice", "point"} <= vars(clone.orbit).keys()
-                assert clone.orbit.point(k1, *pair) == x
+                assert {"lattice", "line_points"} <= vars(clone.orbit).keys()
+                assert clone.orbit.line_points.point(k1, *pair) == x
                 assert detect_cycle(clone, 300) == report
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -670,6 +671,38 @@ class TestCycleReplay:
         self.assert_replays(p, report)
 
 
+def near_match_f64_doubletons():
+    """600 seeded f64 doubletons with offsets -q1*s and q2*s, s not a power
+    of two, on a line and in the plane under each tie policy.  Their float
+    offsets drift, so most cycles close only within the quantization step,
+    and far starts give preperiods of 3 and more."""
+    rng = random.Random("f64 near matches")
+    for policy in TiePolicy:
+        for planar in (False, True):
+            for _ in range(100):
+                q1, q2 = rng.randint(1, 30), rng.randint(1, 30)
+                s = rng.uniform(0.01, 10)
+                x0 = rng.uniform(-300, 300) * s
+                if not planar:
+                    yield DoubletonProblem(Hyperplane((1.0,)), (-q1 * s,), (q2 * s,), (x0,), policy)
+                    continue
+                lead = [rng.uniform(-3, 3) * s for _ in range(3)]
+                A = Hyperplane((0.0, 1.0))
+                yield DoubletonProblem(
+                    A, (lead[0], -q1 * s), (lead[1], q2 * s), (lead[2], x0), policy
+                )
+
+
+def test_near_match_f64_reports_are_pinned():
+    # the approximate reports, float bits and preperiod shift included, as
+    # the f64 cycle search gave them when this digest was recorded
+    reports = [detect_cycle(p, 20_000).to_dict() for p in near_match_f64_doubletons()]
+    assert all(r["status"] == "cycle" and r["approximate"] for r in reports)
+    assert sum(r["preperiod"] >= 3 for r in reports) >= 300
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "0aa212d6d628d12a04d7b1ec073301c0f931d568a9f8b77de68bd0e3ab5c5711"
+
+
 class TestCoefficientLimits:
     def test_period_three_limits(self):
         p = line_doubleton(-1, 2, 0)
@@ -700,6 +733,13 @@ class TestCoefficientLimits:
         assert limit2 == Surd(-1, 1, 2)
         assert limit1 + limit2 == 1
         assert dev <= Fraction(10, 1000)
+
+    def test_float_limits(self):
+        p = DoubletonProblem(Hyperplane((1.0,)), (-1.0,), (2.0,), (0.0,))
+        run = iterate(p.hyperplane, p.finite_set(), p.x0, 3000, slim=True)
+        limit1, limit2, dev = coefficient_limits(p, run)
+        assert (limit1, limit2) == (2.0 / 3.0, 1.0 / 3.0)
+        assert type(dev) is float and dev <= 2 / 3000
 
     def test_counts_sum_to_n(self):
         p = line_doubleton(-1, 2, 0)

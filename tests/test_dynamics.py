@@ -21,6 +21,7 @@ from drplane.dynamics import (
     Orbit,
     Outcome,
     RunResult,
+    TraceRecord,
     check_step_gap,
     classify,
     csv_text,
@@ -45,7 +46,7 @@ from drplane.geometry import (
     vec_equal,
     vsub,
 )
-from drplane.lattice import TABLE_BUDGET
+from drplane.lattice import TABLE_BUDGET, LinePoints
 from drplane.problems import load_problem
 from drplane.scalars import Surd
 
@@ -141,6 +142,14 @@ class TestIterate:
         result = iterate(A, B, F(0, 0), 5000, divergence_window=1000)
         assert result.outcome == Outcome.DIVERGENCE
         assert len(result.trace) <= 1002
+        assert result.shadow_limit == F(0, 0)
+
+    def test_divergence_below_the_hyperplane(self):
+        # a set below the hyperplane: the offset falls by 1 every step
+        A, B = plane_problem([(0, -1), (1, -2)])
+        result = iterate(A, B, F(0, 0), 5000)
+        assert result.outcome == Outcome.DIVERGENCE
+        assert len(result.trace) == 1001 and result.trace[-1].inner == -1000
         assert result.shadow_limit == F(0, 0)
 
     def test_divergence_needs_disjoint_halfspace(self):
@@ -244,6 +253,17 @@ class TestStepGap:
         A, B = surd_line_problem([-1, Surd(0, 1, 2)])
         result = iterate(A, B, (Surd(0, 0, 2),), 200)
         assert check_step_gap(result, A, B) is True
+
+    def test_fails_on_a_short_first_gap(self):
+        # every true step moves by at least min_i d_A(b_i) = 1; a trace whose
+        # first iterate is moved to within 1/2 of x0 must fail the vector
+        # check of step 1, as the later gaps come from selector pairs
+        A, B = line_problem([-1, 2])
+        result = iterate(A, B, (Fraction(0),), 60)
+        assert check_step_gap(result, A, B) is True
+        k1 = result.trace[1].selector_k
+        result.trace[1] = TraceRecord(1, (Fraction(1, 2),), k1, Fraction(1, 2))
+        assert check_step_gap(result, A, B) is False
 
     def test_requires_straddling_disjoint(self):
         A, B = plane_problem([(0, 1), (0, 2)])
@@ -669,7 +689,7 @@ def untabled_walk(A, B, x0, max_n):
     orbit = Orbit(A, B, x0)
     lat = orbit.lattice
     _, k1, inner1 = orbit.first_step
-    point = lat.line_points(A.normal, B.points).point
+    point = LinePoints(lat, A.normal, B.points).point
     pa, pb = lat.pair(inner1)
     out = []
     for n, (k, a, b) in zip(range(2, max_n + 1), lat.walk(k1, pa, pb)):

@@ -11,8 +11,8 @@ from drplane import lattice
 from drplane.cycling import DoubletonProblem
 from drplane.dynamics import Orbit
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, line_point
-from drplane.lattice import OffsetLattice, Revisit
-from drplane.scalars import Surd
+from drplane.lattice import FloatLinePoints, LinePoints, OffsetLattice, Revisit
+from drplane.scalars import F64, Surd
 
 
 def rational_problem(normal, b1, b2, x0):
@@ -51,7 +51,23 @@ PROBLEMS = {
         [HALF_ROOT2, HALF_ROOT2], [-1, 0], [1, Surd(1, 1, 2)], [Fraction(1, 3), Surd(0, 1, 2)]
     ),
     "surd_mixed_parts": surd_problem(MIXED, [1, -1], [Surd(-2, 1, 2), 1], [0, Fraction(1, 3)]),
+    "f64_line": DoubletonProblem(Hyperplane((1.0,)), (-1.3,), (2.7,), (0.4,)),
+    # a zero normal coordinate against -0.0 in both points: a*0.0 + -0.0 is
+    # -0.0 for a < 0 only, so keeping b_k[i] there would be wrong in its sign
+    "f64_zero_coordinate": DoubletonProblem(
+        Hyperplane((0.6, 0.0, 0.8)), (-1.0, -0.0, -0.3), (0.5, -0.0, 1.9), (0.1, 2.0, -0.2)
+    ),
 }
+
+
+def signed(x):
+    """The coordinates of x, floats by their bits, so that -0.0 is not 0.0."""
+    return [c.hex() if isinstance(c, float) else c for c in x]
+
+
+def line_points_of(p, lat):
+    kind = FloatLinePoints if p.backend == F64 else LinePoints
+    return kind(lat, p.hyperplane.normal, (p.b1, p.b2))
 
 
 def lattice_of(p):
@@ -64,30 +80,43 @@ class TestLinePoints:
         p = PROBLEMS[name]
         u, points = p.hyperplane.normal, (p.b1, p.b2)
         lat = lattice_of(p)
-        line = lat.line_points(u, points)
+        line = line_points_of(p, lat)
+        assert type(line) is type(p.orbit.line_points)
         rng = random.Random(name)
         pairs = [(0, 0), (1, 0), (0, 1), (-1, 1), lat.start, *lat.steps, lat.t1]
-        pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(200)]
+        if p.backend == F64:
+            # float pairs are (offset, 0)
+            pairs += [(-0.0, 0), (-5e-324, 0), (5e-324, 0)]
+            pairs += [(rng.uniform(-10**3, 10**3), 0) for _ in range(200)]
+        else:
+            pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(200)]
         # and the states of the orbit itself
         walk = lat.walk(1, *lat.start)
         pairs += [next(walk)[1:] for _ in range(100)]
         for a, b in pairs:
             if not lat.d:
                 b = 0  # rational offsets are the b = 0 slice
+            offset = a if p.backend == F64 else lat.decode(a, b)
             for k in (1, 2):
-                want = line_point(lat.decode(a, b), u, points[k - 1])
+                want = line_point(offset, u, points[k - 1])
                 got = line.point(k, a, b)
                 assert got == want, (name, k, a, b)
                 assert [type(c) for c in got] == [type(c) for c in want]
+                assert signed(got) == signed(want), (name, k, a, b)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_iterates_are_points_at_the_offset_before(self, name):
         p = PROBLEMS[name]
         lat = lattice_of(p)
-        line = lat.line_points(p.hyperplane.normal, (p.b1, p.b2))
+        line = line_points_of(p, lat)
         rng = random.Random(name)
         keys = list(islice(lat.walk(1, *lat.start), 100))
-        big = lambda: rng.randint(-10**6, 10**6)  # noqa: E731
+        if p.backend == F64:
+            big = lambda: rng.uniform(-10**3, 10**3)  # noqa: E731
+            # states at offset beta_k, whose offset before is 0.0
+            keys += [(k, lat.steps[k - 1][0], 0) for k in (1, 2)]
+        else:
+            big = lambda: rng.randint(-10**6, 10**6)  # noqa: E731
         keys += [(rng.choice((1, 2)), big(), big() if lat.d else 0) for _ in range(100)]
         want = [line.point(k, a - lat.steps[k - 1][0], b - lat.steps[k - 1][1]) for k, a, b in keys]
         for start, stop in ((0, len(keys)), (1, 2), (7, 150), (200, 200)):
@@ -97,12 +126,13 @@ class TestLinePoints:
             assert line.iterates(iter(keys[start:stop])) == got
             for x, y in zip(got, want[start:stop]):
                 assert [type(c) for c in x] == [type(c) for c in y]
+                assert signed(x) == signed(y)
 
     def test_zero_normal_coordinates_keep_the_point(self):
         for name in ("rational_zero_coordinate", "surd_zero_coordinate"):
             p = PROBLEMS[name]
             i = p.hyperplane.normal.index(0)
-            line = lattice_of(p).line_points(p.hyperplane.normal, (p.b1, p.b2))
+            line = LinePoints(lattice_of(p), p.hyperplane.normal, (p.b1, p.b2))
             for k, b in ((1, p.b1), (2, p.b2)):
                 assert line.point(k, 12345, -678)[i] == b[i]
 
