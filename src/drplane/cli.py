@@ -9,7 +9,8 @@ both from those per-state fragments, one encoder per format: the CSV text
 is its lines joined once (:func:`~drplane.dynamics.csv_text`), the bytes
 ``csv.writer`` would write, and the JSON text is byte-identical to
 ``json.dumps`` of its own parse at ``indent=2``; a table splits the same
-lines into cells, and other reports go through ``json.dumps``.  Exit codes:
+lines into cells, and other reports go through the same JSON encoder,
+:func:`~drplane.dynamics.json_text`.  Exit codes:
 0 success, 1 a verification mismatch, 2 invalid input (bad file, bad flags,
 or a request whose preconditions fail).
 
@@ -30,7 +31,6 @@ abbreviations, ``--option=value`` and all else go to :func:`build_parser`.
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -39,6 +39,7 @@ from .dynamics import (
     RunResult,
     csv_text,
     iterate,
+    json_text,
     run_json,
     trace_csv_header,
     trace_lines,
@@ -104,20 +105,16 @@ def _table_text(header: list[str], lines, trailer: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def _json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
-def _write(args, json_text, header=None, lines=None, trailer=None) -> None:
+def _write(args, report_text, header=None, lines=None, trailer=None) -> None:
     """Write one result to --out or stdout: --format csv or table of header
-    and the comma-separated lines(), or the json_text() (cycle and verify
-    have no --format).  Only the format's own callable runs, and --out is
-    opened last."""
+    and the comma-separated lines(), or the JSON report_text() (cycle and
+    verify have no --format).  Only the format's own callable runs, and
+    --out is opened last."""
     fmt = getattr(args, "fmt", "json")
     if fmt == "csv":
         text = csv_text(header, lines())
     elif fmt == "json":
-        text = json_text()
+        text = report_text()
     else:
         text = _table_text(header, lines(), trailer)
     if args.out:
@@ -128,7 +125,7 @@ def _write(args, json_text, header=None, lines=None, trailer=None) -> None:
 
 
 def _trace(p: Problem, result: RunResult, method: str):
-    """_write's json_text, header, lines and trailer for a trace."""
+    """_write's report_text, header, lines and trailer for a trace."""
     A, B = p.hyperplane, p.points
     trailer = "outcome: " + OUTCOME_LABELS[result.outcome]
     if result.fixed_at is not None:
@@ -173,7 +170,7 @@ def cmd_cycle(args) -> int:
         relation = cycle_relation(dp)
     report["rational"] = rational
     report["relation"] = None if relation is None else list(relation)
-    _write(args, lambda: _json(report))
+    _write(args, lambda: json_text(report) + "\n")
     return 0
 
 
@@ -210,7 +207,7 @@ def cmd_verify(args) -> int:
             "ok": None, "checked": 0, "horizon": args.horizon, "first_mismatch": None,
             "note": f"{exc}; ran the direct iteration instead",
         }
-    _write(args, lambda: _json(report))
+    _write(args, lambda: json_text(report) + "\n")
     return 1 if report["ok"] is False else 0
 
 
@@ -231,7 +228,8 @@ def cmd_beatty(args) -> int:
     triples = [(n, *beatty_triple(n)) for n in range(args.horizon + 1)]
     _write(
         args,
-        lambda: _json({"method": "beatty", "records": [dict(zip("nuvw", t)) for t in triples]}),
+        lambda: json_text({"method": "beatty", "records": [dict(zip("nuvw", t)) for t in triples]})
+        + "\n",
         list("nuvw"),
         lambda: ("%d,%d,%d,%d" % t for t in triples),
     )

@@ -400,7 +400,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
         coefs = form.coefficients(n, now)
         trace.append(TraceRecord(n, point(k, *prev), k, form.decode(*coefs)))
         prev, before = coefs, now
-    return RunResult(trace, Outcome.HORIZON, final_counts=(horizon - before, before))
+    return RunResult(trace, Outcome.HORIZON)
 
 
 def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:

@@ -14,16 +14,18 @@ every backend, the first step, the window constant, the
 evaluator ``line_points``.  The cycle search and the closed form read these
 and build none of their own.
 
-The detector walks the lattice from the pair of the first iterate's offset;
+The detector walks the lattice from the orbit's state 1, ``Orbit.start``;
 the exact backends find its first revisited state (k, a, b) with
 :class:`~drplane.lattice.Revisit`, whose module states its table policy.
 The float backend's pairs are (offset, 0), which it hashes quantized into
 cells, a table that grows with the horizon, and it labels its reports
 approximate.  Only the states of a found cycle are decoded, in one batch by
 the orbit's ``line_points.iterates``: on the exact backends from each
-state's own integers as ``Revisit`` walks round the cycle, so that a found
-cycle costs its report plus O(TABLE_BUDGET + spacing), and on f64 as a
-second walk from state 1 passes them.
+state's own integers as ``Revisit`` walks round the cycle, once a walk of
+at most spacing + period steps has shown that a sampled hit past the
+horizon closes within it, so that a found cycle costs its report plus
+O(TABLE_BUDGET + spacing), and on f64 as a second walk from state 1 passes
+them.
 """
 
 from __future__ import annotations
@@ -198,16 +200,14 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 def _detect_exact(p, horizon):
     orbit = p.orbit
-    _, k1, inner1 = orbit.first_step
-    found = Revisit((k1, *orbit.lattice.pair(inner1)), orbit.lattice.walk, horizon)
+    found = Revisit(orbit.start, orbit.lattice.walk, horizon)
     deque(found, maxlen=0)
-    if found.back is not None:
+    # a sampled hit may come after the first repeat, past the horizon
+    if found.back is not None and found.within_horizon():
         if found.spacing > 1:
             log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
         lam, before, states = found.cycle(orbit.line_points.iterates)
-        # a sampled hit may come after the first repeat, past the horizon
-        if lam + len(states) <= horizon:
-            return _finalize_cycle(orbit, horizon, lam, before, states)
+        return _finalize_cycle(orbit, horizon, lam, before, states)
     return CycleReport("no_cycle", horizon)
 
 
@@ -216,13 +216,11 @@ def _detect_float(p, horizon):
     probes the neighbouring cells, so it is not sampled.  A hit is decoded
     by walking again from state 1."""
     orbit = p.orbit
-    _, k1, inner1 = orbit.first_step
-    lat = orbit.lattice
+    lat, start, inner1 = orbit.lattice, orbit.start, orbit.first_step[2]
     qstep = F64_REL_TOL * max(
         1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
     )
-    start = (k1, *lat.pair(inner1))
-    seen = {(k1, round(inner1 / qstep)): (1, inner1)}
+    seen = {(start[0], round(inner1 / qstep)): (1, inner1)}
     for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(*start)):
         cell = round(off / qstep)
         first = None

@@ -17,14 +17,16 @@ comes from ``reconstruct_shadow``.
 
 iterate builds one :class:`Orbit` of x0, the state that a
 :class:`~drplane.cycling.DoubletonProblem` keeps for the cycle search and the
-closed form.  Two paths produce the same records.  An exact-backend set that
-strictly straddles the hyperplane and does not touch it (so it cannot reach
-a fixed point or diverge) takes one vector step from x0 and then advances
-its (selector, offset) state on the orbit's integer lattice of
-:mod:`drplane.lattice`: a doubleton on its thresholds, a set of m >= 3
-points on its per-selector distance scores.  Full-trace iterates are built
-from the lattice integers.  Everything else (f64, one-sided or touching
-sets) runs the generic vector loop.  A ``drplane`` debug log record names
+closed form, and takes one of two paths, one per kind of orbit.  An
+exact-backend set that strictly straddles the hyperplane and does not touch
+it (so it cannot reach a fixed point or diverge) takes its first step from
+``Orbit.first_step`` and then advances its (selector, offset) state on the
+orbit's integer lattice of :mod:`drplane.lattice`, from ``Orbit.start``: a
+doubleton on its thresholds, a set of m >= 3 points on its per-selector
+distance scores.  Full-trace iterates are built from the lattice integers.
+Every other orbit (f64, one-sided or touching sets) runs the vector loop,
+the only one that looks for a fixed point or divergence, the latter after
+DIVERGENCE_WINDOW monotone offsets.  A ``drplane`` debug log record names
 the path taken and, for the vector loop, why; records are emitted only when
 ``logging`` is loaded, since a program that configures logging has imported
 it.
@@ -120,25 +122,19 @@ class TraceRecord(Record):
 
 
 class RunResult(Record):
-    """A trace plus how it ended.
+    """A trace plus how it ended: the index of a fixed point, or on
+    divergence the stabilized shadow.
 
-    Per-step selector counts are not stored: the exporters tally them as
-    columns, and final_counts is the tally after the last record.  Shadows
-    P_A x_n derive from x_n and inner (see reconstruct_shadow).
+    Selector counts are not stored: the exporters tally them as columns.
+    Shadows P_A x_n derive from x_n and inner (see reconstruct_shadow).
     """
 
-    __slots__ = _fields = ("trace", "outcome", "fixed_at", "shadow_limit", "final_counts")
+    __slots__ = _fields = ("trace", "outcome", "fixed_at", "shadow_limit")
 
-    def __init__(
-        self,
-        trace: list[TraceRecord],
-        outcome: Outcome,
-        fixed_at: int | None = None,
-        shadow_limit: Vector | None = None,   # stabilized shadow on divergence
-        final_counts: tuple[int, ...] = (),
-    ):
-        self.trace, self.outcome, self.fixed_at = trace, outcome, fixed_at
-        self.shadow_limit, self.final_counts = shadow_limit, final_counts
+    def __init__(self, trace: list[TraceRecord], outcome: Outcome, fixed_at: int | None = None,
+                 shadow_limit: Vector | None = None):
+        self.trace, self.outcome = trace, outcome
+        self.fixed_at, self.shadow_limit = fixed_at, shadow_limit
 
 
 def classify(A: Hyperplane, B: FiniteSet) -> Classification:
@@ -169,7 +165,8 @@ class Orbit:
     integer lattice, or is None.  On first use: ``first_step`` is
     (x1, k1, <x1,u>) on vectors, ``window`` a doubleton's window constant,
     ``lattice`` the :mod:`drplane.lattice` walk started at <x0,u> (float
-    pairs on f64), and ``line_points`` its point evaluator, a
+    pairs on f64), ``start`` its state 1, (k1, *lattice.pair(<x1,u>)), where
+    every walk of the orbit begins, and ``line_points`` its point evaluator, a
     :class:`~drplane.lattice.LinePoints` or on f64 a ``FloatLinePoints``:
     ``point(k, a, b)`` is the iterate on b_k's line at the offset of lattice
     pair (a, b).
@@ -195,6 +192,11 @@ class Orbit:
         return x1, k1, self.A.inner(x1)
 
     @cached_property
+    def start(self) -> tuple:
+        _, k1, inner1 = self.first_step
+        return (k1, *self.lattice.pair(inner1))
+
+    @cached_property
     def window(self) -> Scalar:
         (b1, b2), (beta1, beta2) = self.B.points, self.B.inners
         beta = window_constant(b1, b2, beta1, beta2)
@@ -217,92 +219,60 @@ class Orbit:
         return kind(self.lattice, self.A.normal, self.B.points)
 
 
-def iterate(
-    A: Hyperplane,
-    B: FiniteSet,
-    x0: Vector,
-    max_n: int,
-    *,
-    slim: bool = False,
-    divergence_window: int = DIVERGENCE_WINDOW,
-) -> RunResult:
-    """Run up to max_n DR steps from x0, stopping early on a fixed point or
-    on detected divergence (one-sided infeasible problems only)."""
+def iterate(A: Hyperplane, B: FiniteSet, x0: Vector, max_n: int, *, slim: bool = False) -> RunResult:
+    """Run up to max_n DR steps from x0.  An orbit on the integer lattice
+    takes its first step from ``Orbit.first_step`` and runs to the horizon;
+    any other runs on vectors and stops early on a fixed point or on detected
+    divergence (one-sided disjoint sets only)."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     orbit = Orbit(A, B, x0)
-    backend = A.backend
-    cls, refusal = orbit.classification, orbit.refusal
-    if refusal is None:
-        log_path(__name__, "iterate: integer lattice")
-    else:
-        log_path(__name__, "iterate: generic vectors (%s)", refusal)
-    may_diverge = (
-        cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
-    )
+    trace = [TraceRecord(0, orbit.x0, None, orbit.inner0)]
+    if orbit.refusal is not None:
+        log_path(__name__, "iterate: generic vectors (%s)", orbit.refusal)
+        return _vector_steps(orbit, trace, max_n, slim)
+    log_path(__name__, "iterate: integer lattice")
+    if max_n:
+        x1, k1, inner1 = orbit.first_step
+        trace.append(TraceRecord(1, None if slim else x1, k1, inner1))
+    if max_n > 1:
+        _lattice_steps(orbit, trace, max_n, slim)
+    return RunResult(trace, Outcome.HORIZON)
 
-    x0, inner0 = orbit.x0, orbit.inner0
-    counts = [0] * B.m
-    trace = [TraceRecord(0, x0, None, inner0)]
 
-    outcome = Outcome.HORIZON
-    fixed_at = None
-    shadow_limit = None
-    x = x0
-    prev_inner = inner0
-    mono_sign = 0
-    mono_run = 0
-
-    # on the lattice only step 1 runs on vectors; neither stop can happen there
-    vector_steps = max_n if refusal else min(max_n, 1)
+def _vector_steps(orbit: Orbit, trace: list, max_n: int, slim: bool) -> RunResult:
+    """Append steps 1..max_n of an orbit the lattice refuses, each a
+    ``dr_step`` of the last iterate, and say how the run ended.  A one-sided
+    disjoint set is declared divergent after DIVERGENCE_WINDOW strictly
+    monotone offsets in a row."""
+    A, B, x, prev_inner = orbit.A, orbit.B, orbit.x0, orbit.inner0
+    backend, cls, window = A.backend, orbit.classification, DIVERGENCE_WINDOW
+    may_diverge = cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
+    mono_sign = mono_run = 0
     # record n depends on x_{n-1} only, and f64 orbits revisit iterates bit for
     # bit: replay from the first revisit, unless divergence checks every step
     seen = {} if backend == F64 and not may_diverge else None
-    for n in range(1, vector_steps + 1):
+    for n in range(1, max_n + 1):
         if seen is not None:
             back = seen.setdefault(_bits_key(x), n - 1)
             if back != n - 1:
-                _replay(trace, counts, n, n - 1 - back, max_n)
+                _replay(trace, n, n - 1 - back, max_n)
                 break
             if len(seen) == TABLE_BUDGET:
                 seen = None
         nxt, k = dr_step(A, B, x)
         if vec_equal(nxt, x, backend):
-            outcome = Outcome.FIXED_POINT
-            fixed_at = n - 1
-            break
+            return RunResult(trace, Outcome.FIXED_POINT, n - 1)
         inner = A.inner(nxt)
-        counts[k - 1] += 1
         trace.append(TraceRecord(n, None if slim else nxt, k, inner))
         x = nxt
-
         if may_diverge:
-            if inner > prev_inner:
-                step_sign = 1
-            elif inner < prev_inner:
-                step_sign = -1
-            else:
-                step_sign = 0
-            if step_sign != 0 and step_sign == mono_sign:
-                mono_run += 1
-            else:
-                mono_sign = step_sign
-                mono_run = 1 if step_sign != 0 else 0
-            prev_inner = inner
-            if mono_run >= divergence_window:
-                outcome = Outcome.DIVERGENCE
-                shadow_limit = vsub(x, vscale(inner, A.normal))
-                break
-    if refusal is None and max_n > 1:
-        _lattice_steps(orbit, trace, counts, max_n, slim)
-
-    return RunResult(
-        trace=trace,
-        outcome=outcome,
-        fixed_at=fixed_at,
-        shadow_limit=shadow_limit,
-        final_counts=tuple(counts),
-    )
+            sign = 1 if inner > prev_inner else -1 if inner < prev_inner else 0
+            mono_run = mono_run + 1 if sign and sign == mono_sign else abs(sign)
+            mono_sign, prev_inner = sign, inner
+            if mono_run >= window:
+                return RunResult(trace, Outcome.DIVERGENCE, shadow_limit=vsub(x, vscale(inner, A.normal)))
+    return RunResult(trace, Outcome.HORIZON)
 
 
 def _bits_key(v: tuple) -> tuple:
@@ -312,9 +282,9 @@ def _bits_key(v: tuple) -> tuple:
     return v if 0.0 not in v else (v, tuple(math.copysign(1.0, c) for c in v))
 
 
-def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
+def _lattice_steps(orbit: Orbit, trace, max_n: int, slim: bool) -> None:
     """Append steps 2..max_n of a straddling exact set, advanced on the
-    orbit's integer lattice from the state of step 1, and add them to counts.
+    orbit's integer lattice from its state 1, ``Orbit.start``.
 
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
@@ -322,28 +292,23 @@ def _lattice_steps(orbit: Orbit, trace, counts, max_n: int, slim: bool) -> None:
     the orbit's ``line_points``.  Record n depends on state n only, so once
     :class:`~drplane.lattice.Revisit` finds state n to be state j, every
     later record repeats the one n - j before it, iterate and offset shared.
-    Records hold no counts or shadows: the exporters tally counts as
-    columns, and a shadow is x_n - inner*u.
     """
-    first = trace[1]
     lat = orbit.lattice
     decode = lat.decode
     point = None if slim else orbit.line_points.point
-    pa, pb = lat.pair(first.inner)
-    found = Revisit((first.selector_k, pa, pb), lat.walk, max_n)
+    _, pa, pb = start = orbit.start
+    found = Revisit(start, lat.walk, max_n)
     for n, (k, a, b) in zip(range(2, max_n + 1), found):
-        counts[k - 1] += 1
         trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
         pa, pb = a, b
     if found.back is not None:
-        _replay(trace, counts, found.n, found.n - found.back, max_n)
+        _replay(trace, found.n, found.n - found.back, max_n)
 
 
-def _replay(trace, counts, start: int, period: int, max_n: int) -> None:
-    """Append records start..max_n, each repeating the one period back, and count them."""
+def _replay(trace, start: int, period: int, max_n: int) -> None:
+    """Append records start..max_n, each repeating the one period back."""
     for m in range(start, max_n + 1):
         rec = trace[m - period]
-        counts[rec.selector_k - 1] += 1
         trace.append(TraceRecord(m, rec.x, rec.selector_k, rec.inner))
 
 
@@ -495,15 +460,16 @@ def csv_text(header: list[str], lines) -> str:
 _json_leaf = json.JSONEncoder().encode
 
 
-def _nested(value, indent: str) -> str:
+def json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` as it reads nested at this indent, for
-    the lists and dicts a report holds; every other value is a leaf."""
-    if isinstance(value, (list, dict)) and value:
+    the lists, tuples and str-keyed dicts a report holds; every other value
+    is a leaf.  The one JSON encoder of the exporters and the CLI."""
+    if isinstance(value, (list, tuple, dict)) and value:
         inner = indent + "  "
         if isinstance(value, dict):
-            items = [inner + _json_leaf(k) + ": " + _nested(v, inner) for k, v in value.items()]
+            items = [inner + _json_leaf(k) + ": " + json_text(v, inner) for k, v in value.items()]
             return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-        return "[\n" + ",\n".join([inner + _nested(v, inner) for v in value]) + "\n" + indent + "]"
+        return "[\n" + ",\n".join([inner + json_text(v, inner) for v in value]) + "\n" + indent + "]"
     return _json_leaf(value)
 
 
@@ -511,8 +477,8 @@ def _json_texts(inner, x):
     """A JSON record's text after its "k" and before, then after, its counts:
     a record's keys are n, k, inner, counts and x, in that order."""
     return (
-        ',\n      "inner": ' + _nested(encode_scalar(inner), "      ") + ',\n      "counts": [\n        ',
-        '\n      ],\n      "x": ' + _nested([encode_scalar(c) for c in x], "      ") + "\n    }",
+        ',\n      "inner": ' + json_text(encode_scalar(inner), "      ") + ',\n      "counts": [\n        ',
+        '\n      ],\n      "x": ' + json_text([encode_scalar(c) for c in x], "      ") + "\n    }",
     )
 
 
@@ -527,7 +493,7 @@ def export_json(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, reco
     cls = classify(A, B)
     classification = {"kind": cls.kind.value, "intersects": cls.intersects}
     out = ['{\n  "method": ', _json_leaf(method), ',\n  "outcome": ', _json_leaf(outcome.value),
-           ',\n  "classification": ', _nested(classification, "  "), ',\n  "records": ']
+           ',\n  "classification": ', json_text(classification, "  "), ',\n  "records": ']
     sep = "[\n"
     for n, k, counts, (head, tail) in _tallied(records, B.m, _json_texts, ",\n        "):
         out += (sep, '    {\n      "n": ', str(n), ',\n      "k": ',
@@ -535,7 +501,7 @@ def export_json(method: str, outcome: Outcome, A: Hyperplane, B: FiniteSet, reco
         sep = ",\n"
     out.append("[]" if sep == "[\n" else "\n  ]")
     for name, value in (extra or {}).items():
-        out += (",\n  ", _json_leaf(name), ": ", _nested(value, "  "))
+        out += (",\n  ", _json_leaf(name), ": ", json_text(value, "  "))
     out.append("\n}\n")
     return "".join(out)
 

@@ -145,9 +145,9 @@ class Hyperplane(Value):
     def check(self, name: str, v: Vector) -> None:
         """The one check of a vector against this hyperplane: its dimension
         (DimensionMismatch), its backend (BackendError), on f64 finite
-        coordinates (ProblemFormatError) and on surds no sqrt part over a
-        radicand other than the normal's (BackendError); each message names
-        the vector."""
+        coordinates and a finite offset <v,u> (ProblemFormatError) and on
+        surds no sqrt part over a radicand other than the normal's
+        (BackendError); each message names the vector."""
         if len(v) != self.dim:
             raise DimensionMismatch(
                 f"{name} dimension {len(v)} != hyperplane dimension {self.dim}"
@@ -160,6 +160,8 @@ class Hyperplane(Value):
                     finite_float(c)
             except ProblemFormatError as exc:
                 raise ProblemFormatError(f"{name}: {exc}") from None
+            if not math.isfinite(offset := self.inner(v)):
+                raise ProblemFormatError(f"{name}: its offset <{name},u> = {offset!r} is not finite")
         elif self.backend == SURD:
             d = self.normal[0].d
             for c in v:

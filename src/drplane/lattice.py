@@ -57,9 +57,10 @@ which lies within one spacing after the first state on it.  One walk round
 the cycle, streamed into the caller's decoder, keeps the twin of the table
 state one spacing before the hit's, whole periods on from it, and two walks
 of at most one spacing each, from that table state and from its twin, meet
-at the first state on the cycle.  The search holds O(TABLE_BUDGET) states
-at any horizon, and a found cycle costs its report plus
-O(TABLE_BUDGET + spacing).
+at the first state on the cycle.  A hit past the horizon is first tested,
+by one walk from that table state, for a cycle that closes within it.  The
+search holds O(TABLE_BUDGET) states at any horizon, and a found cycle costs
+its report plus O(TABLE_BUDGET + spacing).
 The f64 vector loop's table of iterates and the exporters' text memo are
 dropped at TABLE_BUDGET instead: an orbit adds no new state once it has
 come back, so a table that fills has seen no repeat.
@@ -315,21 +316,41 @@ class Revisit:
                 yield key
 
         states = decode(lap())
+        i, base = self._base()
+        ahead = walk(*base)
         if back == spacing:
             # thinning dropped state 1 from the table: walk from it, and from
             # the twin one step on
-            lam, before, state, ahead = 1, None, self.start, walk(*self.start)
+            lam, before, state = 1, None, base
         else:
-            lam = back - spacing + 1
-            before = next(k for k, i in self._seen.items() if i == back - spacing)
-            ahead = walk(*before)
-            state = next(ahead)
+            lam, before, state = i + 1, base, next(ahead)
         twins = walk(*twin)
         other = next(twins)
         while state != other:
             before, state, other, lam = state, next(ahead), next(twins), lam + 1
         i = (lam - back) % mu
         return lam, before, states[i:] + states[:i]
+
+    def _base(self) -> tuple:
+        """(i, state i) for the table state i = back - spacing, or (1, state
+        1) when that is state 0, which has no key."""
+        i = self.back - self.spacing
+        return (i, next(k for k, j in self._seen.items() if j == i)) if i else (1, self.start)
+
+    def within_horizon(self) -> bool:
+        """After a hit, whether the first repeat index lam + mu is at most
+        the horizon, decided without :meth:`cycle`.  A hit past the horizon
+        has lam > back - spacing, and state j = horizon - mu is on the cycle
+        exactly when it is state horizon: at most spacing + mu steps from the
+        table state at back - spacing."""
+        mu, horizon = self.n - self.back, self.horizon
+        if self.n <= horizon:
+            return True
+        (i, base), j = self._base(), horizon - mu
+        if j < i:
+            return False
+        states = chain((base,), self.walk(*base))
+        return next(islice(states, j - i, None)) == next(islice(states, mu - 1, None))
 
 
 class LinePoints:

@@ -433,6 +433,16 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"{shown} is not a finite f64 value" in err
 
+    def test_f64_offset_overflow_exits_2_at_load(self, capsys, tmp_path):
+        # <b1,u> is about 0.98e308, but its first two products sum past the f64 range
+        data = {"normal": [1.0, 1.0, 1.0], "x0": [0.0, 0.0, 0.0], "backend": "f64",
+                "points": [[1.7e308, 1.7e308, -1.7e308], [-1.0, 0.0, 0.0]]}
+        path = write_problem(tmp_path, "offset.json", data)
+        for command in ("run", "cycle"):
+            code, out, err = run_cli(capsys, command, "--problem", path)
+            assert code == 2 and out == ""
+            assert err.startswith("error: point: its offset <point,u> = inf is not finite")
+
     def test_downgrade_out_of_f64_range_exits_2(self, capsys, tmp_path):
         path = write_problem(
             tmp_path, "huge.json",

@@ -29,7 +29,7 @@ from drplane.errors import (
     ProblemFormatError,
 )
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
-from drplane.lattice import TABLE_BUDGET
+from drplane.lattice import TABLE_BUDGET, LinePoints
 from drplane.problems import make_problem, problem_from_dict
 from drplane.scalars import Surd, encode_scalar
 
@@ -518,6 +518,26 @@ def test_sampled_hit_is_logged(caplog):
         ("drplane.cycling", logging.DEBUG, "detect_cycle: integer lattice"),
         ("drplane.cycling", logging.DEBUG, "detect_cycle: sampled table hit at spacing 4"),
     ]
+
+
+def test_sampled_hit_past_the_horizon_decodes_nothing(monkeypatch):
+    # the far cycle of test_sampled_hit_is_logged repeats at key index 19101;
+    # a sampled hit past the horizon is settled by walking, not by decoding
+    decoded, iterates = [], LinePoints.iterates
+
+    def spy(self, states):
+        out = iterates(self, states)
+        decoded.append(len(out))
+        return out
+
+    monkeypatch.setattr(LinePoints, "iterates", spy)
+    p = line_doubleton(Fraction(-4999, 3), Fraction(4099, 3), Fraction(50000000, 3))
+    for horizon in (19099, 19100):
+        assert detect_cycle(p, horizon).to_dict() == {"status": "no_cycle", "horizon": horizon}
+    assert decoded == []
+    report = detect_cycle(p, 19101)
+    assert (report.preperiod, report.period) == (10002, 9098)
+    assert decoded[0] == 9098
 
 
 def random_dyadic(rng, lo, hi):

@@ -110,7 +110,6 @@ class TestIterate:
         ks = [rec.selector_k for rec in result.trace]
         assert ks == [None, 1, 2, 1, 1, 2, 1]
         assert json.loads(run_json(result, A, B))["records"][-1]["counts"] == [4, 2]
-        assert result.final_counts == (4, 2)
 
     def test_surd_line_run_first_terms(self):
         A, B = surd_line_problem([-1, Surd(0, 1, 2)])
@@ -139,7 +138,7 @@ class TestIterate:
 
     def test_divergence_detected(self):
         A, B = plane_problem([(0, 1), (0, 2)])
-        result = iterate(A, B, F(0, 0), 5000, divergence_window=1000)
+        result = iterate(A, B, F(0, 0), 5000)
         assert result.outcome == Outcome.DIVERGENCE
         assert len(result.trace) <= 1002
         assert result.shadow_limit == F(0, 0)
@@ -152,10 +151,11 @@ class TestIterate:
         assert len(result.trace) == 1001 and result.trace[-1].inner == -1000
         assert result.shadow_limit == F(0, 0)
 
-    def test_divergence_needs_disjoint_halfspace(self):
+    def test_divergence_needs_disjoint_halfspace(self, monkeypatch):
         # straddling problems stay bounded and must never be declared divergent
+        monkeypatch.setattr(dynamics, "DIVERGENCE_WINDOW", 3)
         A, B = line_problem([-1, 2])
-        result = iterate(A, B, (Fraction(0),), 4000, divergence_window=3)
+        result = iterate(A, B, (Fraction(0),), 4000)
         assert result.outcome == Outcome.HORIZON
 
     def test_fixed_point_run(self):
@@ -410,12 +410,12 @@ def reference_run(A, B, x0, max_n):
     for n in range(1, max_n + 1):
         nxt, k = dr_step(A, B, x)
         if vec_equal(nxt, x, A.backend):
-            return records, shadow, Outcome.FIXED_POINT, tuple(counts)
+            return records, shadow, Outcome.FIXED_POINT
         counts[k - 1] += 1
         records.append((n, nxt, k, A.inner(nxt), tuple(counts)))
         shadow.append(project_hyperplane(A, nxt))
         x = nxt
-    return records, shadow, Outcome.HORIZON, tuple(counts)
+    return records, shadow, Outcome.HORIZON
 
 
 def typed(values):
@@ -426,18 +426,17 @@ def exported_counts(result, A, B):
     return [tuple(r["counts"]) for r in json.loads(run_json(result, A, B))["records"]]
 
 
-def assert_matches_reference(A, B, x0, max_n, **kwargs):
+def assert_matches_reference(A, B, x0, max_n):
     """Full and slim iterate traces equal the reference record by record,
     scalar types included, and so do their exported selector counts and
     derived shadows; a divergent run matches the reference prefix."""
-    records, shadow, outcome, final = reference_run(A, B, x0, max_n)
-    full = iterate(A, B, x0, max_n, **kwargs)
-    slim = iterate(A, B, x0, max_n, slim=True, **kwargs)
+    records, shadow, outcome = reference_run(A, B, x0, max_n)
+    full = iterate(A, B, x0, max_n)
+    slim = iterate(A, B, x0, max_n, slim=True)
     if full.outcome == Outcome.DIVERGENCE:
         records, shadow = records[: len(full.trace)], shadow[: len(full.trace)]
-        outcome, final = Outcome.DIVERGENCE, records[-1][4]
+        outcome = Outcome.DIVERGENCE
     assert (full.outcome, slim.outcome) == (outcome, outcome)
-    assert full.final_counts == slim.final_counts == final
     got = [(r.n, r.x, r.selector_k, r.inner) for r in full.trace]
     assert got == [rec[:4] for rec in records]
     assert exported_counts(full, A, B) == exported_counts(slim, A, B) == [
@@ -574,13 +573,14 @@ class TestLatticeAgainstDrStep:
         assert prob.points.m == 2
         assert_matches_reference(prob.hyperplane, prob.points, prob.x0, 80)
 
-    def test_vector_path_cases(self):
+    def test_vector_path_cases(self, monkeypatch):
         # one-sided disjoint (divergent), touching (fixed point), f64; then
         # m = 3 sets on vectors (straddling but touching, one-sided) and the
         # straddling disjoint one, which runs on the lattice
+        monkeypatch.setattr(dynamics, "DIVERGENCE_WINDOW", 5)
         A, B = plane_problem([(0, 1), (0, 2)])
-        assert_matches_reference(A, B, F(0, 0), 40, divergence_window=5)
-        assert iterate(A, B, F(0, 0), 40, divergence_window=5).outcome == Outcome.DIVERGENCE
+        assert_matches_reference(A, B, F(0, 0), 40)
+        assert iterate(A, B, F(0, 0), 40).outcome == Outcome.DIVERGENCE
         A, B = plane_problem([(0, 0), (0, 2)])
         assert_matches_reference(A, B, F(1, 1), 10)
         A = Hyperplane((1.0,))
@@ -588,8 +588,8 @@ class TestLatticeAgainstDrStep:
         A, B = plane_problem([(1, -1), (0, 0), (3, 1)])
         assert_matches_reference(A, B, F(2, 5), 50)
         A, B = plane_problem([(1, 1), (0, 2), (3, 1)])
-        assert_matches_reference(A, B, F(2, 5), 40, divergence_window=5)
-        assert iterate(A, B, F(2, 5), 40, divergence_window=5).outcome == Outcome.DIVERGENCE
+        assert_matches_reference(A, B, F(2, 5), 40)
+        assert iterate(A, B, F(2, 5), 40).outcome == Outcome.DIVERGENCE
         A, B = plane_problem([(1, -1), (0, 2), (3, 1)])
         assert_matches_reference(A, B, F(2, 5), 50)
 
@@ -613,6 +613,24 @@ class TestLatticeAgainstDrStep:
                 for policy in TiePolicy:
                     A, B, x0 = random_straddling_set(rng, normal, m, policy, coordinate)
                     assert_matches_reference(A, B, x0, 40)
+
+    def test_one_vector_step(self, monkeypatch):
+        # only step 1 runs on vectors: the lattice takes every later one
+        calls = 0
+
+        def counting_dr_step(*args):
+            nonlocal calls
+            calls += 1
+            return dr_step(*args)
+
+        monkeypatch.setattr(dynamics, "dr_step", counting_dr_step)
+        for points in ([-1, 2], [-1, 2, 3]):
+            A, B = line_problem(points)
+            for max_n in (1, 2, 50):
+                for slim in (False, True):
+                    calls = 0
+                    assert len(iterate(A, B, (Fraction(1, 2),), max_n, slim=slim).trace) == max_n + 1
+                    assert calls == 1
 
     def test_m_point_shared_offset_ties(self):
         # b +/- w with w orthogonal to u share an offset, and their shadows are

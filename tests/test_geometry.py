@@ -147,6 +147,15 @@ class TestHyperplane:
         A.check("v", (Fraction(1), Fraction(2)))
         Af.check("v", (1.0, 2.0))
 
+    def test_f64_offset_that_overflows_is_refused(self):
+        # the first two products of <v,u> sum past the f64 range before the
+        # third brings the total back to about 0.98e308
+        A = Hyperplane((1.0, 1.0, 1.0))
+        shown = r"^point: its offset <point,u> = inf is not finite$"
+        with pytest.raises(ProblemFormatError, match=shown):
+            A.check("point", (1.7e308, 1.7e308, -1.7e308))
+        A.check("point", (1.7e308, -1.7e308, 1.7e308))
+
     def test_normal_over_two_radicands_rejected(self):
         # 2/9 + 7/9 = 1: a unit normal whose sqrt parts lie over sqrt(2) and
         # sqrt(7), which no inner product with it could combine
