@@ -18,10 +18,10 @@ Each point is the orbit's ``line_points.point`` at the pair of the
 previous offset.  iterate reaches the same offsets by stepping, on an orbit
 of its own, so verify_closed_form still compares two derivations.
 
-Everything that depends only on the problem is derived once per
-:class:`~drplane.cycling.DoubletonProblem` and kept on it: its
-:class:`~drplane.dynamics.Orbit` (start offset, first iterate, lattice and
-``line_points``, shared with the cycle search), the :class:`Betas` that
+Everything that depends only on the problem is derived once and kept: the
+:class:`~drplane.dynamics.Orbit` of a :class:`~drplane.cycling.DoubletonProblem`
+keeps its start offset, first iterate, lattice and ``line_points``, shared
+with the cycle search, and the problem keeps the :class:`Betas` that
 :func:`compute_betas` returns, and the plan of closed_form_point and
 closed_form_trace, which is either the refusal message of the first failed
 hypothesis or the floor form, and likewise the verdict of corollary_point.
@@ -391,7 +391,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     is row n+1's line coefficient, so each row costs one floor.
     """
     form, point = _plan(p, compute_betas(p)), p.orbit.line_points.point
-    trace = [TraceRecord(0, p.x0, None, p.orbit.inner0)]
+    trace = [TraceRecord(0, p.orbit.x0, None, p.orbit.inner0)]
     prev = form.start
     before = form.count2(0)
     for n in range(1, horizon + 1):

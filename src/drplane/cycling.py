@@ -7,12 +7,12 @@ that predicate, an empirical cycle detector with exact state hashing, and the
 long-run frequencies of the two selectors.
 
 After the first step the whole state is the pair (selector k, offset c),
-and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem holds
-the :class:`~drplane.dynamics.Orbit` of x0, which derives on first use, on
-every backend, the first step, the window constant, the
-:class:`~drplane.lattice.OffsetLattice` started at <x0,u> and its point
-evaluator ``line_points``.  The cycle search and the closed form read these
-and build none of their own.
+and the iterate is x_n = (c - beta_k)*u + b_k.  A DoubletonProblem is a
+checked view of the :class:`~drplane.dynamics.Orbit` of x0, which holds the
+doubleton's data and derives on first use, on every backend, the first
+step, the window constant, the :class:`~drplane.lattice.OffsetLattice`
+started at <x0,u> and its point evaluator ``line_points``.  The cycle
+search takes the orbit and builds nothing of its own.
 
 The detector walks the lattice from the orbit's state 1, ``Orbit.start``;
 the exact backends find its first revisited state (k, a, b) with
@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
+from operator import attrgetter
 
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
@@ -44,67 +45,67 @@ from .slotted import Value
 
 
 class DoubletonProblem(Value):
-    """Two-point feasibility instance with b1 below the hyperplane, b2 above.
+    """Two-point feasibility instance with b1 below the hyperplane, b2 above:
+    a checked view of the :class:`~drplane.dynamics.Orbit` of x0.
 
-    b1 and b2 are checked by ``hyperplane.check``, and x0 by its orbit.
-    Copies and pickles keep the derived slots, the orbit's lattice and
-    ``line_points`` included."""
+    The orbit holds the one copy of the doubleton's data, and every field,
+    offset and the window constant ``beta`` are read from it.  The
+    constructor checks b1 and b2 with ``hyperplane.check``; ``from_problem``
+    takes a loaded problem's checked, ordered points as they are.  On both
+    paths the orbit checks x0.  Copies and pickles keep the orbit, its
+    lattice and ``line_points`` included."""
 
     _fields = ("hyperplane", "b1", "b2", "x0", "tie_policy")
-    __slots__ = (
-        *_fields,
-        # signed offsets <b1,u>, <b2,u>, the window constant and the orbit of
-        # x0, derived once from the fields above
-        "beta1", "beta2", "beta", "orbit",
-        # the closed form's Betas, plan and corollary verdict, derived on
-        # first use in drplane.closedform and kept
-        "_betas", "_closed_form", "_corollary",
-    )
+    # the orbit, and the closed form's Betas, plan and corollary verdict,
+    # derived on first use in drplane.closedform and kept
+    __slots__ = ("orbit", "_betas", "_closed_form", "_corollary")
 
-    def __init__(
-        self,
-        hyperplane: Hyperplane,
-        b1: Vector,
-        b2: Vector,
-        x0: Vector,
-        tie_policy: TiePolicy = TiePolicy.HIGHER_INNER,
-    ):
+    hyperplane = property(attrgetter("orbit.A"))
+    x0 = property(attrgetter("orbit.x0"))
+    tie_policy = property(attrgetter("orbit.B.tie_policy"))
+    backend = property(attrgetter("orbit.A.backend"))
+    beta = property(attrgetter("orbit.window"))
+    b1 = property(lambda self: self.orbit.B.points[0])
+    b2 = property(lambda self: self.orbit.B.points[1])
+    beta1 = property(lambda self: self.orbit.B.inners[0])
+    beta2 = property(lambda self: self.orbit.B.inners[1])
+
+    def __init__(self, hyperplane: Hyperplane, b1: Vector, b2: Vector, x0: Vector,
+                 tie_policy: TiePolicy = TiePolicy.HIGHER_INNER):
         A = hyperplane
         A.check("b1", b1)
         A.check("b2", b2)
-        tie_policy = TiePolicy(tie_policy)
-        b1_off, b2_off = A.inner(b1), A.inner(b2)
-        B = FiniteSet((tuple(b1), tuple(b2)), (b1_off, b2_off), tie_policy)
-        orbit = Orbit(A, B, x0)
+        b1, b2 = tuple(b1), tuple(b2)
+        self._view(Orbit(A, FiniteSet((b1, b2), (A.inner(b1), A.inner(b2)), tie_policy), x0))
+
+    def _view(self, orbit: Orbit) -> None:
         # b1 below and b2 above, neither on the hyperplane; so the two
         # points are also ordered and distinct
         cls = orbit.classification
         if cls.kind != ClassificationKind.STRADDLING or cls.intersects:
-            raise PreconditionError(
-                "doubleton must straddle the hyperplane strictly: "
-                f"offsets {format_scalar(b1_off)}, {format_scalar(b2_off)}"
-            )
-        self._set(
-            hyperplane=hyperplane, b1=b1, b2=b2, x0=x0, tie_policy=tie_policy,
-            beta1=b1_off, beta2=b2_off, beta=orbit.window, orbit=orbit,
-            _betas=None, _closed_form=None, _corollary=None,
-        )
-
-    @property
-    def backend(self) -> str:
-        return self.hyperplane.backend
+            beta1, beta2 = orbit.B.inners
+            offsets = f"offsets {format_scalar(beta1)}, {format_scalar(beta2)}"
+            if not cls.intersects and beta2 < 0 < beta1:
+                raise PreconditionError(
+                    f"b1 must lie below the hyperplane and b2 above it: {offsets}"
+                )
+            raise PreconditionError(f"doubleton must straddle the hyperplane strictly: {offsets}")
+        orbit.window  # refuses a non-finite f64 window constant here
+        self._set(orbit=orbit, _betas=None, _closed_form=None, _corollary=None)
 
     def finite_set(self) -> FiniteSet:
         return self.orbit.B
 
     @classmethod
     def from_problem(cls, problem: Problem) -> "DoubletonProblem":
+        """The view of the problem's orbit on its checked, ordered points."""
         if problem.points.m != 2:
             raise PreconditionError(
                 f"cycling analysis requires a doubleton (got {problem.points.m} points)"
             )
-        b1, b2 = problem.points.points  # already sorted by offset
-        return cls(problem.hyperplane, b1, b2, problem.x0, problem.tie_policy)
+        p = object.__new__(cls)
+        p._view(Orbit(problem.hyperplane, problem.points, problem.x0))
+        return p
 
 
 class CycleReport(Value):
@@ -193,13 +194,12 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
         return CycleReport("no_cycle", horizon)
     if p.backend == F64:
         log_path(__name__, "detect_cycle: quantized float offsets (f64 backend)")
-        return _detect_float(p, horizon)
+        return _detect_float(p.orbit, horizon)
     log_path(__name__, "detect_cycle: integer lattice")
-    return _detect_exact(p, horizon)
+    return _detect_exact(p.orbit, horizon)
 
 
-def _detect_exact(p, horizon):
-    orbit = p.orbit
+def _detect_exact(orbit, horizon):
     found = Revisit(orbit.start, orbit.lattice.walk, horizon)
     deque(found, maxlen=0)
     # a sampled hit may come after the first repeat, past the horizon
@@ -211,15 +211,12 @@ def _detect_exact(p, horizon):
     return CycleReport("no_cycle", horizon)
 
 
-def _detect_float(p, horizon):
+def _detect_float(orbit, horizon):
     """Quantized offset table, the search's only one: an approximate match
     probes the neighbouring cells, so it is not sampled.  A hit is decoded
     by walking again from state 1."""
-    orbit = p.orbit
     lat, start, inner1 = orbit.lattice, orbit.start, orbit.first_step[2]
-    qstep = F64_REL_TOL * max(
-        1.0, abs(inner1), abs(p.beta1), abs(p.beta2), abs(lat.t1[0]), abs(lat.t2[0])
-    )
+    qstep = F64_REL_TOL * max(1.0, *map(abs, (inner1, *orbit.B.inners, lat.t1[0], lat.t2[0])))
     seen = {(start[0], round(inner1 / qstep)): (1, inner1)}
     for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(*start)):
         cell = round(off / qstep)

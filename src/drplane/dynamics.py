@@ -15,9 +15,9 @@ selector counts are export columns, tallied once by the exporters at the
 end of this module, and the hyperplane shadow ``P_A x_n = x_n - inner*u``
 comes from ``reconstruct_shadow``.
 
-iterate builds one :class:`Orbit` of x0, the state that a
-:class:`~drplane.cycling.DoubletonProblem` keeps for the cycle search and the
-closed form, and takes one of two paths, one per kind of orbit.  An
+iterate builds one :class:`Orbit` of x0, of which a
+:class:`~drplane.cycling.DoubletonProblem` is a checked view for the cycle
+search and the closed form, and takes one of two paths, one per kind of orbit.  An
 exact-backend set that strictly straddles the hyperplane and does not touch
 it (so it cannot reach a fixed point or diverge) takes its first step from
 ``Orbit.first_step`` and then advances its (selector, offset) state on the

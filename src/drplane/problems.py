@@ -2,8 +2,9 @@
 
 A problem is a hyperplane (unit normal ``u``), a finite point set and a
 starting point.  Its backend and, on the surd backend, its radicand are read
-from the normal, and ``Problem`` checks x0 and each point against the
-hyperplane once, with :meth:`~drplane.geometry.Hyperplane.check`.  On disk:
+from the normal.  Both entry points for outside input check against the
+hyperplane (:meth:`~drplane.geometry.Hyperplane.check`): ``FiniteSet.ordered``
+each point, then ``Problem`` x0 and each point again.  On disk:
 
 .. code-block:: json
 

@@ -6,7 +6,8 @@ decorated class's generated methods that cost a ``run`` child more CPU than
 its own work.  These two bases give the package's classes what the
 decorator did.  A subclass names its constructor's parameters, in order, as
 ``_fields``: they are compared, hashed and shown by repr, as a dataclass's
-fields were, and ``__slots__`` holds them and any values derived from them.
+fields were, and ``__slots__`` holds them, or what they are read from, and
+any values derived from them.
 """
 
 

@@ -21,6 +21,7 @@ from drplane.cycling import (
     detect_cycle,
     rationality_predicate,
 )
+from drplane.closedform import closed_form_trace
 from drplane.dynamics import iterate, run_json
 from drplane.errors import (
     BackendError,
@@ -30,7 +31,7 @@ from drplane.errors import (
 )
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step
 from drplane.lattice import TABLE_BUDGET, LinePoints
-from drplane.problems import make_problem, problem_from_dict
+from drplane.problems import load_problem, make_problem, problem_from_dict
 from drplane.scalars import Surd, encode_scalar
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -47,6 +48,32 @@ def surd_line_doubleton(b1, b2, x0, tie_policy=TiePolicy.HIGHER_INNER):
     lift = lambda v: v if isinstance(v, Surd) else Surd(v, 0, 2)
     A = Hyperplane((Surd(1, 0, 2),))
     return DoubletonProblem(A, (lift(b1),), (lift(b2),), (lift(x0),), tie_policy)
+
+
+def seeded_doubletons(seed):
+    """(normal, b1, b2, x0) of straddling doubletons on each backend, from
+    seeded offsets o and tangent coordinates t as t*v + o*u, with v the unit
+    tangent of the unit normal u; the last of each backend is symmetric
+    with x0 on the hyperplane, so that its first step is a distance tie."""
+    rng = random.Random(seed)
+    r = lambda lo, hi: Fraction(rng.randint(lo * 8, hi * 8), 8)  # noqa: E731
+    # a + b*sqrt(2) with b of a's sign, so that its sign is a's
+    surd = lambda a: Surd(a, r(0, 1) * ((a > 0) - (a < 0)), 2)  # noqa: E731
+    h = Surd(0, Fraction(1, 2), 2)
+    lines = (
+        ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)), r),
+        ((h, h), (-h, h), lambda lo, hi: surd(r(lo, hi))),
+        ((0.6, 0.8), (-0.8, 0.6), lambda lo, hi: float(r(lo, hi))),
+    )
+    cases = []
+    for u, v, scalar in lines:
+        point = lambda t, o: tuple(t * vi + o * ui for ui, vi in zip(u, v))  # noqa: E731
+        for _ in range(3):
+            b1, b2 = point(scalar(-4, 4), scalar(-4, -1)), point(scalar(-4, 4), scalar(1, 4))
+            cases.append((u, b1, b2, point(scalar(-4, 4), scalar(-1, 1))))
+        t, o = scalar(-4, 4), scalar(1, 4)
+        cases.append((u, point(t, -o), point(t, o), point(scalar(-4, 4), 0 * o)))
+    return cases
 
 
 def brute_cycle(p, horizon):
@@ -107,8 +134,19 @@ class TestDoubletonProblem:
         assert p.beta1 == -1 and p.beta2 == 2
 
     def test_rejects_same_side(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^doubleton must straddle the hyperplane strictly"):
             line_doubleton(1, 2, 0)
+
+    def test_rejects_reversed_points(self):
+        # a straddling doubleton given above-then-below is refused as such
+        A = Hyperplane((1.0,))
+        for make in (
+            lambda: line_doubleton(2, -1, 0),
+            lambda: surd_line_doubleton(Surd(0, 1, 2), -1, 0),
+            lambda: DoubletonProblem(A, (2.0,), (-1.0,), (0.0,)),
+        ):
+            with pytest.raises(PreconditionError, match="^b1 must lie below the hyperplane and b2 above it"):
+                make()
 
     def test_rejects_on_hyperplane(self):
         with pytest.raises(PreconditionError):
@@ -123,6 +161,48 @@ class TestDoubletonProblem:
         prob = make_problem((1,), [(2,), (-1,)], (0,))
         p = DoubletonProblem.from_problem(prob)
         assert p.b1 == (Fraction(-1),) and p.b2 == (Fraction(2),)
+        # seeded doubletons on every backend and tie policy, their points
+        # given in either order: both constructors build equal problems
+        def closed_form(p):  # the trace, or the refusal's message
+            try:
+                return closed_form_trace(p, 40)
+            except PreconditionError as exc:
+                return str(exc)
+
+        applies = 0
+        for normal, b1, b2, x0 in seeded_doubletons(26):
+            for policy in TiePolicy:
+                p = DoubletonProblem(Hyperplane(normal), b1, b2, x0, policy)
+                report, trace = detect_cycle(p, 200), closed_form(p)
+                applies += not isinstance(trace, str)
+                for points in ([b1, b2], [b2, b1]):
+                    q = DoubletonProblem.from_problem(make_problem(normal, points, x0, policy))
+                    assert (q.b1, q.b2) == (b1, b2)
+                    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+                    assert detect_cycle(q, 200) == report and closed_form(q) == trace
+        assert applies
+
+    @pytest.mark.parametrize("name", ["rational_cycle", "r2_beatty", "surd_aperiodic", "float_wide"])
+    def test_from_problem_checks_only_x0(self, name, monkeypatch):
+        # the loaded problem has checked and ordered its points: the view
+        # checks x0 alone, once, in its orbit, and builds no second set
+        problem = load_problem(PROBLEMS / f"{name}.json")
+        checked, built = [], []
+        check, init = Hyperplane.check, FiniteSet.__init__
+
+        def spy_check(A, name, v):
+            checked.append(name)
+            check(A, name, v)
+
+        def spy_init(B, *args):
+            built.append(args)
+            init(B, *args)
+
+        monkeypatch.setattr(Hyperplane, "check", spy_check)
+        monkeypatch.setattr(FiniteSet, "__init__", spy_init)
+        p = DoubletonProblem.from_problem(problem)
+        assert checked == ["x0"] and built == []
+        assert p.finite_set() is problem.points
 
     def test_finite_set_matches_ordered(self):
         for policy in TiePolicy:
@@ -134,17 +214,30 @@ class TestDoubletonProblem:
         # lattice and point evaluator are derived, so that they go through
         # copy and pickle too
         A = Hyperplane((1.0,))
+        # and seeded ones on every tie policy, from both constructors
+        seeded = []
+        for normal, b1, b2, x0 in seeded_doubletons(27):
+            for policy in TiePolicy:
+                seeded.append(DoubletonProblem(Hyperplane(normal), b1, b2, x0, policy))
+                seeded.append(DoubletonProblem.from_problem(make_problem(normal, [b2, b1], x0, policy)))
         for p in (
             surd_line_doubleton(Surd(-1, -1, 2), Surd(Fraction(1, 2), 1, 2), Fraction(1, 3)),
             line_doubleton(-1, 2, Fraction(1, 3)),
             DoubletonProblem(A, (-1.0,), (3.7,), (0.3,)),
+            *seeded,
         ):
             report = detect_cycle(p, 300)
             _, k1, inner1 = p.orbit.first_step
             pair = p.orbit.lattice.pair(inner1)
             x = p.orbit.line_points.point(k1, *pair)
-            for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-                assert clone == p
+            for clone in (p, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                # every field and offset is read from the clone's own orbit
+                orbit = clone.orbit
+                assert clone.hyperplane is orbit.A and clone.x0 is orbit.x0
+                assert clone.finite_set() is orbit.B and clone.tie_policy is orbit.B.tie_policy
+                assert (clone.b1, clone.b2) == orbit.B.points and clone.backend == orbit.A.backend
+                assert (clone.beta1, clone.beta2) == orbit.B.inners and clone.beta == orbit.window
+                assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
                 assert (clone.beta1, clone.beta2, clone.beta) == (p.beta1, p.beta2, p.beta)
                 assert {"lattice", "line_points"} <= vars(clone.orbit).keys()
                 assert clone.orbit.line_points.point(k1, *pair) == x
