@@ -16,10 +16,15 @@ search takes the orbit and builds nothing of its own.
 
 The detector walks the lattice from the orbit's state 1, ``Orbit.start``;
 the exact backends find its first revisited state (k, a, b) with
-:class:`~drplane.lattice.Revisit`, whose module states its table policy.
-The float backend's pairs are (offset, 0), which it hashes quantized into
-cells, a table that grows with the horizon, and it labels its reports
-approximate.  Only the states of a found cycle are decoded, in one batch by
+:class:`~drplane.lattice.Revisit`, whose module states its table policy,
+running its table loop directly on the lattice's walk.  The float
+backend's pairs are (offset, 0), which it hashes quantized into cells, a
+table that grows with the horizon, and it labels its reports approximate.
+States exist from n = 1 only, so an iterate x_n that repeats an earlier
+one may show only at state n + 1: both searches read states to horizon + 1,
+and the report is 'cycle' exactly when the iterates' first repeat index,
+preperiod + period, is at most the horizon.  Only the states of a found
+cycle are decoded, in one batch by
 the orbit's ``line_points.iterates``: on the exact backends from each
 state's own integers as ``Revisit`` walks round the cycle, once a walk of
 at most spacing + period steps has shown that a sampled hit past the
@@ -30,7 +35,6 @@ them.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
 from operator import attrgetter
@@ -190,8 +194,6 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon == 1:
-        return CycleReport("no_cycle", horizon)
     if p.backend == F64:
         log_path(__name__, "detect_cycle: quantized float offsets (f64 backend)")
         return _detect_float(p.orbit, horizon)
@@ -200,10 +202,10 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 
 def _detect_exact(orbit, horizon):
-    found = Revisit(orbit.start, orbit.lattice.walk, horizon)
-    deque(found, maxlen=0)
+    # states to horizon + 1, the first that can show x_horizon repeating
+    found = Revisit(orbit.start, orbit.lattice.walk, horizon + 1)
     # a sampled hit may come after the first repeat, past the horizon
-    if found.back is not None and found.within_horizon():
+    if found.search() and found.within_horizon():
         if found.spacing > 1:
             log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
         lam, before, states = found.cycle(orbit.line_points.iterates)
@@ -213,12 +215,13 @@ def _detect_exact(orbit, horizon):
 
 def _detect_float(orbit, horizon):
     """Quantized offset table, the search's only one: an approximate match
-    probes the neighbouring cells, so it is not sampled.  A hit is decoded
-    by walking again from state 1."""
+    probes the neighbouring cells, so it is not sampled.  It reads states to
+    horizon + 1, as the exact search does.  A hit is decoded by walking
+    again from state 1."""
     lat, start, inner1 = orbit.lattice, orbit.start, orbit.first_step[2]
     qstep = F64_REL_TOL * max(1.0, *map(abs, (inner1, *orbit.B.inners, lat.t1[0], lat.t2[0])))
     seen = {(start[0], round(inner1 / qstep)): (1, inner1)}
-    for n, (k, off, _) in zip(range(2, horizon + 1), lat.walk(*start)):
+    for n, (k, off, _) in zip(range(2, horizon + 2), lat.walk(*start)):
         cell = round(off / qstep)
         first = None
         for probe in (cell - 1, cell, cell + 1):
@@ -247,11 +250,15 @@ def _finalize_cycle(orbit, horizon, lam, before, states):
     """The orbit's report for first repeated key state lam, from the state
     ``before`` it (None for x0) and the iterates ``states`` of states lam ..
     lam+mu-1; approximate on f64.  Keys exist only from n=1, so the true
-    preperiod may be exactly one step earlier.  Check it on vectors."""
+    preperiod may be exactly one step earlier.  Check it on vectors.  The
+    searches read keys to horizon + 1, so the report is 'cycle' only when
+    the iterates' first repeat index lam + mu is at most the horizon."""
     mu, approximate = len(states), orbit.A.backend == F64
     head = orbit.x0 if before is None else orbit.line_points.iterates([before])[0]
     if _vectors_match(head, states[-1], approximate):
         lam, states = lam - 1, (head, *islice(states, mu - 1))
+    if lam + mu > horizon:
+        return CycleReport("no_cycle", horizon)
     return CycleReport("cycle", horizon, lam, mu, states, approximate)
 
 

@@ -289,19 +289,28 @@ def _lattice_steps(orbit: Orbit, trace, max_n: int, slim: bool) -> None:
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
     record's iterate is built from the integers of the previous offset by
-    the orbit's ``line_points``.  Record n depends on state n only, so once
-    :class:`~drplane.lattice.Revisit` finds state n to be state j, every
-    later record repeats the one n - j before it, iterate and offset shared.
+    the orbit's ``line_points``.  :class:`~drplane.lattice.Revisit` draws
+    the states from a walk that appends record n as it draws state n, up to
+    max_n.  Record n depends on state n only, so once Revisit finds state n
+    to be state j, every later record repeats the one n - j before it,
+    iterate and offset shared.
     """
     lat = orbit.lattice
-    decode = lat.decode
+    decode, walk = lat.decode, lat.walk
     point = None if slim else orbit.line_points.point
-    _, pa, pb = start = orbit.start
-    found = Revisit(start, lat.walk, max_n)
-    for n, (k, a, b) in zip(range(2, max_n + 1), found):
-        trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
-        pa, pb = a, b
-    if found.back is not None:
+
+    def recording(k, pa, pb):
+        for n, key in zip(range(2, max_n + 1), walk(k, pa, pb)):
+            k, a, b = key
+            trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
+            pa, pb = a, b
+            yield key
+
+    found = Revisit(orbit.start, recording, max_n)
+    if found.search():
+        # the walk has recorded the hit state n too: replay from n instead,
+        # so that its record shares the iterate and offset of state back's
+        trace.pop()
         _replay(trace, found.n, found.n - found.back, max_n)
 
 

@@ -5,13 +5,14 @@ hyperplane is ``x_n = c_{n-1}*u + b_k``: the orbit is the pair (selector k,
 offset c), and the offset moves by ``c_n = c_{n-1} + beta_k``.  On the exact
 backends every offset of one orbit is ``(a + b*sqrt(d))/scale`` for a single
 integer ``scale``, rationals being the ``b = 0`` slice, so the orbit
-advances on integer triples ``(k, a, b)`` and compares by
-:func:`~drplane.scalars.surd_sign`.  Two walks pick the next selector:
+advances on integer triples ``(k, a, b)`` and compares by the integer rule
+of :func:`~drplane.scalars.surd_sign`.  Two walks pick the next selector:
 
 * :class:`OffsetLattice`, for a doubleton B = {b1, b2}: the next selector is
   1 when ``c_n > t_k``, 2 when ``c_n < t_k``, the tie policy deciding at
   equality.  The thresholds are ``t1 = beta - beta1`` and
-  ``t2 = -beta - beta2``, with ``beta`` the window constant.  The cycle
+  ``t2 = -beta - beta2``, with ``beta`` the window constant.  Its walk
+  applies surd_sign's rule inline, with no call per step.  The cycle
   search and the closed form walk it too, and on f64 its pairs are float
   offsets ``(v, 0)`` over ``scale = 1``, where the sign test reads the float
   difference ``a - t``; :class:`FloatLinePoints`, not ``decode``, reads them.
@@ -47,7 +48,9 @@ of the iteration driver, the cycle search and the closed form reads them.
 already decoded.
 
 :class:`Revisit` finds the first revisited state of a walk, for the
-iteration driver's replay and the exact cycle search.  Its table keeps every
+iteration driver's replay and the exact cycle search, in one table loop
+that yields nothing: the driver hands it a walk that records each state as
+it is drawn, and the cycle search runs it bare.  Its table keeps every
 state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
 state, then only the states whose index is a multiple of a spacing that
 doubles each time it fills again, each the next one due.  A
@@ -55,7 +58,8 @@ hit while the spacing is 1 is the first repeat, and the table lists the
 cycle.  A later hit is one period after the least table state on the cycle,
 which lies within one spacing after the first state on it.  One walk round
 the cycle, streamed into the caller's decoder, keeps the twin of the table
-state one spacing before the hit's, whole periods on from it, and two walks
+state one spacing before the hit's, whole periods on from it, through one
+generator spliced into the lap at the twin's place, and two walks
 of at most one spacing each, from that table state and from its twin, meet
 at the first state on the cycle.  A hit past the horizon is first tested,
 by one walk from that table state, for a cycle that closes within it.  The
@@ -159,15 +163,24 @@ class OffsetLattice(_LineLattice):
         """The states (k, a, b) after state (k, a, b), one per step, without end."""
         (b1a, b1b), (b2a, b2b) = self.steps
         (t1a, t1b), (t2a, t2b) = self.t1, self.t2
-        tie, d = self.tie, self.d
+        tie1, d = self.tie == 1, self.d
         while True:
             if k == 1:
                 da, db = a - t1a, b - t1b
             else:
                 da, db = a - t2a, b - t2b
-            # with no sqrt(d) part, da carries the sign
-            sign = surd_sign(da, db, d) if db else da
-            if sign > 0 or (sign == 0 and tie == 1):
+            # up: da + db*sqrt(d) > 0, or == 0 with the tie at b1.  This is
+            # scalars.surd_sign's integer rule inlined, and surd_sign is its
+            # reference: a mixed-sign pair compares da^2 with db^2*d, never
+            # equal for a radicand, so only db == 0 can tie; with no sqrt(d)
+            # part, da carries the sign, on float pairs too
+            if not db:
+                up = da > 0 or (da == 0 and tie1)
+            elif db > 0:
+                up = da >= 0 or da * da < db * db * d
+            else:
+                up = da > 0 and da * da > db * db * d
+            if up:
                 k = 1
                 a += b1a
                 b += b1b
@@ -244,10 +257,12 @@ class SetLattice(_LineLattice):
 
 class Revisit:
     """The first revisited state of the walk ``walk(*start)`` from state 1,
-    by the table of the module docstring.  Iterating yields states 2, 3, ...
-    and ends at the first hit, state ``n`` being state ``back``, or else
-    (``back`` None) before index ``horizon + spacing``, having looked at
-    every state up to ``horizon``."""
+    by the table of the module docstring.  :meth:`search` draws states 2,
+    3, ... from one walk and stops at the first hit, state ``n`` being state
+    ``back``, or else (``back`` None) before index ``horizon + spacing``,
+    having drawn every state up to ``horizon``.  A caller that wants the
+    states hands in a walk that records each one as it is drawn, the hit
+    state n included; a walk that ends stops the search there."""
 
     __slots__ = ("start", "walk", "horizon", "back", "n", "spacing", "_seen", "_hit")
 
@@ -255,7 +270,8 @@ class Revisit:
         self.start, self.walk, self.horizon = start, walk, horizon
         self.back = self.n = None
 
-    def __iter__(self):
+    def search(self) -> bool:
+        """Run the table loop once; whether it found a hit."""
         walk, horizon = self.walk(*self.start), self.horizon
         seen = self._seen = {self.start: 1}
         self.spacing = n = 1
@@ -265,8 +281,7 @@ class Revisit:
             back = seen.setdefault(key, n)
             if back != n:
                 self.back, self.n, self._hit = back, n, key
-                return
-            yield key
+                return True
         while len(seen) == TABLE_BUDGET:
             # doublings are TABLE_BUDGET/2 stored states apart, so a hit
             # comes before the first repeat index plus the spacing
@@ -279,13 +294,13 @@ class Revisit:
                 back = seen.get(key)
                 if back is not None:
                     self.back, self.n, self._hit = back, n, key
-                    return
-                yield key
+                    return True
                 if n == due:
                     seen[key] = n
                     if len(seen) == TABLE_BUDGET:
                         break
                     due += spacing
+        return False
 
     def cycle(self, decode) -> tuple[int, tuple | None, tuple]:
         """(lam, before, states) after a hit: the index lam of the first
@@ -303,19 +318,20 @@ class Revisit:
         # holds every multiple of the spacing up to back, lam lies in
         # (back - spacing, back].  One walk round the cycle from the hit,
         # streamed into decode, passes the twin of state back - spacing, a
-        # whole number of periods on from it.
+        # whole number of periods on from it, at lap index at.  A one-shot
+        # generator spliced in there keeps it, so the lap pays one generator
+        # resume in all rather than one per state.
         back, spacing, hit, walk = self.back, self.spacing, self._hit, self.walk
         mu = self.n - back
-        at, twin = -spacing % mu, hit
+        at, twin = -spacing % mu, None
+        lap = chain((hit,), islice(walk(*hit), mu - 1))
 
-        def lap():
+        def catch():
             nonlocal twin
-            for p, key in enumerate(chain((hit,), islice(walk(*hit), mu - 1))):
-                if p == at:
-                    twin = key
-                yield key
+            twin = next(lap)
+            yield twin
 
-        states = decode(lap())
+        states = decode(chain(islice(lap, at), catch(), lap))
         i, base = self._base()
         ahead = walk(*base)
         if back == spacing:
@@ -338,7 +354,8 @@ class Revisit:
         return (i, next(k for k, j in self._seen.items() if j == i)) if i else (1, self.start)
 
     def within_horizon(self) -> bool:
-        """After a hit, whether the first repeat index lam + mu is at most
+        """After a hit, whether the walk's first repeat index lam + mu, of
+        its states rather than of the iterates they decode to, is at most
         the horizon, decided without :meth:`cycle`.  A hit past the horizon
         has lam > back - spacing, and state j = horizon - mu is on the cycle
         exactly when it is state horizon: at most spacing + mu steps from the

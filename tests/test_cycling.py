@@ -99,13 +99,15 @@ def hash_cycle(p, horizon):
 
     The first hit gives the first repeat index lam + mu; keys exist only from
     n = 1, so the preperiod may be one step earlier, which the vectors
-    decide.  Memory grows with the horizon; detect_cycle must agree with it.
+    decide.  So the keys are read to horizon + 1, and the report is 'cycle'
+    when the vectors' lam + mu is at most the horizon.  Memory grows with
+    the horizon; detect_cycle must agree with it.
     """
     lat = p.orbit.lattice
     _, k1, inner1 = p.orbit.first_step
     key = (k1, *lat.pair(inner1))
     seen, hist = {key: 1}, [key]
-    for n, key in zip(range(2, horizon + 1), lat.walk(*key)):
+    for n, key in zip(range(2, horizon + 2), lat.walk(*key)):
         first = seen.get(key)
         if first is not None:
             break
@@ -124,6 +126,8 @@ def hash_cycle(p, horizon):
     lam, mu = first, n - first
     if x(lam - 1) == x(lam - 1 + mu):
         lam -= 1
+    if lam + mu > horizon:
+        return {"status": "no_cycle", "horizon": horizon}
     states = [[encode_scalar(c) for c in x(t)] for t in range(lam, lam + mu)]
     return {"status": "cycle", "preperiod": lam, "period": mu, "states": states}
 
@@ -516,6 +520,63 @@ def relation_doubleton(rng, q1, q2, x0_offset, planar, policy):
     )
 
 
+def dyadic_f64_doubleton(rng, q1, q2, planar, policy):
+    """An f64 doubleton with offsets -q2*s and q1*s, s a power of two, and a
+    quarter-integer start: every float operation of its orbit is exact."""
+    s = 2.0 ** rng.randint(-3, 3)
+    x0 = rng.randint(-240, 240) / 4
+    if not planar:
+        return DoubletonProblem(Hyperplane((1.0,)), (-q2 * s,), (q1 * s,), (x0,), policy)
+    lead = [rng.randint(-12, 12) / 4 for _ in range(3)]
+    A = Hyperplane((0.0, 1.0))
+    return DoubletonProblem(A, (lead[0], -q2 * s), (lead[1], q1 * s), (lead[2], x0), policy)
+
+
+def restarted(p, x0):
+    """The doubleton p started from x0."""
+    return DoubletonProblem(p.hyperplane, p.b1, p.b2, x0, p.tie_policy)
+
+
+class TestHorizonContract:
+    """The report is 'cycle' exactly when preperiod + period is at most the
+    horizon: at R - 1, R and R + 1 around the first repeat index R that
+    brute_cycle's plain dr_step walk finds, on 1-D, planar and dyadic f64
+    doubletons, from far starts and from states on their cycles."""
+
+    def assert_contract(self, p):
+        lam, mu = brute_cycle(p, 10**5)
+        R = lam + mu
+        assert detect_cycle(p, R - 1).to_dict() == {"status": "no_cycle", "horizon": R - 1}
+        for horizon in (R, R + 1):
+            report = detect_cycle(p, horizon)
+            assert (report.status, report.preperiod, report.period) == ("cycle", lam, mu)
+        return report
+
+    def test_seeded_doubletons(self):
+        rng = random.Random("horizon contract")
+        for policy in TiePolicy:
+            for planar in (False, True):
+                for _ in range(6):
+                    q1, q2 = coprime_pair(rng, 3, 40)
+                    x0 = Fraction(rng.randint(-60, 60), 3)
+                    exact = relation_doubleton(rng, q1, q2, x0, planar, policy)
+                    for p in (exact, dyadic_f64_doubleton(rng, q1, q2, planar, policy)):
+                        report = self.assert_contract(p)
+                        # started on its cycle, where keys lag the iterates
+                        on = restarted(p, rng.choice(report.states))
+                        assert self.assert_contract(on).preperiod == 0
+
+    def test_cycles_from_x0_and_past_the_table(self):
+        # {-1, 2} from 0 repeats x0 at step 3; the 4999/4099 cycle has a
+        # period past 2^13 and, from 50000000/3, a preperiod past it too
+        assert self.assert_contract(line_doubleton(-1, 2, 0)).period == 3
+        far = line_doubleton(Fraction(-4999, 3), Fraction(4099, 3), Fraction(50000000, 3))
+        report = self.assert_contract(far)
+        assert (report.preperiod, report.period) == (10002, 9098)
+        on = self.assert_contract(restarted(far, report.states[-1]))
+        assert (on.preperiod, on.period) == (0, 9098)
+
+
 class TestAgainstHashSearch:
     """detect_cycle's sampled table against the table of every state, at
     the horizons around the first repeat index R = preperiod + period."""
@@ -614,8 +675,9 @@ def test_sampled_hit_is_logged(caplog):
 
 
 def test_sampled_hit_past_the_horizon_decodes_nothing(monkeypatch):
-    # the far cycle of test_sampled_hit_is_logged repeats at key index 19101;
-    # a sampled hit past the horizon is settled by walking, not by decoding
+    # the far cycle of test_sampled_hit_is_logged repeats at key index 19101,
+    # and its iterates at 19100 = preperiod + period; a sampled hit past the
+    # horizon is settled by walking, not by decoding
     decoded, iterates = [], LinePoints.iterates
 
     def spy(self, states):
@@ -625,10 +687,10 @@ def test_sampled_hit_past_the_horizon_decodes_nothing(monkeypatch):
 
     monkeypatch.setattr(LinePoints, "iterates", spy)
     p = line_doubleton(Fraction(-4999, 3), Fraction(4099, 3), Fraction(50000000, 3))
-    for horizon in (19099, 19100):
+    for horizon in (19098, 19099):
         assert detect_cycle(p, horizon).to_dict() == {"status": "no_cycle", "horizon": horizon}
     assert decoded == []
-    report = detect_cycle(p, 19101)
+    report = detect_cycle(p, 19100)
     assert (report.preperiod, report.period) == (10002, 9098)
     assert decoded[0] == 9098
 
@@ -760,17 +822,7 @@ class TestCycleReplay:
         for planar in (False, True):
             for _ in range(34):
                 q1, q2 = coprime_pair(rng, 3, 60)
-                s = 2.0 ** rng.randint(-3, 3)
-                x0 = rng.randint(-240, 240) / 4
-                if planar:
-                    lead = [rng.randint(-12, 12) / 4 for _ in range(3)]
-                    A = Hyperplane((0.0, 1.0))
-                    p = DoubletonProblem(
-                        A, (lead[0], -q2 * s), (lead[1], q1 * s), (lead[2], x0), policy
-                    )
-                else:
-                    A = Hyperplane((1.0,))
-                    p = DoubletonProblem(A, (-q2 * s,), (q1 * s,), (x0,), policy)
+                p = dyadic_f64_doubleton(rng, q1, q2, planar, policy)
                 report = detect_cycle(p, 100_000)
                 assert report.approximate
                 self.assert_replays(p, report)

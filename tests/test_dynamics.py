@@ -46,7 +46,7 @@ from drplane.geometry import (
     vec_equal,
     vsub,
 )
-from drplane.lattice import TABLE_BUDGET, LinePoints
+from drplane.lattice import TABLE_BUDGET, LinePoints, Revisit
 from drplane.problems import load_problem
 from drplane.scalars import Surd
 
@@ -777,6 +777,30 @@ class TestLatticeStateTable:
             ]
             assert shared and shared == list(range(shared[0], len(trace)))
             assert R <= shared[0] <= R + 1
+
+    def test_horizons_around_the_sampled_hit(self):
+        # the trace's walk records state n before Revisit finds it to be the
+        # hit, so the replay starts where a record already is: at horizons
+        # around n, the records are still those of plain dr_step
+        q1, q2 = 4099, 4999
+        A, B = line_problem([Fraction(-q2, 3), Fraction(q1, 3)])
+        x0 = (Fraction(1, 5),)
+        orbit = Orbit(A, B, x0)
+        found = Revisit(orbit.start, orbit.lattice.walk, 3 * (q1 + q2))
+        assert found.search() and found.spacing > 1
+        n, x, expected = found.n, x0, [(0, x0, None, A.inner(x0))]
+        for m in range(1, n + 2):
+            x, k = dr_step(A, B, x)
+            expected.append((m, x, k, A.inner(x)))
+        for horizon in (n - 1, n, n + 1):
+            want = expected[: horizon + 1]
+            full = iterate(A, B, x0, horizon).trace
+            assert [(r.n, r.x, r.selector_k, r.inner) for r in full] == want
+            slim = iterate(A, B, x0, horizon, slim=True).trace
+            assert [(r.n, r.selector_k, r.inner) for r in slim] == [
+                (m, k, inner) for m, _, k, inner in want
+            ]
+            assert all(r.x is None for r in slim[1:])
 
     def test_irrational_surd_orbit(self):
         A, B = surd_line_problem([Surd(-1, Fraction(-1, 2), 2), 3])

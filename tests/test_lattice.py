@@ -1,7 +1,6 @@
 """The integer lattice of doubleton orbit states and its point evaluator."""
 
 import random
-from collections import deque
 from fractions import Fraction
 from itertools import islice
 
@@ -12,7 +11,7 @@ from drplane.cycling import DoubletonProblem
 from drplane.dynamics import Orbit
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, line_point
 from drplane.lattice import FloatLinePoints, LinePoints, OffsetLattice, Revisit
-from drplane.scalars import F64, Surd
+from drplane.scalars import F64, Surd, surd_sign
 
 
 def rational_problem(normal, b1, b2, x0):
@@ -142,6 +141,45 @@ class TestLinePoints:
         assert all(c.p != 0 and c.q != 0 for c in u)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_walk_sign_is_surd_sign(d):
+    # thresholds t1 = (1, 0) and t2 = (-1, 0) over scale 1: from state
+    # (k, t_k + (da, db)) the walk's next selector is 1 exactly when
+    # da + db*sqrt(d) > 0, or == 0 with the tie at b1
+    grid = sorted({0, 1, -1, 2, -2, 3, -3, 7, -7, 10, -10, 99, -99, 1393, -1393, 985, -985})
+    pairs = [(da, db) for da in grid for db in grid]
+    # mixed signs whose squares differ by one or less: powers p + q*sqrt(d)
+    # of the fundamental unit, p^2 - d*q^2 = 1, and p - 1 beside p
+    u, v = {2: (3, 2), 3: (2, 1), 5: (9, 4), 7: (8, 3)}[d]
+    p, q = 1, 0
+    for _ in range(12):
+        p, q = p * u + d * q * v, p * v + q * u
+        pairs += [(p, -q), (-p, q), (p - 1, -q), (1 - p, q)]
+    signs = {((da > 0) - (da < 0), (db > 0) - (db < 0)) for da, db in pairs}
+    assert len(signs) == 9  # both axes, both mixed-sign quadrants
+    for policy in TiePolicy:
+        lat = OffsetLattice(Surd(-1, 0, d), Surd(1, 0, d), Surd(0, 0, d), Surd(0, 0, d), policy)
+        assert (lat.d, lat.scale, lat.t1, lat.t2) == (d, 1, (1, 0), (-1, 0))
+        tie = 2 if policy is TiePolicy.HIGHER_INNER else 1
+        for k, (ta, tb) in ((1, lat.t1), (2, lat.t2)):
+            for da, db in pairs:
+                sign = surd_sign(da, db, d)
+                want = 1 if sign > 0 else 2 if sign < 0 else tie
+                assert next(lat.walk(k, ta + da, tb + db))[0] == want, (k, da, db)
+
+
+def test_float_walk_sign():
+    # float pairs (v, 0) read the sign of the float difference, -0.0 a tie;
+    # beta = beta1 puts both thresholds at 0.0
+    for policy in TiePolicy:
+        lat = OffsetLattice(-1.0, 1.0, -1.0, 0.0, policy)
+        assert lat.t1 == lat.t2 == (0.0, 0)
+        tie = 2 if policy is TiePolicy.HIGHER_INNER else 1
+        for k in (1, 2):
+            for a, want in ((0.5, 1), (-0.5, 2), (5e-324, 1), (-5e-324, 2), (0.0, tie), (-0.0, tie)):
+                assert next(lat.walk(k, a, 0))[0] == want
+
+
 def random_rational_orbit(rng, m, reach=90):
     """The orbit of a seeded straddling set of m rational points, off a line
     or plane hyperplane, with small denominators so that it cycles soon; the
@@ -174,6 +212,15 @@ def states_to_first_repeat(orbit):
     return walk, states, index[states[R]], R
 
 
+def drawn(walk, keys):
+    """walk, appending to keys each state that any of its walks yields."""
+    def recording(*state):
+        for key in walk(*state):
+            keys.append(key)
+            yield key
+    return recording
+
+
 def test_revisit_against_a_table_of_every_state(monkeypatch):
     # a small budget, so that the table thins and the sampled cycle() runs
     monkeypatch.setattr(lattice, "TABLE_BUDGET", 16)
@@ -182,17 +229,20 @@ def test_revisit_against_a_table_of_every_state(monkeypatch):
     for m in [2] * 150 + [3] * 150:
         walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m))
         for horizon in {1, max(1, R // 2), R - 1, R, R + 1, 3 * R}:
-            found = Revisit(states[1], walk, horizon)
-            yielded = list(found)
-            last = len(yielded) + 1
-            assert yielded == states[2 : last + 1]
-            if found.back is None:
+            keys = []
+            found = Revisit(states[1], drawn(walk, keys), horizon)
+            hit = found.search()
+            # the search drew states 2, 3, ... from one walk, the hit included
+            last = len(keys) + 1
+            assert keys == states[2 : last + 1]
+            if not hit:
+                assert found.back is None
                 assert R > horizon
                 assert horizon <= last < horizon + found.spacing
                 missed += 1
                 continue
             n, back = found.n, found.back
-            assert n == last + 1 and back < n and states[back] == states[n]
+            assert n == last and back < n and states[back] == states[n]
             if found.spacing == 1:
                 assert (back, n) == (lam, R)
                 dense += 1
@@ -205,13 +255,21 @@ def test_revisit_against_a_table_of_every_state(monkeypatch):
     assert min(dense, sampled, missed) > 50
 
 
-def counted(walk, steps):
-    """walk, adding to steps[0] one for each state that any of its walks yields."""
-    def counting(*state):
-        for key in walk(*state):
-            steps[0] += 1
-            yield key
-    return counting
+def test_revisit_stops_where_a_recording_walk_ends(monkeypatch):
+    # a walk that ends at the horizon, as the trace's does, ends the search
+    # there in either phase, with no hit
+    monkeypatch.setattr(lattice, "TABLE_BUDGET", 16)
+    rng = random.Random("revisit walk ends")
+    for m in [2] * 20 + [3] * 20:
+        walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m))
+        for horizon in {2, 16, 17, max(2, R - 1)} - {R, R + 1}:
+            if horizon >= R:
+                continue
+            keys = []
+            ends = lambda *state: islice(drawn(walk, keys)(*state), horizon - 1)  # noqa: E731
+            found = Revisit(states[1], ends, horizon)
+            assert not found.search() and found.back is None
+            assert keys == states[2 : horizon + 1]
 
 
 def test_sampled_cycle_in_every_branch(monkeypatch):
@@ -226,19 +284,21 @@ def test_sampled_cycle_in_every_branch(monkeypatch):
     for m in [2] * 150 + [3] * 150:
         reach = rng.choice((30, 3000))
         walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m, reach))
-        steps = [0]
-        found = Revisit(states[1], counted(walk, steps), 3 * R)
-        deque(found, maxlen=0)
+        keys = []
+        found = Revisit(states[1], drawn(walk, keys), 3 * R)
+        assert found.search()
+        # the search looked at every state up to the hit, and no further
+        assert keys == states[2 : found.n + 1]
         if found.spacing == 1:
             continue
         mu, spacing = R - lam, found.spacing
         # the hit is the least table state on the cycle, one period on
         assert found.back == -(-lam // spacing) * spacing and found.n - found.back == mu
-        steps[0] = 0
+        keys.clear()
         assert found.cycle(tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
         # once round the cycle, and at most spacing steps for each of the
         # two walks that meet at lam
-        assert steps[0] <= mu + 2 * spacing + 1
+        assert len(keys) <= mu + 2 * spacing + 1
         cases[m, "far"] += lam > 16 + 3 * spacing
         cases[m, "from state 1"] += found.back == spacing
         cases[m, "short" if mu < spacing else "long"] += 1
