@@ -49,8 +49,8 @@ already decoded.
 
 :class:`Revisit` finds the first revisited state of a walk, for the
 iteration driver's replay and the exact cycle search, in one table loop
-that yields nothing: the driver hands it a walk that records each state as
-it is drawn, and the cycle search runs it bare.  Its table keeps every
+that yields nothing: ``iterate`` hands it a walk that records each state
+as it is drawn, and the cycle search runs it bare.  Its table keeps every
 state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
 state, then only the states whose index is a multiple of a spacing that
 doubles each time it fills again, each the next one due.  A

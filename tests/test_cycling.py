@@ -541,7 +541,7 @@ class TestHorizonContract:
     """The report is 'cycle' exactly when preperiod + period is at most the
     horizon: at R - 1, R and R + 1 around the first repeat index R that
     brute_cycle's plain dr_step walk finds, on 1-D, planar and dyadic f64
-    doubletons, from far starts and from states on their cycles."""
+    doubletons, from seeded starts and from states on their cycles."""
 
     def assert_contract(self, p):
         lam, mu = brute_cycle(p, 10**5)

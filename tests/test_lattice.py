@@ -260,16 +260,19 @@ def test_revisit_stops_where_a_recording_walk_ends(monkeypatch):
     # there in either phase, with no hit
     monkeypatch.setattr(lattice, "TABLE_BUDGET", 16)
     rng = random.Random("revisit walk ends")
+    sampled = set()
     for m in [2] * 20 + [3] * 20:
         walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m))
-        for horizon in {2, 16, 17, max(2, R - 1)} - {R, R + 1}:
-            if horizon >= R:
+        for horizon in {2, 16, 17, R - 1}:
+            if not 2 <= horizon < R:
                 continue
             keys = []
             ends = lambda *state: islice(drawn(walk, keys)(*state), horizon - 1)  # noqa: E731
             found = Revisit(states[1], ends, horizon)
             assert not found.search() and found.back is None
             assert keys == states[2 : horizon + 1]
+            sampled.add(found.spacing > 1)
+    assert sampled == {False, True}
 
 
 def test_sampled_cycle_in_every_branch(monkeypatch):
