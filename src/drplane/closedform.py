@@ -9,35 +9,36 @@ lies on the hyperplane, and the square-root-of-two integer sequences that the
 planar instance generates; verify_closed_form cross-checks everything against
 the step-by-step driver.
 
-The trace and point evaluators take count_2(n) = floor(X + n*Y) with X and Y
-fixed once, and offsets as pairs on the problem's orbit lattice, on every
-backend through :class:`FloorForm`.  On the exact backends the pairs are
-integers and that floor is an integer square-root floor; f64 pairs are
-(offset, 0), and f64 keeps the float quotient for the floor.
-Each point is the orbit's ``line_points.point`` at the pair of the
-previous offset.  iterate reaches the same offsets by stepping, on an orbit
-of its own, so verify_closed_form still compares two derivations.
+The evaluators take count_2(n) = floor(X + n*Y), X and Y fixed once, and
+offsets as pairs on the orbit lattice, through :class:`FloorForm`: integer
+pairs and an integer square-root floor on the exact backends, pairs
+(offset, 0) and the float quotient on f64.  A point is the orbit's
+``line_points.point`` at the previous offset's pair; iterate steps to the
+same offsets on an orbit of its own, so verify_closed_form compares two
+derivations.  closed_form_trace and verify_closed_form read one generator
+of rows, a floor each.  On the exact backends a row's point and offset
+follow from its state, the selector and the previous pair, and are built
+once per state, up to :data:`~drplane.lattice.TABLE_BUDGET` states; f64
+builds every row, as equal previous offsets need not give bit-equal
+offsets in floats.
 
-Everything that depends only on the problem is derived once and kept: the
-:class:`~drplane.dynamics.Orbit` of a :class:`~drplane.cycling.DoubletonProblem`
-keeps its start offset, first iterate, lattice and ``line_points``, shared
-with the cycle search, and the problem keeps the :class:`Betas` that
-:func:`compute_betas` returns, and the plan of closed_form_point and
-closed_form_trace, which is either the refusal message of the first failed
-hypothesis or the floor form, and likewise the verdict of corollary_point.
-closed_form_point refuses a Betas that differs in value from the problem's
-own.
+The problem's :class:`~drplane.dynamics.Orbit` keeps its start offset,
+first iterate, lattice and ``line_points``, shared with the cycle search,
+and the problem keeps its :class:`Betas`, the plan of closed_form_point and
+closed_form_trace (the refusal of the first failed hypothesis, or the floor
+form) and the verdict of corollary_point, each derived once.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import islice
 
 from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
 from .geometry import dot, norm_sq, vsub
-from .lattice import OffsetLattice
+from .lattice import TABLE_BUDGET, OffsetLattice
 from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, floor, format_scalar, surd_floor
 from .slotted import Value
 
@@ -190,8 +191,7 @@ class FloorForm:
     is inner0 + n*beta1 + c*span.  X and Y are integer surds over one
     positive denominator, dividing by span through its conjugate (whose norm
     may be negative), and each floor is an integer square root.  Offsets are
-    the integer pairs coefficients(n, c) on ``lattice``, and offset(n, c)
-    decodes them.
+    the integer pairs coefficients(n, c) on ``lattice``; offset(n, c) decodes them.
     """
 
     __slots__ = ("lattice", "start", "xa", "xb", "ya", "yb", "denom")
@@ -384,22 +384,35 @@ def _points_agree(x, y, backend: str) -> bool:
     return True
 
 
-def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
-    """Iterates 0..horizon from the closed form, shaped like iterate()'s result.
-
-    Refuses the way closed_form_point does, with p's plan.  Row n's offset
-    is row n+1's line coefficient, so each row costs one floor.
-    """
-    form, point = _plan(p, compute_betas(p)), p.orbit.line_points.point
-    trace = [TraceRecord(0, p.orbit.x0, None, p.orbit.inner0)]
-    prev = form.start
-    before = form.count2(0)
+def _rows(form: FloorForm, p: DoubletonProblem, horizon: int):
+    """(selector, point, offset) of rows 1..horizon; row n's offset is row n+1's coefficient."""
+    point, table, grow = p.orbit.line_points.point, {}, p.backend != F64
+    prev, before = form.start, form.count2(0)
     for n in range(1, horizon + 1):
         now = form.count2(n)
         k = now - before + 1
         coefs = form.coefficients(n, now)
-        trace.append(TraceRecord(n, point(k, *prev), k, form.decode(*coefs)))
+        key = k, *prev
+        row = table.get(key)
+        if row is None:
+            row = k, point(k, *prev), form.decode(*coefs)
+            if grow:
+                # a full table stops growing and serves the states it holds
+                table[key] = row
+                grow = len(table) < TABLE_BUDGET
+        yield row
         prev, before = coefs, now
+
+
+def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
+    """Iterates 0..horizon from the closed form, shaped like iterate()'s result.
+
+    Refuses the way closed_form_point does, with p's plan.  On the exact
+    backends the records of one state share their iterate and offset.
+    """
+    trace = [TraceRecord(0, p.orbit.x0, None, p.orbit.inner0)]
+    rows = _rows(_plan(p, compute_betas(p)), p, horizon)
+    trace += [TraceRecord(n, x, k, inner) for n, (k, x, inner) in enumerate(rows, 1)]
     return RunResult(trace, Outcome.HORIZON)
 
 
@@ -408,26 +421,23 @@ def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
 
     Exact backends demand exact equality of points and selectors; the float
     backend allows F64_REL_TOL relative error on coordinates.  Reports the first
-    mismatch with both values.
+    mismatch with both values.  Selectors compare per row, points per distinct pair of objects.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    formula = closed_form_trace(p, horizon).trace
-    run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon)
-    backend = p.backend
-    for n in range(1, horizon + 1):
-        rec, cf = run.trace[n], formula[n]
-        if cf.selector_k != rec.selector_k or not _points_agree(cf.x, rec.x, backend):
-            return VerifyReport(
-                ok=False,
-                checked=n,
-                horizon=horizon,
-                first_mismatch={
-                    "n": n,
-                    "iterated": [encode_scalar(c) for c in rec.x],
-                    "closed_form": [encode_scalar(c) for c in cf.x],
-                    "iterated_selector": rec.selector_k,
-                    "closed_form_selector": cf.selector_k,
-                },
-            )
+    rows = _rows(_plan(p, compute_betas(p)), p, horizon)  # refuses before iterating
+    run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon).trace
+    backend, agreed = p.backend, {}
+    for n, ((k, x, _), rec) in enumerate(zip(rows, islice(run, 1, None), strict=True), 1):
+        if k == rec.selector_k:
+            pair = id(x), id(rec.x)
+            if pair in agreed or _points_agree(x, rec.x, backend):
+                if len(agreed) < TABLE_BUDGET:
+                    agreed[pair] = x, rec.x  # held, so that no other object takes their ids
+                continue
+        return VerifyReport(False, n, horizon, {
+            "n": n, "iterated": [encode_scalar(c) for c in rec.x],
+            "closed_form": [encode_scalar(c) for c in x],
+            "iterated_selector": rec.selector_k, "closed_form_selector": k,
+        })
     return VerifyReport(ok=True, checked=horizon, horizon=horizon)

@@ -24,13 +24,13 @@ States exist from n = 1 only, so an iterate x_n that repeats an earlier
 one may show only at state n + 1: both searches read states to horizon + 1,
 and the report is 'cycle' exactly when the iterates' first repeat index,
 preperiod + period, is at most the horizon.  Only the states of a found
-cycle are decoded, in one batch by
-the orbit's ``line_points.iterates``: on the exact backends from each
-state's own integers as ``Revisit`` walks round the cycle, once a walk of
-at most spacing + period steps has shown that a sampled hit past the
-horizon closes within it, so that a found cycle costs its report plus
-O(TABLE_BUDGET + spacing), and on f64 as a second walk from state 1 passes
-them.
+cycle are decoded, in one batch by the orbit's ``line_points.iterates``: on
+the exact backends as ``Revisit`` walks round the cycle, once a walk of at
+most spacing + period steps has shown that a sampled hit past the horizon
+closes within it, and on f64 as a second walk from state 1 passes them.
+States that may first repeat at horizon + 1 are walked round undecoded, a
+cycle only if the iterates of the states before and at its end agree.  A
+found cycle costs its report plus O(TABLE_BUDGET + spacing).
 """
 
 from __future__ import annotations
@@ -205,12 +205,18 @@ def _detect_exact(orbit, horizon):
     # states to horizon + 1, the first that can show x_horizon repeating
     found = Revisit(orbit.start, orbit.lattice.walk, horizon + 1)
     # a sampled hit may come after the first repeat, past the horizon
-    if found.search() and found.within_horizon():
-        if found.spacing > 1:
-            log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
-        lam, before, states = found.cycle(orbit.line_points.iterates)
-        return _finalize_cycle(orbit, horizon, lam, before, states)
-    return CycleReport("no_cycle", horizon)
+    if not (found.search() and found.within_horizon()):
+        return CycleReport("no_cycle", horizon)
+    if found.spacing > 1:
+        log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
+    edge = found.n > horizon  # states that may first repeat at horizon + 1 stay undecoded
+    lam, before, states = found.cycle(list if edge else orbit.line_points.iterates)
+    if edge:
+        # then they are a cycle only if the iterates repeat one step earlier
+        if lam + len(states) > horizon and _iterate(orbit, before) != _iterate(orbit, states[-1]):
+            return CycleReport("no_cycle", horizon)
+        states = orbit.line_points.iterates(states)
+    return _finalize_cycle(orbit, horizon, lam, before, states)
 
 
 def _detect_float(orbit, horizon):
@@ -246,6 +252,14 @@ def _vectors_match(x, y, approximate: bool) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x, y))
 
 
+def _iterate(orbit, state):
+    """The iterate of state (k, a, b), as ``line_points.iterates`` gives it; x0 for None."""
+    if state is None:
+        return orbit.x0
+    (k, a, b), (sa, sb) = state, orbit.lattice.steps[state[0] - 1]
+    return orbit.line_points.point(k, a - sa, b - sb)
+
+
 def _finalize_cycle(orbit, horizon, lam, before, states):
     """The orbit's report for first repeated key state lam, from the state
     ``before`` it (None for x0) and the iterates ``states`` of states lam ..
@@ -254,7 +268,7 @@ def _finalize_cycle(orbit, horizon, lam, before, states):
     searches read keys to horizon + 1, so the report is 'cycle' only when
     the iterates' first repeat index lam + mu is at most the horizon."""
     mu, approximate = len(states), orbit.A.backend == F64
-    head = orbit.x0 if before is None else orbit.line_points.iterates([before])[0]
+    head = _iterate(orbit, before)
     if _vectors_match(head, states[-1], approximate):
         lam, states = lam - 1, (head, *islice(states, mu - 1))
     if lam + mu > horizon:

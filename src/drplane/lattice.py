@@ -53,21 +53,22 @@ that yields nothing: ``iterate`` hands it a walk that records each state
 as it is drawn, and the cycle search runs it bare.  Its table keeps every
 state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
 state, then only the states whose index is a multiple of a spacing that
-doubles each time it fills again, each the next one due.  A
-hit while the spacing is 1 is the first repeat, and the table lists the
-cycle.  A later hit is one period after the least table state on the cycle,
-which lies within one spacing after the first state on it.  One walk round
-the cycle, streamed into the caller's decoder, keeps the twin of the table
+doubles each time it fills again, each the next one due.  A hit while the
+spacing is 1 is the first repeat, and the table lists the cycle.  A later
+hit is one period after the least table state on the cycle, which lies
+within one spacing after the first state on it.  One walk round the
+cycle, streamed into the caller's decoder, keeps the twin of the table
 state one spacing before the hit's, whole periods on from it, through one
-generator spliced into the lap at the twin's place, and two walks
-of at most one spacing each, from that table state and from its twin, meet
-at the first state on the cycle.  A hit past the horizon is first tested,
-by one walk from that table state, for a cycle that closes within it.  The
+generator spliced into the lap at the twin's place, and two walks of at
+most one spacing each, from that table state and from its twin, meet at
+the first state on the cycle.  A hit past the horizon is first tested, by
+one walk from that table state, for a cycle that closes within it.  The
 search holds O(TABLE_BUDGET) states at any horizon, and a found cycle costs
-its report plus O(TABLE_BUDGET + spacing).
-The f64 vector loop's table of iterates and the exporters' text memo are
-dropped at TABLE_BUDGET instead: an orbit adds no new state once it has
-come back, so a table that fills has seen no repeat.
+its report plus O(TABLE_BUDGET + spacing).  The f64 vector loop's table of
+iterates and the exporters' text memo are dropped at TABLE_BUDGET instead:
+an orbit adds no new state once it has come back, so a table that fills
+has seen no repeat.  The closed form's row table stops growing there: a
+cycle longer than the table still comes back to the states it holds.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ from .geometry import (
     norm_sq,
     vsub,
 )
-from .scalars import Scalar, Surd, fraction_from_ints, surd_from_ints, surd_sign
-from .scalars import _new_object, _set_d, _set_n, _set_p, _set_q  # the inline builders
+from .scalars import Scalar, Surd, _new_object, fraction_from_ints, surd_from_ints, surd_sign
 
 TABLE_BUDGET = 2**13  # states in any per-orbit table: about 2 MB of surd keys
 
@@ -97,7 +97,7 @@ def _int_parts(v) -> tuple[int, int, int]:
     """(p, q, n) with v == (p + q*sqrt(d))/n; q == 0 for ints and Fractions,
     and a float is (v, 0, 1)."""
     if isinstance(v, Surd):
-        return v.p, v.q, v.n
+        return v._p, v._q, v._n
     if isinstance(v, float):
         return v, 0, 1
     return v.numerator, 0, v.denominator
@@ -475,7 +475,7 @@ def _surds(folded, d, keys):
     """The Surd ``(P + Q*sqrt(d))/den`` of each state (k, a, b) over the
     folded constants of selector k, built as surd_from_ints does for a
     positive denominator."""
-    gcd, new, set_p, set_q, set_n, set_d = math.gcd, _new_object, _set_p, _set_q, _set_n, _set_d
+    gcd, new = math.gcd, _new_object
     for k, a, b in keys:
         ua, ub, ud, pa, pb, den = folded[k]
         p, q = ua * a + ud * b + pa, ub * a + ua * b + pb
@@ -483,10 +483,7 @@ def _surds(folded, d, keys):
         if g != 1:
             p, q, den = p // g, q // g, den // g
         s = new(Surd)
-        set_p(s, p)
-        set_q(s, q)
-        set_n(s, den)
-        set_d(s, d)
+        s._p, s._q, s._n, s._d = p, q, den, d
         yield s
 
 

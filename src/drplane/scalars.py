@@ -6,7 +6,8 @@
   square-free radicand ``d >= 2``, exact.  A :class:`Surd` holds integers
   ``(p + q*sqrt(d))/n`` in one normal form, ``n > 0`` and
   ``gcd(p, q, n) == 1``; every operation is integer products and one gcd,
-  and ``a = p/n``, ``b = q/n`` are derived Fractions.
+  and ``a = p/n``, ``b = q/n`` are derived Fractions.  ``p``, ``q``, ``n``
+  and ``d`` are read-only properties over private slots (see :class:`Surd`).
 
 Periodicity questions are meaningless in floating point (every float is
 rational), so whenever an answer depends on whether a quotient is rational the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import BackendError, ProblemFormatError
 
@@ -144,33 +146,34 @@ class Surd:
     parts of ``a + b*sqrt(d)`` (ints or Fractions); ``a`` and ``b`` are
     derived Fraction properties.  Each operation is a few integer products
     and one gcd (:func:`surd_from_ints`).
+
+    The private slots ``_p``, ``_q``, ``_n``, ``_d`` are filled by plain
+    stores, the cheapest way to build the Surd each operation returns, and
+    read by the package's hot paths; ``p``, ``q``, ``n``, ``d`` read them as
+    ``Fraction.numerator`` reads ``_numerator``, and cannot be set or deleted.
     """
 
-    __slots__ = ("p", "q", "n", "d")
+    __slots__ = ("_p", "_q", "_n", "_d")
+    p, q, n, d = (property(attrgetter(name)) for name in __slots__)
 
     def __init__(self, a, b, d):
         a, b, d = _as_fraction(a), _as_fraction(b), _check_radicand(d)
         a_den, b_den = a.denominator, b.denominator
         # over the lcm of two reduced fractions' denominators, gcd(p, q, n) == 1
         n = a_den // math.gcd(a_den, b_den) * b_den
-        _set_p(self, a.numerator * (n // a_den))
-        _set_q(self, b.numerator * (n // b_den))
-        _set_n(self, n)
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Surd is immutable")
+        self._p, self._q = a.numerator * (n // a_den), b.numerator * (n // b_den)
+        self._n, self._d = n, d
 
     def __reduce__(self):
-        return surd_from_ints, (self.p, self.q, self.n, self.d)
+        return surd_from_ints, (self._p, self._q, self._n, self._d)
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self.p, self.n)
+        return Fraction(self._p, self._n)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self.q, self.n)
+        return Fraction(self._q, self._n)
 
     # -- coercion ---------------------------------------------------------
 
@@ -178,18 +181,18 @@ class Surd:
         """(p, q, n, d) of other over the common radicand; None for a
         non-scalar."""
         if isinstance(other, Surd):
-            d = self.d
-            if other.d != d:
+            d = self._d
+            if other._d != d:
                 d = _common_radicand(self, other)
-            return other.p, other.q, other.n, d
+            return other._p, other._q, other._n, d
         if isinstance(other, float):
             raise BackendError("cannot mix float with the exact surd backend")
         if isinstance(other, int):
             if isinstance(other, bool):
                 return None
-            return other, 0, 1, self.d
+            return other, 0, 1, self._d
         if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator, self.d
+            return other.numerator, 0, other.denominator, self._d
         return None
 
     # -- arithmetic -------------------------------------------------------
@@ -199,8 +202,8 @@ class Surd:
         if o is None:
             return NotImplemented
         p, q, n, d = o
-        m = self.n
-        return surd_from_ints(self.p * n + p * m, self.q * n + q * m, m * n, d)
+        m = self._n
+        return surd_from_ints(self._p * n + p * m, self._q * n + q * m, m * n, d)
 
     __radd__ = __add__
 
@@ -209,24 +212,24 @@ class Surd:
         if o is None:
             return NotImplemented
         p, q, n, d = o
-        m = self.n
-        return surd_from_ints(self.p * n - p * m, self.q * n - q * m, m * n, d)
+        m = self._n
+        return surd_from_ints(self._p * n - p * m, self._q * n - q * m, m * n, d)
 
     def __rsub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         p, q, n, d = o
-        m = self.n
-        return surd_from_ints(p * m - self.p * n, q * m - self.q * n, m * n, d)
+        m = self._n
+        return surd_from_ints(p * m - self._p * n, q * m - self._q * n, m * n, d)
 
     def __mul__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         p, q, n, d = o
-        sp, sq = self.p, self.q
-        return surd_from_ints(sp * p + sq * q * d, sp * q + sq * p, self.n * n, d)
+        sp, sq = self._p, self._q
+        return surd_from_ints(sp * p + sq * q * d, sp * q + sq * p, self._n * n, d)
 
     __rmul__ = __mul__
 
@@ -234,17 +237,17 @@ class Surd:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _quotient(self.p, self.q, self.n, *o)
+        return _quotient(self._p, self._q, self._n, *o)
 
     def __rtruediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         p, q, n, d = o
-        return _quotient(p, q, n, self.p, self.q, self.n, d)
+        return _quotient(p, q, n, self._p, self._q, self._n, d)
 
     def __neg__(self):
-        return surd_from_ints(-self.p, -self.q, self.n, self.d)
+        return surd_from_ints(-self._p, -self._q, self._n, self._d)
 
     def __pos__(self):
         return self
@@ -254,35 +257,35 @@ class Surd:
 
     def __bool__(self):
         # sqrt(d) is irrational, so the value is zero only when p == q == 0
-        return self.p != 0 or self.q != 0
+        return self._p != 0 or self._q != 0
 
     # -- exact comparisons --------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of the value; see :func:`surd_sign`."""
-        return surd_sign(self.p, self.q, self.d)
+        return surd_sign(self._p, self._q, self._d)
 
     def _diff_sign(self, other) -> int:
         o = self._operand(other)
         if o is None:
             raise BackendError(f"cannot compare Surd with {type(other).__name__}")
         p, q, n, d = o
-        m = self.n
+        m = self._n
         # both denominators are positive, so the cross-multiplied difference
         # has the sign of self - other
-        return surd_sign(self.p * n - p * m, self.q * n - q * m, d)
+        return surd_sign(self._p * n - p * m, self._q * n - q * m, d)
 
     def __eq__(self, other):
         if isinstance(other, Surd):
-            if other.d != self.d:
+            if other._d != self._d:
                 _common_radicand(self, other)
-            return self.p == other.p and self.q == other.q and self.n == other.n
+            return self._p == other._p and self._q == other._q and self._n == other._n
         if isinstance(other, (bool, float)):
             return NotImplemented
         if isinstance(other, int):
-            return self.q == 0 and self.n == 1 and self.p == other
+            return self._q == 0 and self._n == 1 and self._p == other
         if isinstance(other, Fraction):
-            return self.q == 0 and self.p == other.numerator and self.n == other.denominator
+            return self._q == 0 and self._p == other.numerator and self._n == other.denominator
         return NotImplemented
 
     def __lt__(self, other):
@@ -300,37 +303,36 @@ class Surd:
     def __hash__(self):
         # Rational-valued surds must hash like their Fraction value so that
         # mathematically equal scalars collide in tables.
-        if self.q == 0:
-            return hash(Fraction(self.p, self.n))
-        return hash((self.p, self.q, self.n, self.d))
+        if self._q == 0:
+            return hash(Fraction(self._p, self._n))
+        return hash((self._p, self._q, self._n, self._d))
 
     # -- conversions ------------------------------------------------------
 
     def __float__(self):
-        n = self.n
-        return self.p / n + self.q / n * math.sqrt(self.d)
+        n = self._n
+        return self._p / n + self._q / n * math.sqrt(self._d)
 
     def __floor__(self) -> int:
         """Exact floor by integer bracketing; floats are never consulted."""
-        return surd_floor(self.p, self.q, self.n, self.d)
+        return surd_floor(self._p, self._q, self._n, self._d)
 
     def is_rational(self) -> bool:
-        return self.q == 0
+        return self._q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.q != 0:
+        if self._q != 0:
             raise BackendError(f"{self} is irrational; no Fraction value")
-        return Fraction(self.p, self.n)
+        return Fraction(self._p, self._n)
 
     def __repr__(self):
-        return f"Surd({self.a}, {self.b}, d={self.d})"
+        return f"Surd({self.a}, {self.b}, d={self._d})"
 
     def __str__(self):
         return format_scalar(self)
 
 
 _new_object = object.__new__
-_set_p, _set_q, _set_n, _set_d = (getattr(Surd, name).__set__ for name in Surd.__slots__)
 
 
 def surd_from_ints(p: int, q: int, n: int, d: int) -> Surd:
@@ -349,10 +351,7 @@ def surd_from_ints(p: int, q: int, n: int, d: int) -> Surd:
         q //= g
         n //= g
     s = _new_object(Surd)
-    _set_p(s, p)
-    _set_q(s, q)
-    _set_n(s, n)
-    _set_d(s, d)
+    s._p, s._q, s._n, s._d = p, q, n, d
     return s
 
 
@@ -360,8 +359,8 @@ def fraction_from_ints(p: int, n: int) -> Fraction:
     """The Fraction p/n for ints p and n > 0, in lowest terms by one gcd.
 
     Equal in value, type, hash, repr and pickle to ``Fraction(p, n)``,
-    without its argument dispatch; ``n > 0`` is not checked.  Fraction,
-    unlike Surd, lets its two slots be stored as plain attributes.
+    without its argument dispatch; ``n > 0`` is not checked.  It stores
+    Fraction's two private slots, as :func:`surd_from_ints` stores Surd's.
     """
     g = math.gcd(p, n)
     if g != 1:
@@ -386,11 +385,11 @@ def _quotient(p1: int, q1: int, n1: int, p2: int, q2: int, n2: int, d: int) -> S
 
 def _common_radicand(x: Surd, y: Surd) -> int:
     """Radicand two surds combine over; only rational-valued ones move."""
-    if x.d == y.d or y.q == 0:
-        return x.d
-    if x.q == 0:
-        return y.d
-    raise BackendError(f"cannot combine surds over sqrt({x.d}) and sqrt({y.d})")
+    if x._d == y._d or y._q == 0:
+        return x._d
+    if x._q == 0:
+        return y._d
+    raise BackendError(f"cannot combine surds over sqrt({x._d}) and sqrt({y._d})")
 
 
 Scalar = float | int | Fraction | Surd
@@ -458,7 +457,7 @@ def format_scalar(s: Scalar) -> str:
     if type(s) is float:  # f64 export formats one per cell
         return repr(s)
     if isinstance(s, Surd):
-        p, q, n = s.p, s.q, s.n
+        p, q, n = s._p, s._q, s._n
         if q == 0:
             return _ratio_text(p, n)
         if q == n:
@@ -467,7 +466,7 @@ def format_scalar(s: Scalar) -> str:
             coeff = "-"
         else:
             coeff = _ratio_text(q, n) + "*"
-        root = f"{coeff}sqrt({s.d})"
+        root = f"{coeff}sqrt({s._d})"
         if p == 0:
             return root
         return _ratio_text(p, n) + ("" if q < 0 else "+") + root
@@ -504,7 +503,7 @@ def parse_rational(text) -> Fraction:
 def encode_scalar(s: Scalar):
     """JSON-ready form: float -> number, rational -> 'p/q', surd -> {'a','b'}."""
     if isinstance(s, Surd):
-        return {"a": _ratio_text(s.p, s.n), "b": _ratio_text(s.q, s.n)}
+        return {"a": _ratio_text(s._p, s._n), "b": _ratio_text(s._q, s._n)}
     if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return _ratio_text(s.numerator, s.denominator)
     if isinstance(s, float):

@@ -1,10 +1,12 @@
 """Floor-formula evaluators: window constants, successor rule, closed forms."""
 
 import copy
+import inspect
 import json
 import pickle
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -31,10 +33,10 @@ from drplane.closedform import (
     verify_closed_form,
 )
 from drplane.cycling import DoubletonProblem, detect_cycle
-from drplane.dynamics import iterate, run_json
+from drplane.dynamics import Outcome, RunResult, iterate, run_json
 from drplane.errors import PreconditionError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step, norm_sq, vsub
-from drplane.lattice import FloatLinePoints, LinePoints, OffsetLattice, SetLattice
+from drplane.lattice import TABLE_BUDGET, FloatLinePoints, LinePoints, OffsetLattice, SetLattice
 from drplane.problems import load_problem
 from drplane.scalars import Surd, floor
 
@@ -811,3 +813,130 @@ class TestDerivedState:
         with pytest.raises(PreconditionError, match="not the offset constants"):
             closed_form_point(p, shifted, 3)
         assert closed_form_point(p, compute_betas(p), 3) == ((Fraction(0),), 1)
+
+
+def rational_cycle():
+    return DoubletonProblem.from_problem(load_problem(PROBLEMS / "rational_cycle.json"))
+
+
+def spy_points(monkeypatch, cls):
+    """The (k, a, b) of every call of cls.point from now on."""
+    calls, point = [], cls.point
+
+    def spy(self, k, a, b):
+        calls.append((k, a, b))
+        return point(self, k, a, b)
+
+    monkeypatch.setattr(cls, "point", spy)
+    return calls
+
+
+class TestRowsPerState:
+    """On the exact backends the closed form builds a row's point and offset
+    once per lattice state, the selector and the previous offset, and the
+    rows of one state share them; f64 rows are built one per row."""
+
+    def planar_rational(self):
+        # the first seeded planar rational doubleton on which the closed
+        # form applies and whose orbit cycles within 300 steps
+        for p in seeded_doubletons(120)[1::3]:
+            try:
+                closed_form_trace(p, 1)
+            except PreconditionError:
+                continue
+            if detect_cycle(p, 300).status == "cycle":
+                return p
+        raise AssertionError("no planar rational doubleton cycles")
+
+    def test_rows_of_one_state_share_their_point_and_offset(self, monkeypatch):
+        for p in (rational_cycle(), self.planar_rational()):
+            calls = spy_points(monkeypatch, LinePoints)
+            trace = closed_form_trace(p, 300).trace
+            first = {}
+            for prev, rec in zip(trace, trace[1:]):
+                row = first.setdefault((rec.selector_k, prev.inner), rec)
+                assert rec.x is row.x and rec.inner is row.inner
+            assert len(calls) == len(first) < len(trace) // 2
+            assert trace == iterate(p.hyperplane, p.finite_set(), p.x0, 300).trace
+
+    def test_f64_rows_share_nothing(self, monkeypatch):
+        p = DoubletonProblem(Hyperplane((1.0,)), (-1.0,), (2.0,), (0.0,))
+        calls = spy_points(monkeypatch, FloatLinePoints)
+        trace = closed_form_trace(p, 300).trace
+        # the orbit revisits its states, bit for bit, yet no two rows share
+        assert len({(rec.selector_k, prev.inner) for prev, rec in zip(trace, trace[1:])}) < 10
+        assert len(calls) == 300 and len({id(rec.x) for rec in trace}) == 301
+
+    def test_surd_rows_fill_the_table_and_no_more(self, monkeypatch):
+        # an irrational distance ratio: every row is a new state
+        p, horizon = surd_line_doubleton(-1, Surd(0, 1, 2)), 3 * TABLE_BUDGET
+        calls = spy_points(monkeypatch, LinePoints)
+        rows = closedform._rows(_plan(p, compute_betas(p)), p, horizon)
+        last = list(islice(rows, horizon - 1))[-1]
+        assert len(inspect.getgeneratorlocals(rows)["table"]) == TABLE_BUDGET
+        last, *more = [last, *rows]
+        assert len(more) == 1 and len(calls) == horizon
+        k, x, _ = more[0]
+        assert closed_form_point(p, compute_betas(p), horizon) == (x, k)
+
+
+class TestVerifyUnderMutations:
+    """verify_closed_form on rational_cycle at horizon 300, with a fault on
+    one side, reports what the closed form built one row at a time did."""
+
+    def report(self):
+        return verify_closed_form(rational_cycle(), 300).to_dict()
+
+    def mismatch(self, n, iterated, closed_form, iterated_selector, closed_form_selector):
+        return {
+            "ok": False, "checked": n, "horizon": 300,
+            "first_mismatch": {
+                "n": n, "iterated": iterated, "closed_form": closed_form,
+                "iterated_selector": iterated_selector,
+                "closed_form_selector": closed_form_selector,
+            },
+        }
+
+    def test_unmutated(self):
+        assert self.report() == {"ok": True, "checked": 300, "horizon": 300, "first_mismatch": None}
+
+    def test_count2_one_too_high_from_row_37(self, monkeypatch):
+        count2 = FloorForm.count2
+        monkeypatch.setattr(FloorForm, "count2", lambda self, n: count2(self, n) + (n >= 37))
+        assert self.report() == self.mismatch(37, ["-1"], ["2"], 1, 2)
+
+    def test_coefficients_off_by_one_from_row_5(self, monkeypatch):
+        coefficients = FloorForm.coefficients
+
+        def shifted(self, n, c):
+            a, b = coefficients(self, n, c)
+            return (a + 1, b) if n >= 5 else (a, b)
+
+        monkeypatch.setattr(FloorForm, "coefficients", shifted)
+        assert self.report() == self.mismatch(6, ["0"], ["1/2"], 1, 1)
+
+    def test_iterated_selector_flipped_at_the_first_revisited_state(self, monkeypatch):
+        # state 4 is state 1 again, so the closed form's row 4 is the row
+        # its table built for row 1
+        walk = OffsetLattice.walk
+
+        def flipped(self, k, a, b):
+            seen, states = {(k, a, b)}, walk(self, k, a, b)
+            for key in states:
+                if key in seen:
+                    yield (3 - key[0], *key[1:])
+                    yield from states
+                seen.add(key)
+                yield key
+
+        monkeypatch.setattr(OffsetLattice, "walk", flipped)
+        assert self.report() == self.mismatch(4, ["2"], ["-1"], 2, 1)
+
+    def test_a_short_iterated_trace_is_an_error(self, monkeypatch):
+        run = closedform.iterate
+        monkeypatch.setattr(
+            closedform, "iterate",
+            lambda *args: RunResult(run(*args).trace[:-1], Outcome.HORIZON),
+        )
+        with pytest.raises(ValueError):
+            verify_closed_form(rational_cycle(), 300)

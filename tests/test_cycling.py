@@ -695,6 +695,43 @@ def test_sampled_hit_past_the_horizon_decodes_nothing(monkeypatch):
     assert decoded[0] == 9098
 
 
+def test_states_repeating_at_horizon_plus_one_decode_two_states_at_most(monkeypatch):
+    # preperiod 1 and period 9098, with no one-step lag: the states first
+    # repeat at 9099, so horizon 9098 takes a sampled hit that the iterates
+    # of the state before the cycle (x0 here) and of its last state settle
+    decoded, iterates, point = [], LinePoints.iterates, LinePoints.point
+
+    def spy(self, states):
+        out = iterates(self, states)
+        decoded.append(len(out))
+        return out
+
+    def spy_point(self, k, a, b):
+        decoded.append(1)
+        return point(self, k, a, b)
+
+    monkeypatch.setattr(LinePoints, "iterates", spy)
+    monkeypatch.setattr(LinePoints, "point", spy_point)
+    A = Hyperplane((Fraction(0), Fraction(1)))
+    p = DoubletonProblem(
+        A, (Fraction(1, 3), Fraction(-4999, 3)), (Fraction(-2, 3), Fraction(4099, 3)),
+        (Fraction(2, 3), Fraction(1, 5)),
+    )
+    assert detect_cycle(p, 9098).to_dict() == {"status": "no_cycle", "horizon": 9098}
+    assert sum(decoded) <= 2
+    assert detect_cycle(p, 9097).to_dict() == {"status": "no_cycle", "horizon": 9097}
+    reports = [detect_cycle(p, horizon) for horizon in (9099, 9100)]
+    assert reports[0].states == reports[1].states
+    states = reports[0].states
+    assert [(r.status, r.preperiod, r.period) for r in reports] == [("cycle", 1, 9098)] * 2
+    # x1 starts the cycle, x0 is not on it, and each state steps to the next
+    assert states[0] == dr_step(A, p.finite_set(), p.x0)[0] and p.x0 not in states
+    assert all(
+        dr_step(A, p.finite_set(), x)[0] == states[(i + 1) % len(states)]
+        for i, x in enumerate(states)
+    )
+
+
 def random_dyadic(rng, lo, hi):
     den = rng.choice((2, 4))
     return Fraction(rng.randint(lo * den, hi * den), den)

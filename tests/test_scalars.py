@@ -19,7 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drplane.cycling import DoubletonProblem, detect_cycle
+from drplane.dynamics import iterate
 from drplane.errors import BackendError, ProblemFormatError
+from drplane.geometry import Hyperplane
 from drplane.scalars import (
     F64,
     RATIONAL,
@@ -36,6 +39,7 @@ from drplane.scalars import (
     is_square_free,
     parse_rational,
     rational_heuristic,
+    surd_from_ints,
 )
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -222,6 +226,29 @@ class TestAgainstFractionPairs:
             with pytest.raises(AttributeError):
                 setattr(s, name, 3)
         assert s == Surd(1, 1, 2)
+
+    def test_integers_cannot_be_deleted_and_no_instance_has_a_dict(self):
+        # p, q, n and d read private slots, which every constructor fills
+        s = Surd(1, Fraction(1, 2), 2)
+        for name in ("p", "q", "n", "d"):
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert (s.p, s.q, s.n, s.d) == (2, 1, 2, 2)
+        planar = DoubletonProblem(
+            Hyperplane((Surd(0, 0, 2), Surd(1, 0, 2))),
+            (Surd(1, 0, 2), Surd(0, -1, 2)), (Surd(2, 0, 2), Surd(0, 2, 2)),
+            (Surd(0, 0, 2), Surd(1, 0, 2)),
+        )
+        built = [
+            s, surd_from_ints(2, 4, -6, 2), s + 1, 1 - s, s * s, s / 3, 3 / s, -s,
+            copy.copy(s), pickle.loads(pickle.dumps(s)),
+            *iterate(planar.hyperplane, planar.finite_set(), planar.x0, 20).trace[-1].x,
+            *detect_cycle(planar, 100).states[-1],
+        ]
+        for x in built:
+            assert type(x) is Surd and not hasattr(x, "__dict__")
+            with pytest.raises(AttributeError):
+                x.extra = 1
 
 
 class TestComparisons:
