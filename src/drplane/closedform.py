@@ -32,6 +32,7 @@ form) and the verdict of corollary_point, each derived once.
 from __future__ import annotations
 
 import enum
+import math
 from itertools import islice
 
 from .cycling import DoubletonProblem
@@ -39,7 +40,7 @@ from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
 from .geometry import dot, norm_sq, vsub
 from .lattice import TABLE_BUDGET, OffsetLattice
-from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, floor, format_scalar, surd_floor
+from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, format_scalar, surd_floor
 from .slotted import Value
 
 NOT_APPLICABLE = "closed form not applicable; use iterate"
@@ -144,12 +145,12 @@ def _require_applicable(betas: Betas, inner0) -> None:
 
 def _count2(betas: Betas, inner0, n: int) -> int:
     # selector-2 choices among steps 1..n
-    return floor((-inner0 + betas.beta - (n + 1) * betas.beta1 + betas.beta2) / betas.span)
+    return math.floor((-inner0 + betas.beta - (n + 1) * betas.beta1 + betas.beta2) / betas.span)
 
 
 def _count1(betas: Betas, inner0, n: int) -> int:
     # independent floor for the selector-1 count; equals n - _count2
-    return -floor((-inner0 + betas.beta - betas.beta1 - (n - 1) * betas.beta2) / betas.span)
+    return -math.floor((-inner0 + betas.beta - betas.beta1 - (n - 1) * betas.beta2) / betas.span)
 
 
 def selector_counts(betas: Betas, inner0, n: int) -> tuple[int, int]:
@@ -421,19 +422,21 @@ def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
 
     Exact backends demand exact equality of points and selectors; the float
     backend allows F64_REL_TOL relative error on coordinates.  Reports the first
-    mismatch with both values.  Selectors compare per row, points per distinct pair of objects.
+    mismatch with both values.  Selectors compare per row, points per distinct
+    pair of objects, on f64 per row: its rows build new points.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rows = _rows(_plan(p, compute_betas(p)), p, horizon)  # refuses before iterating
     run = iterate(p.hyperplane, p.finite_set(), p.x0, horizon).trace
-    backend, agreed = p.backend, {}
+    backend, agreed, grow = p.backend, {}, p.backend != F64
     for n, ((k, x, _), rec) in enumerate(zip(rows, islice(run, 1, None), strict=True), 1):
         if k == rec.selector_k:
             pair = id(x), id(rec.x)
             if pair in agreed or _points_agree(x, rec.x, backend):
-                if len(agreed) < TABLE_BUDGET:
+                if grow:
                     agreed[pair] = x, rec.x  # held, so that no other object takes their ids
+                    grow = len(agreed) < TABLE_BUDGET
                 continue
         return VerifyReport(False, n, horizon, {
             "n": n, "iterated": [encode_scalar(c) for c in rec.x],

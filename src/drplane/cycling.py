@@ -203,14 +203,15 @@ def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
 
 def _detect_exact(orbit, horizon):
     # states to horizon + 1, the first that can show x_horizon repeating
-    found = Revisit(orbit.start, orbit.lattice.walk, horizon + 1)
+    start, walk = orbit.start, orbit.lattice.walk
+    found = Revisit(start, horizon + 1)
     # a sampled hit may come after the first repeat, past the horizon
-    if not (found.search() and found.within_horizon()):
+    if not (found.search(walk(*start)) and found.within_horizon(walk)):
         return CycleReport("no_cycle", horizon)
     if found.spacing > 1:
         log_path(__name__, "detect_cycle: sampled table hit at spacing %d", found.spacing)
     edge = found.n > horizon  # states that may first repeat at horizon + 1 stay undecoded
-    lam, before, states = found.cycle(list if edge else orbit.line_points.iterates)
+    lam, before, states = found.cycle(walk, list if edge else orbit.line_points.iterates)
     if edge:
         # then they are a cycle only if the iterates repeat one step earlier
         if lam + len(states) > horizon and _iterate(orbit, before) != _iterate(orbit, states[-1]):

@@ -32,15 +32,14 @@ the path taken and, for the vector loop, why; records are emitted only when
 it.
 
 Work and formatting are per distinct state.  Straddling orbits are bounded,
-so on rational data and in floats eventually periodic: the lattice walk
-finds its first revisited integer state (k, a, b), also on cycles that
-close past 2^13 states, the f64 vector loop its first iterate revisited bit
-for bit, and both repeat the records one period back.  The exporters format
-each state's offset and iterate once, assembling CSV lines and JSON records
-from those fragments, the JSON with the bytes that
-``json.dumps(..., indent=2)`` writes of its parse.  Each format has this one
-encoder: ``run_report`` and ``trace_rows`` parse its text.
-:mod:`drplane.lattice` states the policy of these tables at
+so on rational data and in floats eventually periodic: from the first state
+of the walk revisited, an integer state (k, a, b) or an f64 iterate bit for
+bit, also on cycles that close past 2^13 states, iterate repeats the records
+one period back.  The exporters format each state's offset and iterate once,
+assembling CSV lines and JSON records from those fragments, the JSON with
+the bytes that ``json.dumps(..., indent=2)`` writes of its parse.  Each
+format has this one encoder: ``run_report`` and ``trace_rows`` parse its
+text.  :mod:`drplane.lattice` states the policy of these tables at
 :data:`~drplane.lattice.TABLE_BUDGET`.
 """
 
@@ -223,56 +222,66 @@ def iterate(A: Hyperplane, B: FiniteSet, x0: Vector, max_n: int, *, slim: bool =
     """Run up to max_n DR steps from x0.  An orbit on the integer lattice
     takes its first step from ``Orbit.first_step`` and runs to the horizon;
     any other runs on vectors and stops early on a fixed point or on detected
-    divergence (one-sided disjoint sets only)."""
+    divergence (one-sided disjoint sets only).  Either walk records each
+    state as :class:`~drplane.lattice.Revisit` draws it; record n depends on
+    state n only, so from a hit, state n being state back, every record
+    repeats the one n - back before, iterate and offset shared."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     orbit = Orbit(A, B, x0)
-    trace = [TraceRecord(0, orbit.x0, None, orbit.inner0)]
+    result = RunResult([TraceRecord(0, orbit.x0, None, orbit.inner0)], Outcome.HORIZON)
+    trace = result.trace
     if orbit.refusal is not None:
         log_path(__name__, "iterate: generic vectors (%s)", orbit.refusal)
-        return _vector_steps(orbit, trace, max_n, slim)
-    log_path(__name__, "iterate: integer lattice")
-    if max_n:
-        x1, k1, inner1 = orbit.first_step
-        trace.append(TraceRecord(1, None if slim else x1, k1, inner1))
-    if max_n > 1:
-        _lattice_steps(orbit, trace, max_n, slim)
-    return RunResult(trace, Outcome.HORIZON)
+        # state n + 1 is x_n, which record n + 1 is made from
+        start = _bits_key(orbit.x0) if A.backend == F64 else None
+        states, horizon = _vector_steps(orbit, result, max_n, slim), max_n + 1
+    else:
+        log_path(__name__, "iterate: integer lattice")
+        if max_n:
+            x1, k1, inner1 = orbit.first_step
+            trace.append(TraceRecord(1, None if slim else x1, k1, inner1))
+        if max_n < 2:
+            return result
+        # state n is record n's
+        start, states, horizon = orbit.start, _lattice_steps(orbit, trace, max_n, slim), max_n
+    found = Revisit(start, horizon)
+    if found.search(states):
+        del trace[found.n :]
+        _replay(trace, found.n, found.n - found.back, max_n)
+    return result
 
 
-def _vector_steps(orbit: Orbit, trace: list, max_n: int, slim: bool) -> RunResult:
+def _vector_steps(orbit: Orbit, result: RunResult, max_n: int, slim: bool):
     """Append steps 1..max_n of an orbit the lattice refuses, each a
-    ``dr_step`` of the last iterate, and say how the run ended.  A one-sided
-    disjoint set is declared divergent after DIVERGENCE_WINDOW strictly
-    monotone offsets in a row."""
+    ``dr_step`` of the last iterate, and yield the bits of each new iterate
+    (:func:`_bits_key`) of an f64 orbit that cannot diverge.  A fixed point,
+    or a one-sided disjoint set's DIVERGENCE_WINDOW strictly monotone
+    offsets in a row, ends the walk and the run."""
     A, B, x, prev_inner = orbit.A, orbit.B, orbit.x0, orbit.inner0
-    backend, cls, window = A.backend, orbit.classification, DIVERGENCE_WINDOW
+    backend, cls, window, trace = A.backend, orbit.classification, DIVERGENCE_WINDOW, result.trace
     may_diverge = cls.kind == ClassificationKind.HALFSPACE_CONTAINED and not cls.intersects
+    # other orbits are exact, or checked for divergence at every step
+    keyed = backend == F64 and not may_diverge
     mono_sign = mono_run = 0
-    # record n depends on x_{n-1} only, and f64 orbits revisit iterates bit for
-    # bit: replay from the first revisit, unless divergence checks every step
-    seen = {} if backend == F64 and not may_diverge else None
     for n in range(1, max_n + 1):
-        if seen is not None:
-            back = seen.setdefault(_bits_key(x), n - 1)
-            if back != n - 1:
-                _replay(trace, n, n - 1 - back, max_n)
-                break
-            if len(seen) == TABLE_BUDGET:
-                seen = None
         nxt, k = dr_step(A, B, x)
         if vec_equal(nxt, x, backend):
-            return RunResult(trace, Outcome.FIXED_POINT, n - 1)
+            result.outcome, result.fixed_at = Outcome.FIXED_POINT, n - 1
+            return
         inner = A.inner(nxt)
         trace.append(TraceRecord(n, None if slim else nxt, k, inner))
         x = nxt
-        if may_diverge:
+        if keyed:
+            yield _bits_key(x)
+        elif may_diverge:
             sign = 1 if inner > prev_inner else -1 if inner < prev_inner else 0
             mono_run = mono_run + 1 if sign and sign == mono_sign else abs(sign)
             mono_sign, prev_inner = sign, inner
             if mono_run >= window:
-                return RunResult(trace, Outcome.DIVERGENCE, shadow_limit=vsub(x, vscale(inner, A.normal)))
-    return RunResult(trace, Outcome.HORIZON)
+                result.outcome = Outcome.DIVERGENCE
+                result.shadow_limit = vsub(x, vscale(inner, A.normal))
+                return
 
 
 def _bits_key(v: tuple) -> tuple:
@@ -282,36 +291,25 @@ def _bits_key(v: tuple) -> tuple:
     return v if 0.0 not in v else (v, tuple(math.copysign(1.0, c) for c in v))
 
 
-def _lattice_steps(orbit: Orbit, trace, max_n: int, slim: bool) -> None:
+def _lattice_steps(orbit: Orbit, trace, max_n: int, slim: bool):
     """Append steps 2..max_n of a straddling exact set, advanced on the
-    orbit's integer lattice from its state 1, ``Orbit.start``.
+    orbit's integer lattice from its state 1, ``Orbit.start``, and yield
+    each state (k, a, b) after its record.
 
     A doubleton walks its thresholds (:class:`OffsetLattice`), a set of
     m >= 3 points its per-selector scores (:class:`SetLattice`).  A full
     record's iterate is built from the integers of the previous offset by
-    the orbit's ``line_points``.  :class:`~drplane.lattice.Revisit` draws
-    the states from a walk that appends record n as it draws state n, up to
-    max_n.  Record n depends on state n only, so once Revisit finds state n
-    to be state j, every later record repeats the one n - j before it,
-    iterate and offset shared.
+    the orbit's ``line_points``.
     """
     lat = orbit.lattice
-    decode, walk = lat.decode, lat.walk
+    decode = lat.decode
     point = None if slim else orbit.line_points.point
-
-    def recording(k, pa, pb):
-        for n, key in zip(range(2, max_n + 1), walk(k, pa, pb)):
-            k, a, b = key
-            trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
-            pa, pb = a, b
-            yield key
-
-    found = Revisit(orbit.start, recording, max_n)
-    if found.search():
-        # the walk has recorded the hit state n too: replay from n instead,
-        # so that its record shares the iterate and offset of state back's
-        trace.pop()
-        _replay(trace, found.n, found.n - found.back, max_n)
+    k, pa, pb = orbit.start
+    for n, key in zip(range(2, max_n + 1), lat.walk(k, pa, pb)):
+        k, a, b = key
+        trace.append(TraceRecord(n, None if slim else point(k, pa, pb), k, decode(a, b)))
+        pa, pb = a, b
+        yield key
 
 
 def _replay(trace, start: int, period: int, max_n: int) -> None:
@@ -428,21 +426,20 @@ def _tallied(records, m: int, fragment, sep: str):
     counts is the text of the cumulative selector counts up to the record,
     joined by sep.  The fragment is made once per key, and for every record
     keyed None; a record's iterate is built only for its fragment.  The
-    fragments are memoised up to TABLE_BUDGET keys.
+    memo stops growing at TABLE_BUDGET keys.
     """
     counts, count_texts = [0] * m, ["0"] * m  # one count moves per record
-    made = {}
+    made, grow = {}, True
     for n, k, inner, x, key in records:
         if k is not None:
             counts[k - 1] += 1
             count_texts[k - 1] = str(counts[k - 1])
-        frag = None if made is None else made.get(key)
+        frag = made.get(key)
         if frag is None:
             frag = fragment(inner, x() if callable(x) else x)
-            if made is not None and key is not None:
+            if grow and key is not None:
                 made[key] = frag
-                if len(made) == TABLE_BUDGET:
-                    made = None
+                grow = len(made) < TABLE_BUDGET
         yield n, k, sep.join(count_texts), frag
 
 

@@ -48,27 +48,27 @@ of the iteration driver, the cycle search and the closed form reads them.
 already decoded.
 
 :class:`Revisit` finds the first revisited state of a walk, for the
-iteration driver's replay and the exact cycle search, in one table loop
-that yields nothing: ``iterate`` hands it a walk that records each state
-as it is drawn, and the cycle search runs it bare.  Its table keeps every
-state until it holds :data:`TABLE_BUDGET` (2^13), one ``setdefault`` per
-state, then only the states whose index is a multiple of a spacing that
-doubles each time it fills again, each the next one due.  A hit while the
-spacing is 1 is the first repeat, and the table lists the cycle.  A later
-hit is one period after the least table state on the cycle, which lies
-within one spacing after the first state on it.  One walk round the
-cycle, streamed into the caller's decoder, keeps the twin of the table
+iteration driver's replay and the exact cycle search, in one table loop that
+yields nothing: ``iterate`` hands it the states of a walk that records each
+one as it is drawn, lattice states or the bits of f64 iterates, and the
+cycle search the states of a bare walk, which it walks again after a hit.
+Its table keeps every state until it holds :data:`TABLE_BUDGET` (2^13), one
+``setdefault`` per state, then only the states whose index is a multiple of
+a spacing that doubles each time it fills again, each the next one due.  A
+hit while the spacing is 1 is the first repeat, and the table lists the
+cycle.  A later hit is one period after the least table state on the cycle,
+which lies within one spacing after the first state on it.  One walk round
+the cycle, streamed into the caller's decoder, keeps the twin of the table
 state one spacing before the hit's, whole periods on from it, through one
-generator spliced into the lap at the twin's place, and two walks of at
-most one spacing each, from that table state and from its twin, meet at
-the first state on the cycle.  A hit past the horizon is first tested, by
-one walk from that table state, for a cycle that closes within it.  The
-search holds O(TABLE_BUDGET) states at any horizon, and a found cycle costs
-its report plus O(TABLE_BUDGET + spacing).  The f64 vector loop's table of
-iterates and the exporters' text memo are dropped at TABLE_BUDGET instead:
-an orbit adds no new state once it has come back, so a table that fills
-has seen no repeat.  The closed form's row table stops growing there: a
-cycle longer than the table still comes back to the states it holds.
+generator spliced into the lap at the twin's place, and two walks of at most
+one spacing each, from that table state and from its twin, meet at the first
+state on the cycle.  A hit past the horizon is first tested, by one walk
+from that table state, for a cycle that closes within it.  The search holds
+O(TABLE_BUDGET) states at any horizon, and a found cycle costs its report
+plus O(TABLE_BUDGET + spacing).  Every other per-state table is a memo, of
+the closed form's rows and agreed points or of the exporters' texts, and
+stops growing at TABLE_BUDGET, serving the states it holds: a cycle longer
+than the table still comes back to them.
 """
 
 from __future__ import annotations
@@ -256,23 +256,25 @@ class SetLattice(_LineLattice):
 
 
 class Revisit:
-    """The first revisited state of the walk ``walk(*start)`` from state 1,
-    by the table of the module docstring.  :meth:`search` draws states 2,
-    3, ... from one walk and stops at the first hit, state ``n`` being state
-    ``back``, or else (``back`` None) before index ``horizon + spacing``,
-    having drawn every state up to ``horizon``.  A caller that wants the
-    states hands in a walk that records each one as it is drawn, the hit
-    state n included; a walk that ends stops the search there."""
+    """The first revisited state of a walk from state 1, ``start``, by the
+    table of the module docstring.  :meth:`search` draws states 2, 3, ...
+    from the states handed to it and stops at the first hit, state ``n``
+    being state ``back``, or else (``back`` None) before index
+    ``horizon + spacing``, having drawn every state up to ``horizon``.  A
+    caller that keeps the states hands in a walk that records each one as it
+    is drawn, the hit state n included; states that end stop the search.  After
+    a hit, :meth:`within_horizon` and :meth:`cycle` walk again from table
+    states, ``walk(*state)`` being the states after ``state``."""
 
-    __slots__ = ("start", "walk", "horizon", "back", "n", "spacing", "_seen", "_hit")
+    __slots__ = ("start", "horizon", "back", "n", "spacing", "_seen", "_hit")
 
-    def __init__(self, start: tuple, walk, horizon: int):
-        self.start, self.walk, self.horizon = start, walk, horizon
+    def __init__(self, start: tuple, horizon: int):
+        self.start, self.horizon = start, horizon
         self.back = self.n = None
 
-    def search(self) -> bool:
-        """Run the table loop once; whether it found a hit."""
-        walk, horizon = self.walk(*self.start), self.horizon
+    def search(self, states) -> bool:
+        """Run the table loop once over states 2, 3, ...; whether it found a hit."""
+        walk, horizon = iter(states), self.horizon
         seen = self._seen = {self.start: 1}
         self.spacing = n = 1
         # dense phase: every state is stored, so with no hit the table
@@ -302,7 +304,7 @@ class Revisit:
                     due += spacing
         return False
 
-    def cycle(self, decode) -> tuple[int, tuple | None, tuple]:
+    def cycle(self, walk, decode) -> tuple[int, tuple | None, tuple]:
         """(lam, before, states) after a hit: the index lam of the first
         state on the cycle, the state lam-1 before it (None for state 0),
         and ``decode`` of the states lam .. lam+mu-1 over the minimal period
@@ -321,7 +323,7 @@ class Revisit:
         # whole number of periods on from it, at lap index at.  A one-shot
         # generator spliced in there keeps it, so the lap pays one generator
         # resume in all rather than one per state.
-        back, spacing, hit, walk = self.back, self.spacing, self._hit, self.walk
+        back, spacing, hit = self.back, self.spacing, self._hit
         mu = self.n - back
         at, twin = -spacing % mu, None
         lap = chain((hit,), islice(walk(*hit), mu - 1))
@@ -353,7 +355,7 @@ class Revisit:
         i = self.back - self.spacing
         return (i, next(k for k, j in self._seen.items() if j == i)) if i else (1, self.start)
 
-    def within_horizon(self) -> bool:
+    def within_horizon(self, walk) -> bool:
         """After a hit, whether the walk's first repeat index lam + mu, of
         its states rather than of the iterates they decode to, is at most
         the horizon, decided without :meth:`cycle`.  A hit past the horizon
@@ -366,7 +368,7 @@ class Revisit:
         (i, base), j = self._base(), horizon - mu
         if j < i:
             return False
-        states = chain((base,), self.walk(*base))
+        states = chain((base,), walk(*base))
         return next(islice(states, j - i, None)) == next(islice(states, mu - 1, None))
 
 

@@ -406,11 +406,6 @@ def backend_of(s: Scalar) -> str:
     raise BackendError(f"not a scalar: {s!r}")
 
 
-def floor(s: Scalar) -> int:
-    """floor(s) as a plain int; exact on the exact backends."""
-    return math.floor(s)
-
-
 def is_rational(s: Scalar) -> bool:
     """Whether s is a rational number.
 

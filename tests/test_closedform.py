@@ -3,6 +3,7 @@
 import copy
 import inspect
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -38,7 +39,7 @@ from drplane.errors import PreconditionError
 from drplane.geometry import FiniteSet, Hyperplane, TiePolicy, dr_step, norm_sq, vsub
 from drplane.lattice import TABLE_BUDGET, FloatLinePoints, LinePoints, OffsetLattice, SetLattice
 from drplane.problems import load_problem
-from drplane.scalars import Surd, floor
+from drplane.scalars import Surd
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -215,7 +216,7 @@ class TestClosedFormInner:
             p = line_doubleton(-1, r)
             b = compute_betas(p)
             for n in range(1, 60):
-                short = -n + floor(Fraction(n, r + 1) + Fraction(1, 2)) * (r + 1)
+                short = -n + math.floor(Fraction(n, r + 1) + Fraction(1, 2)) * (r + 1)
                 assert closed_form_inner(b, Fraction(0), n) == short
 
     def test_two_published_forms_agree(self):
@@ -436,17 +437,17 @@ class TestBeatty:
     def test_equivalent_floor_definitions(self):
         for n in range(300):
             u_n, v_n, w_n = beatty_triple(n)
-            base = floor(Surd(-(n + 1), n + 1, 2))  # floor((n+1)(sqrt2-1))
+            base = math.floor(Surd(-(n + 1), n + 1, 2))  # floor((n+1)(sqrt2-1))
             assert w_n == base
             assert v_n == n - base
-            assert u_n == base - floor(Surd(-n, n, 2))
+            assert u_n == base - math.floor(Surd(-n, n, 2))
 
     def test_matches_surd_formula(self):
         # the formula beatty_triple had before it floored on integers
         for n in range(5001):
-            f_next = floor(Surd(0, n + 1, 2))
-            u_n = f_next - floor(Surd(0, n, 2)) - 1
-            v_n = floor(Surd(2 * (n + 1), -(n + 1), 2))
+            f_next = math.floor(Surd(0, n + 1, 2))
+            u_n = f_next - math.floor(Surd(0, n, 2)) - 1
+            v_n = math.floor(Surd(2 * (n + 1), -(n + 1), 2))
             assert beatty_triple(n) == (u_n, v_n, f_next - n - 1)
 
     def test_identity_with_plane_orbit(self):
@@ -550,7 +551,7 @@ def test_closed_form_final_counts_match_iteration():
 
 def quotient_count2(b, inner0, n):
     """count2 as the published floor of one exact quotient."""
-    return floor((-inner0 + b.beta - (n + 1) * b.beta1 + b.beta2) / b.span)
+    return math.floor((-inner0 + b.beta - (n + 1) * b.beta1 + b.beta2) / b.span)
 
 
 class TestIntegerFloorForm:

@@ -786,8 +786,8 @@ class TestLatticeStateTable:
         A, B = line_problem([Fraction(-q2, 3), Fraction(q1, 3)])
         x0 = (Fraction(1, 5),)
         orbit = Orbit(A, B, x0)
-        found = Revisit(orbit.start, orbit.lattice.walk, 3 * (q1 + q2))
-        assert found.search() and found.spacing > 1
+        found = Revisit(orbit.start, 3 * (q1 + q2))
+        assert found.search(orbit.lattice.walk(*orbit.start)) and found.spacing > 1
         n, x, expected = found.n, x0, [(0, x0, None, A.inner(x0))]
         for m in range(1, n + 2):
             x, k = dr_step(A, B, x)
@@ -940,12 +940,49 @@ class TestF64StepTable:
     def test_more_distinct_states_than_the_table_holds(self):
         # dyadic offsets with q1*d_A(b1) = q2*d_A(b2) and q1 + q2 > 2^13 are
         # exact in floats: the orbit cycles with period q1 + q2, so the table
-        # fills before it comes back and the loop goes on without it
+        # fills before it comes back and the search goes on sampled
         q1, q2 = 4099, 4999
         A = Hyperplane((1.0,))
         B = FiniteSet.ordered([(-q2 / 4,), (q1 / 4,)], A)
         expected = self.assert_matches_plain(A, B, (0.125,), 2 * (q1 + q2) + 50)
         assert len({x for _, x, _, _ in expected[1:]}) == q1 + q2 > TABLE_BUDGET
+
+    def test_replay_past_the_table_budget(self, monkeypatch):
+        # the f64 twin of the exact orbit TestLatticeAgainstDrStep replays
+        # past the table: the sampled table finds its cycle, so the run
+        # steps about one period, and from the hit each record shares its
+        # iterate and offset with the one a period back
+        q1, q2 = 4099, 4999
+        period, calls = q1 + q2, 0
+        A = Hyperplane((1.0,))
+        B = FiniteSet.ordered([(-q2 / 4,), (q1 / 4,)], A)
+        max_n = 2 * period + 50
+        expected = plain_f64_run(A, B, (0.125,), max_n)
+        R, _ = first_revisit(expected)
+
+        def counting_dr_step(*args):
+            nonlocal calls
+            calls += 1
+            return dr_step(*args)
+
+        monkeypatch.setattr(dynamics, "dr_step", counting_dr_step)
+        for slim in (False, True):
+            calls = 0
+            run = iterate(A, B, (0.125,), max_n, slim=slim)
+            assert calls <= 10_000
+            assert [
+                (r.n, hexes(reconstruct_x(run, A, B, n)), r.selector_k, r.inner.hex())
+                for n, r in enumerate(run.trace)
+            ] == expected
+            trace = run.trace
+            shared = [
+                m for m in range(period + 1, len(trace))
+                if trace[m].x is trace[m - period].x and trace[m].inner is trace[m - period].inner
+            ]
+            assert shared and shared == list(range(shared[0], len(trace)))
+            # x_R, which record R + 1 is made from, is the first repeat, and
+            # the sampled hit comes at most one spacing, 2, after it
+            assert R < shared[0] <= R + 2
 
 
 def streamed_rows_peak(run, A, B) -> int:

@@ -230,8 +230,9 @@ def test_revisit_against_a_table_of_every_state(monkeypatch):
         walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m))
         for horizon in {1, max(1, R // 2), R - 1, R, R + 1, 3 * R}:
             keys = []
-            found = Revisit(states[1], drawn(walk, keys), horizon)
-            hit = found.search()
+            recorded = drawn(walk, keys)
+            found = Revisit(states[1], horizon)
+            hit = found.search(recorded(*states[1]))
             # the search drew states 2, 3, ... from one walk, the hit included
             last = len(keys) + 1
             assert keys == states[2 : last + 1]
@@ -251,7 +252,7 @@ def test_revisit_against_a_table_of_every_state(monkeypatch):
                 sampled += 1
             assert n < horizon + found.spacing
             # the minimal preperiod and period, from any hit
-            assert found.cycle(tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
+            assert found.cycle(recorded, tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
     assert min(dense, sampled, missed) > 50
 
 
@@ -267,9 +268,9 @@ def test_revisit_stops_where_a_recording_walk_ends(monkeypatch):
             if not 2 <= horizon < R:
                 continue
             keys = []
-            ends = lambda *state: islice(drawn(walk, keys)(*state), horizon - 1)  # noqa: E731
-            found = Revisit(states[1], ends, horizon)
-            assert not found.search() and found.back is None
+            ends = islice(drawn(walk, keys)(*states[1]), horizon - 1)
+            found = Revisit(states[1], horizon)
+            assert not found.search(ends) and found.back is None
             assert keys == states[2 : horizon + 1]
             sampled.add(found.spacing > 1)
     assert sampled == {False, True}
@@ -288,8 +289,9 @@ def test_sampled_cycle_in_every_branch(monkeypatch):
         reach = rng.choice((30, 3000))
         walk, states, lam, R = states_to_first_repeat(random_rational_orbit(rng, m, reach))
         keys = []
-        found = Revisit(states[1], drawn(walk, keys), 3 * R)
-        assert found.search()
+        recorded = drawn(walk, keys)
+        found = Revisit(states[1], 3 * R)
+        assert found.search(recorded(*states[1]))
         # the search looked at every state up to the hit, and no further
         assert keys == states[2 : found.n + 1]
         if found.spacing == 1:
@@ -298,7 +300,7 @@ def test_sampled_cycle_in_every_branch(monkeypatch):
         # the hit is the least table state on the cycle, one period on
         assert found.back == -(-lam // spacing) * spacing and found.n - found.back == mu
         keys.clear()
-        assert found.cycle(tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
+        assert found.cycle(recorded, tuple) == (lam, states[lam - 1], tuple(states[lam:R]))
         # once round the cycle, and at most spacing steps for each of the
         # two walks that meet at lam
         assert len(keys) <= mu + 2 * spacing + 1

@@ -32,7 +32,6 @@ from drplane.scalars import (
     backend_of,
     decode_scalar,
     encode_scalar,
-    floor,
     format_scalar,
     fraction_from_ints,
     is_rational,
@@ -83,42 +82,42 @@ def floor_oracle(a, b, d):
 
 class TestFloor:
     def test_rational_half_integers(self):
-        assert floor(Fraction(7, 2)) == 3
-        assert floor(Fraction(-7, 2)) == -4
-        assert floor(Fraction(6, 3)) == 2
+        assert math.floor(Fraction(7, 2)) == 3
+        assert math.floor(Fraction(-7, 2)) == -4
+        assert math.floor(Fraction(6, 3)) == 2
 
     def test_surd_examples(self):
-        assert floor(Surd(0, 2, 2)) == 2       # 2*sqrt(2) = 2.828...
-        assert floor(Surd(0, -1, 2)) == -2     # -sqrt(2) = -1.414...
-        assert floor(Surd(3, 0, 2)) == 3
-        assert floor(Surd(Fraction(1, 2), 1, 2)) == 1
-        assert floor(Surd(-3, 2, 2)) == -1     # -3 + 2.828...
+        assert math.floor(Surd(0, 2, 2)) == 2       # 2*sqrt(2) = 2.828...
+        assert math.floor(Surd(0, -1, 2)) == -2     # -sqrt(2) = -1.414...
+        assert math.floor(Surd(3, 0, 2)) == 3
+        assert math.floor(Surd(Fraction(1, 2), 1, 2)) == 1
+        assert math.floor(Surd(-3, 2, 2)) == -1     # -3 + 2.828...
 
     def test_float_floor(self):
-        assert floor(2.75) == 2
-        assert floor(-0.5) == -1
+        assert math.floor(2.75) == 2
+        assert math.floor(-0.5) == -1
 
     @given(fractions_st)
     def test_rational_bracketing(self, q):
-        f = floor(q)
+        f = math.floor(q)
         assert f <= q < f + 1
 
     @given(surds())
     def test_surd_bracketing(self, s):
-        f = floor(s)
+        f = math.floor(s)
         assert isinstance(f, int)
         assert f <= s
         assert s < f + 1
 
     @given(surds())
     def test_surd_floor_matches_oracle(self, s):
-        assert floor(s) == floor_oracle(s.a, s.b, s.d)
+        assert math.floor(s) == floor_oracle(s.a, s.b, s.d)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=-10**12, max_value=10**12), radicand_st)
     def test_surd_floor_large_b(self, b, d):
         s = Surd(0, b, d)
-        assert floor(s) == floor_oracle(0, b, d)
+        assert math.floor(s) == floor_oracle(0, b, d)
 
 
 def sign_oracle(a, b, d):
@@ -209,7 +208,7 @@ class TestAgainstFractionPairs:
         assert (y < x, y > x) == (diff > 0, diff < 0)
         assert (x == y, x != y, y == x) == (diff == 0, diff != 0, diff == 0)
         assert x.sign() == sign_oracle(a1, b1, d)
-        assert floor(x) == floor_oracle(a1, b1, d)
+        assert math.floor(x) == floor_oracle(a1, b1, d)
         if diff == 0:
             assert hash(x) == hash(y)
 
