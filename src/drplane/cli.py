@@ -46,6 +46,7 @@ from .dynamics import (
 )
 from .errors import PreconditionError, ProblemFormatError
 from .geometry import FiniteSet, TiePolicy
+from .lattice import _paused
 from .problems import Problem, load_problem, make_problem
 from .scalars import BACKENDS, F64, F64_REL_TOL, finite_float, rational_heuristic
 
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
         print("error: horizon must be >= 1", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](args)
+        return _paused(COMMANDS[args.command])(args)
     except (OSError, ValueError) as exc:
         # every package error derives from ValueError; all mean bad input here
         print(f"error: {exc}", file=sys.stderr)

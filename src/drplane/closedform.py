@@ -39,7 +39,7 @@ from .cycling import DoubletonProblem
 from .dynamics import Outcome, RunResult, TraceRecord, iterate
 from .errors import PreconditionError
 from .geometry import dot, norm_sq, vsub
-from .lattice import TABLE_BUDGET, OffsetLattice
+from .lattice import TABLE_BUDGET, OffsetLattice, _paused
 from .scalars import F64, F64_REL_TOL, Scalar, encode_scalar, format_scalar, surd_floor
 from .slotted import Value
 
@@ -405,6 +405,7 @@ def _rows(form: FloorForm, p: DoubletonProblem, horizon: int):
         prev, before = coefs, now
 
 
+@_paused
 def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     """Iterates 0..horizon from the closed form, shaped like iterate()'s result.
 
@@ -417,6 +418,7 @@ def closed_form_trace(p: DoubletonProblem, horizon: int) -> RunResult:
     return RunResult(trace, Outcome.HORIZON)
 
 
+@_paused
 def verify_closed_form(p: DoubletonProblem, horizon: int) -> VerifyReport:
     """Compare the closed form against direct iteration for n = 1..horizon.
 

@@ -42,7 +42,7 @@ from operator import attrgetter
 from .dynamics import ClassificationKind, Orbit, RunResult, log_path
 from .errors import BackendError, PreconditionError
 from .geometry import FiniteSet, Hyperplane, TiePolicy, Vector
-from .lattice import Revisit
+from .lattice import Revisit, _paused
 from .problems import Problem
 from .scalars import F64, F64_REL_TOL, as_fraction, encode_scalar, format_scalar, is_rational
 from .slotted import Value
@@ -180,6 +180,7 @@ def cycle_relation(p: DoubletonProblem) -> tuple[int, int] | None:
     return frac.denominator, frac.numerator
 
 
+@_paused
 def detect_cycle(p: DoubletonProblem, horizon: int) -> CycleReport:
     """Search for a state recurrence within the first `horizon` iterates.
 

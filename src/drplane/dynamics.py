@@ -65,7 +65,7 @@ from .geometry import (
     vsub,
 )
 from .lattice import TABLE_BUDGET, FloatLinePoints, LinePoints, OffsetLattice, Revisit
-from .lattice import SetLattice, _int_parts, window_constant
+from .lattice import SetLattice, _int_parts, _paused, window_constant
 from .scalars import F64, F64_ABS_TOL, Scalar, encode_scalar, format_scalar
 from .slotted import Record, Value
 
@@ -218,6 +218,7 @@ class Orbit:
         return kind(self.lattice, self.A.normal, self.B.points)
 
 
+@_paused
 def iterate(A: Hyperplane, B: FiniteSet, x0: Vector, max_n: int, *, slim: bool = False) -> RunResult:
     """Run up to max_n DR steps from x0.  An orbit on the integer lattice
     takes its first step from ``Orbit.first_step`` and runs to the horizon;

@@ -69,12 +69,30 @@ plus O(TABLE_BUDGET + spacing).  Every other per-state table is a memo, of
 the closed form's rows and agreed points or of the exporters' texts, and
 stops growing at TABLE_BUDGET, serving the states it holds: a cycle longer
 than the table still comes back to them.
+
+Exact results are built in bulk: a decoded cycle of up to 10^5 states, a
+trace of 10^6 records.  Fractions, Surds, tuples and records refer to no
+object that refers back to them, yet CPython's cyclic collector would
+traverse them again and again as they are built: a young pass every 700
+allocations, an older one every ten of those, a full one as the survivors
+grow.  :func:`_paused` turns it off for one call of each bulk entry point,
+``cycling.detect_cycle``, ``dynamics.iterate``,
+``closedform.closed_form_trace`` and ``verify_closed_form``, and the CLI's
+subcommand call with its export, and restores it when the call returns or
+raises.  A caller that turned the collector off keeps it off, and a paused
+call inside another one pauses nothing.  If the collector was on, the young
+pass the call's allocations are due runs before it returns, so the call
+pays for it.  The pause is process-wide while a call runs, but it stops
+only the search for reference cycles: every object these calls drop is
+freed by reference counting at once, as ever.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from fractions import Fraction
+from functools import wraps
 from itertools import chain, islice, tee
 from operator import itemgetter
 
@@ -91,6 +109,26 @@ from .geometry import (
 from .scalars import Scalar, Surd, _new_object, fraction_from_ints, surd_from_ints, surd_sign
 
 TABLE_BUDGET = 2**13  # states in any per-orbit table: about 2 MB of surd keys
+
+
+def _paused(build):
+    """``build`` run with the cyclic collector paused, as the module
+    docstring states; a call made while it is already off leaves it off."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+            # the young pass the build's allocations are due, paid by the build
+            if gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.collect(0)
+
+    return paused
 
 
 def _int_parts(v) -> tuple[int, int, int]:
