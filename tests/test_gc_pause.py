@@ -21,7 +21,7 @@ from drplane.cycling import DoubletonProblem, detect_cycle
 from drplane.dynamics import iterate
 from drplane.errors import BackendError, PreconditionError
 from drplane.geometry import TiePolicy
-from drplane.problems import load_problem, make_problem
+from drplane.problems import load_problem, make_problem, save_problem
 from drplane.scalars import Surd
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -40,7 +40,7 @@ F64_LINE = load_problem(PROBLEMS / "float_wide.json")
 TIE_MISMATCH = make_problem([1], [[-1], [2]], [Fraction(1, 2)], TiePolicy.LOWER_INNER)
 # every squared distance of the first step overflows to inf
 F64_OVERFLOW = make_problem([1.0], [[-1e308], [1.5e308]], [1.7e308])
-# the window does not contain the start's orbit: the closed form refuses
+# beta + beta2 < 0, a hypothesis of the closed form: it refuses
 SHIFTED = make_problem([0, 1], [[0, -1], [3, Fraction(1, 2)]], [0, 0])
 
 
@@ -99,7 +99,7 @@ def refuses(error, call):
 
 def cli_refuses(tmp_path):
     path = tmp_path / "overflow.json"
-    path.write_text('{"normal": [1.0], "points": [[-1e308], [1.5e308]], "x0": [1.7e308]}')
+    save_problem(F64_OVERFLOW, path)
     assert main(["run", "--problem", str(path), "--horizon", "2"]) == 2
 
 
